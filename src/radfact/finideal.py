@@ -36,7 +36,7 @@ class FinIdeal:
     __slots__ = ("ring", "mask", "_els", "_gens")
 
     def __init__(self, ring, elements):
-        mask = mask_of(elements)
+        mask = mask_of(list(elements))
         _validate_ideal_mask(ring, mask)
         self.ring = ring
         self.mask = mask
@@ -105,8 +105,7 @@ class FinIdeal:
                 g = (self.mask & ~span)
                 g = (g & -g).bit_length() - 1
                 gens.append(g)
-                pcol = np.unique(ring.mul[:, g])
-                span_els = np.unique(ring.add[np.ix_(span_els, pcol)])
+                span_els = _sum_els(ring, span_els, _union(ring, ring.mul[g]))
                 span = mask_of(span_els)
             self._gens = tuple(gens)
         return self._gens
@@ -126,13 +125,9 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
     for g in gens:
         if not 0 <= g < a.order:
             raise ValueError(f"generator {g} out of range")
-    S = np.unique(np.array(gens + (a.zero,), dtype=np.intp))
-    while True:
-        new = np.unique(np.concatenate(
-            [a.mul[:, S].ravel(), a.add[np.ix_(S, S)].ravel()]))
-        if new.size == S.size:
-            break
-        S = new.astype(np.intp)
+    S = np.array([a.zero], dtype=np.intp)
+    for g in gens:
+        S = _sum_els(a, S, _union(a, a.mul[g]))     # the sum of the principal ideals
     return FinIdeal._unchecked(a, mask_of(S), gens=tuple(sorted(set(gens))))
 
 
@@ -142,46 +137,58 @@ def _principal_ideals(a):
     if cached is None:
         seen = {}
         for g in range(a.order):
-            m = mask_of(np.unique(a.mul[:, g]))
             # rG is already closed under + and outer multiplication
-            seen.setdefault(m, g)
+            seen.setdefault(mask_of(a.mul[g]), g)
         cached = sorted((m, g) for m, g in seen.items())
         a._cache["principals"] = cached
     return cached
 
 
+def _union(a, idx):
+    """The distinct elements among the indices idx, sorted, by a scatter over a."""
+    hit = np.zeros(a.order, dtype=bool)
+    hit[idx] = True
+    return np.flatnonzero(hit)
+
+
 def _sum_els(a, els1, els2):
     # the elementwise sum set of two additive subgroups is already a subgroup
-    return np.unique(a.add[np.ix_(els1, els2)])
+    return _union(a, a.add[els1[:, None], els2])
+
+
+def _join_closure(cyclic, add, max_ideals):
+    """Every sum of the cyclic subgroups in `cyclic`, as {mask: generators}.
+
+    `cyclic` holds (mask, generator) pairs with distinct masks, each mask a
+    subgroup of the group with addition table `add`.
+    """
+    cyclic = [(m, g, np.array(elements_of(m), dtype=np.intp)) for m, g in cyclic]
+    known = {m: (els, (g,)) for m, g, els in cyclic}
+    queue = list(known)
+    while queue:
+        mask = queue.pop()
+        els, gens = known[mask]
+        rows = els[:, None]
+        for cmask, g, cels in cyclic:
+            if cmask & ~mask == 0:
+                continue
+            jmask = mask_of(add[rows, cels])
+            if jmask not in known:
+                known[jmask] = (np.array(elements_of(jmask), dtype=np.intp), gens + (g,))
+                queue.append(jmask)
+                if len(known) > max_ideals:
+                    raise ResourceLimitError(
+                        f"lattice size exceeds the max-ideals bound {max_ideals}",
+                        "max-ideals", max_ideals)
+    return {m: gens for m, (_, gens) in known.items()}
 
 
 def all_ideals(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[FinIdeal]:
     """Every ideal of a, in sorted bitset order."""
     cached = a._cache.get("ideals")
     if cached is None:
-        principals = _principal_ideals(a)
-        known = {}
-        queue = []
-        for m, g in principals:
-            if m not in known:
-                known[m] = (np.array(elements_of(m), dtype=np.intp), (g,))
-                queue.append(m)
-        while queue:
-            mask = queue.pop()
-            els, gens = known[mask]
-            for pmask, g in principals:
-                if pmask & ~mask == 0:
-                    continue
-                jels = _sum_els(a, els, np.array(elements_of(pmask), dtype=np.intp))
-                jmask = mask_of(jels)
-                if jmask not in known:
-                    known[jmask] = (jels, gens + (g,))
-                    queue.append(jmask)
-                    if len(known) > max_ideals:
-                        raise ResourceLimitError(
-                            f"ideal count exceeds the max-ideals bound {max_ideals}",
-                            "max-ideals", max_ideals)
-        cached = [(m, known[m][1]) for m in sorted(known)]
+        known = _join_closure(_principal_ideals(a), a.add, max_ideals)
+        cached = sorted(known.items())
         a._cache["ideals"] = cached
     if len(cached) > max_ideals:
         raise ResourceLimitError(
@@ -207,7 +214,7 @@ def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     jels = np.array(j.elements, dtype=np.intp)
     acc = np.array([a.zero], dtype=np.intp)
     for g in i.small_gens():
-        acc = _sum_els(a, acc, np.unique(a.mul[jels, g]))
+        acc = _sum_els(a, acc, _union(a, a.mul[jels, g]))
     return FinIdeal._unchecked(a, mask_of(acc), gens=None)
 
 
@@ -220,21 +227,29 @@ def ideal_power(i: FinIdeal, n: int) -> FinIdeal:
     return out
 
 
+def _power_map(a):
+    """x -> x^N for N the least power of two >= order.bit_length(), cached on the ring."""
+    pw = a._cache.get("power_map")
+    if pw is None:
+        pw = np.arange(a.order)
+        for _ in range((a.order.bit_length() - 1).bit_length()):
+            pw = a.mul[pw, pw]
+        a._cache["power_map"] = pw
+    return pw
+
+
 def radical(i: FinIdeal) -> FinIdeal:
-    """All x with x^k in I for some k <= ring order."""
+    """All x with x^N in I, for the power N of `_power_map`.
+
+    A nilpotent of R/I has index at most the composition length of R/I,
+    and each composition factor has at least two elements, so the index is
+    at most log2|R/I| <= log2|R| < order.bit_length() <= N.  Hence x^k in I
+    for some k exactly when x^N in I.
+    """
     a = i.ring
-    n = a.order
-    member = np.zeros(n, dtype=bool)
+    member = np.zeros(a.order, dtype=bool)
     member[list(i.elements)] = True
-    idx = np.arange(n)
-    v = idx.copy()
-    hit = member[v].copy()
-    for _ in range(n - 1):
-        if hit.all():
-            break
-        v = a.mul[v, idx]
-        hit |= member[v]
-    return FinIdeal._unchecked(a, mask_of(np.flatnonzero(hit)))
+    return FinIdeal._unchecked(a, mask_of(np.flatnonzero(member[_power_map(a)])))
 
 
 def is_prime(i: FinIdeal) -> bool:

@@ -20,22 +20,44 @@ from .errors import ResourceLimitError
 MAX_ORDER = 4096
 
 
+def _check_order(order, max_order, what="ring order"):
+    if order > max_order:
+        raise ResourceLimitError(
+            f"{what} {order} exceeds the max-order bound {max_order}",
+            "max-order", max_order)
+
+
+def _bounded_power(base, exp, max_order, what):
+    """base ** exp for base >= 1, multiplied out with a cut-off at max_order,
+    so a huge exponent fails on the bound without building a huge integer."""
+    size = 1
+    for _ in range(exp if base > 1 else 0):
+        size *= base
+        if size > max_order:
+            raise ResourceLimitError(
+                f"{what} {base}^{exp} exceeds the max-order bound {max_order}",
+                "max-order", max_order)
+    return size
+
+
 def mask_of(elements) -> int:
-    """Pack an iterable of element indices into a bitset integer."""
-    m = 0
-    for e in elements:
-        m |= 1 << int(e)
-    return m
+    """Pack element indices (a sequence or array, repeats allowed) into a bitset integer.
+
+    A negative index raises ValueError (np.bincount refuses it), as does one
+    too large for a machine integer.
+    """
+    try:
+        idx = np.asarray(elements, dtype=np.intp).ravel()
+    except OverflowError:
+        raise ValueError("element index out of range") from None
+    bits = np.bincount(idx) > 0
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitset integer into a sorted tuple of element indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
 def _additive_generators(add, zero):
@@ -83,10 +105,7 @@ def _verify_group(add, zero, what):
 def _verify_ring_tables(order, add, mul, zero, one):
     if order < 1:
         raise ValueError("ring order must be positive")
-    if order > MAX_ORDER:
-        raise ResourceLimitError(
-            f"ring order {order} exceeds the max-order bound {MAX_ORDER}",
-            "max-order", MAX_ORDER)
+    _check_order(order, MAX_ORDER)
     if not (0 <= zero < order and 0 <= one < order):
         raise ValueError("zero/one indices out of range")
     if zero == one and order != 1:
@@ -148,12 +167,6 @@ class FinRing:
 
     def mul_el(self, a, b):
         return int(self.mul[a, b])
-
-    def neg_el(self, a):
-        return int(np.flatnonzero(self.add[a] == self.zero)[0])
-
-    def elements(self):
-        return range(self.order)
 
     @property
     def whole_mask(self) -> int:
@@ -257,11 +270,7 @@ def make_poly_quotient(base: FinRing, f) -> FinRing:
         raise ValueError("modulus must have degree >= 1")
     if f[d] != 1 % n:
         raise ValueError("modulus must be monic")
-    order = n ** d
-    if order > MAX_ORDER:
-        raise ResourceLimitError(
-            f"quotient order {order} exceeds the max-order bound {MAX_ORDER}",
-            "max-order", MAX_ORDER)
+    order = _bounded_power(n, d, MAX_ORDER, "quotient order")
 
     # residues of x^j mod f for j < 2d-1, as coefficient rows
     width = max(2 * d - 1, d)
@@ -296,10 +305,7 @@ def make_product(a: FinRing, b: FinRing) -> FinRing:
     """Direct product ring; element (x, y) has index x*b.order + y."""
     oa, ob = a.order, b.order
     order = oa * ob
-    if order > MAX_ORDER:
-        raise ResourceLimitError(
-            f"product order {order} exceeds the max-order bound {MAX_ORDER}",
-            "max-order", MAX_ORDER)
+    _check_order(order, MAX_ORDER, "product order")
     aa = a.add.astype(np.int64)
     am = a.mul.astype(np.int64)
     add = (aa[:, None, :, None] * ob + b.add[None, :, None, :]).reshape(order, order)
@@ -314,11 +320,7 @@ def free_module(ring: FinRing, rank: int) -> FinModule:
     if rank < 0:
         raise ValueError("rank must be >= 0")
     n = ring.order
-    size = n ** rank
-    if size > MAX_ORDER:
-        raise ResourceLimitError(
-            f"module size {size} exceeds the max-order bound {MAX_ORDER}",
-            "max-order", MAX_ORDER)
+    size = _bounded_power(n, rank, MAX_ORDER, "module size")
     pw = n ** np.arange(rank, dtype=np.int64)
     ee = np.arange(size, dtype=np.int64)
     digits = (ee[:, None] // pw[None, :]) % n if rank else ee[:, None][:, :0]
@@ -368,10 +370,7 @@ def make_idealization(a: FinRing, e: FinModule) -> FinRing:
         raise ValueError("module is not over the given ring")
     oa, s = a.order, e.size
     order = oa * s
-    if order > MAX_ORDER:
-        raise ResourceLimitError(
-            f"idealization order {order} exceeds the max-order bound {MAX_ORDER}",
-            "max-order", MAX_ORDER)
+    _check_order(order, MAX_ORDER, "idealization order")
     aa = a.add.astype(np.int64)
     am = a.mul.astype(np.int64)
     act = e.action
@@ -458,13 +457,9 @@ class SpecialPrimaryVerdict:
 
 def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
     """Decide whether every proper ideal of a is a power of a unique maximal ideal."""
-    from .finideal import all_ideals, ideal_product
+    from .finideal import all_ideals, ideal_product, maximal_ideals
 
-    ideals = all_ideals(a)
-    whole = a.whole_mask
-    proper = [i for i in ideals if i.mask != whole]
-    maximal = [i for i in proper
-               if not any(j.mask != i.mask and i.mask & ~j.mask == 0 for j in proper)]
+    maximal = maximal_ideals(a)
     if len(maximal) != 1:
         return SpecialPrimaryVerdict(False, None, None)
     m = maximal[0]
@@ -477,7 +472,7 @@ def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
         t += 1
         if t > a.order:
             raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
-    ok = {i.mask for i in proper} == power_masks
+    ok = {i.mask for i in all_ideals(a) if i.mask != a.whole_mask} == power_masks
     return SpecialPrimaryVerdict(ok, m, t)
 
 
@@ -492,11 +487,20 @@ def ring_to_dict(a: FinRing) -> dict:
     }
 
 
-def _module_from_dict(ring, obj):
+def _strict_int(value, what):
+    # int() would turn JSON true and 2.7 into the integers 1 and 2
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _module_from_dict(ring, obj, max_order):
     if obj == "self":
         return module_from_ring(ring)
     if isinstance(obj, dict) and "rank" in obj:
-        return free_module(ring, int(obj["rank"]))
+        rank = _strict_int(obj["rank"], "module rank")
+        _bounded_power(ring.order, rank, max_order, "module size")
+        return free_module(ring, rank)
     raise ValueError(f"unrecognized module description: {obj!r}")
 
 
@@ -505,13 +509,14 @@ def ring_from_dict(obj, max_order: int = MAX_ORDER) -> FinRing:
     if not isinstance(obj, dict):
         raise ValueError("ring description must be a JSON object")
     if "zn" in obj:
-        _check_order(int(obj["zn"]), max_order)
-        return make_zn(int(obj["zn"]))
+        n = _strict_int(obj["zn"], "zn")
+        _check_order(n, max_order)
+        return make_zn(n)
     if "poly_quotient" in obj:
         spec = obj["poly_quotient"]
         base = ring_from_dict(spec.get("base", {"zn": spec.get("zn")}), max_order)
-        f = spec["f"]
-        _check_order(base.order ** (len(f) - 1), max_order)
+        f = [_strict_int(c, "polynomial coefficient") for c in spec["f"]]
+        _bounded_power(base.order, len(f) - 1, max_order, "quotient order")
         return make_poly_quotient(base, f)
     if "product" in obj:
         parts = [ring_from_dict(p, max_order) for p in obj["product"]]
@@ -527,22 +532,19 @@ def ring_from_dict(obj, max_order: int = MAX_ORDER) -> FinRing:
         if "zn" in spec and "ring" not in spec:
             spec["ring"] = {"zn": spec.pop("zn")}
         ring = ring_from_dict(spec["ring"], max_order)
+        module = spec.get("module", "self")
         if "module_rank" in spec:
-            module = free_module(ring, int(spec["module_rank"]))
-        else:
-            module = _module_from_dict(ring, spec.get("module", "self"))
+            module = {"rank": spec["module_rank"]}
+        module = _module_from_dict(ring, module, max_order)
         _check_order(ring.order * module.size, max_order)
         return make_idealization(ring, module)
     needed = {"order", "zero", "one", "add", "mul"}
     if needed <= obj.keys():
-        _check_order(int(obj["order"]), max_order)
-        return FinRing(int(obj["order"]), np.array(obj["add"]), np.array(obj["mul"]),
-                       int(obj["zero"]), int(obj["one"]), obj.get("label", ""))
+        order = _strict_int(obj["order"], "order")
+        _check_order(order, max_order)
+        add, mul = np.array(obj["add"]), np.array(obj["mul"])
+        if add.dtype.kind not in "iu" or mul.dtype.kind not in "iu":
+            raise ValueError("add and mul tables must hold integers")
+        return FinRing(order, add, mul, _strict_int(obj["zero"], "zero"),
+                       _strict_int(obj["one"], "one"), obj.get("label", ""))
     raise ValueError(f"unrecognized ring description with keys {sorted(obj.keys())}")
-
-
-def _check_order(order, max_order):
-    if order > max_order:
-        raise ResourceLimitError(
-            f"ring order {order} exceeds the max-order bound {max_order}",
-            "max-order", max_order)

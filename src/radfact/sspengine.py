@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finideal import (DEFAULT_MAX_IDEALS, FinIdeal, all_ideals, ideal_product,
-                       radical)
+from .finideal import (DEFAULT_MAX_IDEALS, FinIdeal, _join_closure, all_ideals,
+                       ideal_product, radical)
 from .finring import (FinModule, FinRing, decompose_local, is_special_primary,
                       mask_of)
 
@@ -121,27 +121,13 @@ def is_vnr(a: FinRing) -> bool:
     return True
 
 
-def _submodule_masks(e: FinModule) -> set[int]:
+def _submodule_masks(e: FinModule, max_ideals: int) -> set[int]:
     """All submodules of e, as bitsets, by join-closure of cyclic submodules."""
     # {r·m : r in ring} is already a submodule, so cyclic generation is one shot
     cyclic = {}
     for m in range(e.size):
-        cmask = mask_of(np.unique(e.action[:, m]))
-        cyclic.setdefault(cmask, np.array(sorted(np.unique(e.action[:, m])), dtype=np.intp))
-    known = dict(cyclic)
-    queue = list(known)
-    while queue:
-        mask = queue.pop()
-        els = known[mask]
-        for cmask, cels in cyclic.items():
-            if cmask & ~mask == 0:
-                continue
-            jels = np.unique(e.add[np.ix_(els, cels)])
-            jmask = mask_of(jels)
-            if jmask not in known:
-                known[jmask] = jels
-                queue.append(jmask)
-    return set(known)
+        cyclic.setdefault(mask_of(e.action[:, m]), m)
+    return set(_join_closure(cyclic.items(), e.add, max_ideals))
 
 
 def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
@@ -157,4 +143,4 @@ def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
 
 def is_multiplication_module(e: FinModule, max_ideals: int = DEFAULT_MAX_IDEALS) -> bool:
     """Exhaustively test that every submodule F equals IE for some ideal I."""
-    return _submodule_masks(e) <= _ideal_image_masks(e, max_ideals)
+    return _submodule_masks(e, max_ideals) <= _ideal_image_masks(e, max_ideals)

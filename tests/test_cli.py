@@ -102,6 +102,39 @@ def test_resource_bound_exits_3(capsys, tmp_path):
     assert "max-order" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"zn": 2.7},
+    {"zn": True},
+    {"zn": "4"},
+    {"idealization": {"zn": 2, "module_rank": 1.5}},
+    {"idealization": {"zn": 2, "module": {"rank": False}}},
+    {"poly_quotient": {"zn": 2, "f": [1, 0.5, 1]}},
+    {"poly_quotient": {"zn": 2, "f": [0, 0, True]}},
+    {"order": 2.0, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    {"order": 2, "zero": False, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    {"order": 2, "zero": 0, "one": 1.0, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    {"order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0.0]], "mul": [[0, 0], [0, 1]]},
+    {"order": 1, "zero": 0, "one": 0, "add": [[2 ** 70]], "mul": [[0]]},
+])
+def test_non_integer_ring_fields_exit_2(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"idealization": {"zn": 2, "module_rank": 3000000}},
+    {"idealization": {"zn": 3, "module": {"rank": 10 ** 9}}},
+    {"poly_quotient": {"zn": 2, "f": [0] * 100000 + [1]}},
+])
+def test_huge_exponents_hit_the_order_bound(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
+    assert code == 3
+    assert out == ""
+    assert "max-order" in err and "limit 4096" in err
+
+
 def test_census_small_catalog(capsys, tmp_path):
     payload = {"catalog": [{"zn": n} for n in range(1, 9)]}
     code, out, _ = run_cli(capsys, ["census"], payload, tmp_path)

@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from radfact import cli
 from radfact import finring as fr
 from radfact.errors import ResourceLimitError
 from radfact.finideal import (FinIdeal, all_ideals, generated_ideal, ideal_power,
@@ -105,6 +107,35 @@ def test_radical_examples():
     b = flagship()
     x_ideal = generated_ideal(b, [2])
     assert radical(x_ideal).to_list() == [0, 1, 2, 3]
+
+
+def reference_radical(i):
+    """Oracle: walk x, x^2, ..., x^(n-1) and keep every x with a power in I."""
+    a = i.ring
+    n = a.order
+    member = np.zeros(n, dtype=bool)
+    member[list(i.elements)] = True
+    idx = np.arange(n)
+    v = idx.copy()
+    hit = member[v].copy()
+    for _ in range(n - 1):
+        if hit.all():
+            break
+        v = a.mul[v, idx]
+        hit |= member[v]
+    return fr.mask_of(np.flatnonzero(hit))
+
+
+def test_radical_matches_power_walk():
+    rings = [fr.make_zn(n) for n in range(1, 65)]
+    rings += [fr.ring_from_dict(spec) for spec in cli.default_catalog_specs()
+              if "idealization" in spec]
+    rings.append(fr.make_product(fr.make_zn(4), fr.make_zn(4)))
+    rings.append(fr.make_poly_quotient(fr.make_zn(2), [0, 0, 0, 1]))
+    rings.append(fr.make_zn(2048))
+    for ring in rings:
+        for i in all_ideals(ring):
+            assert radical(i).mask == reference_radical(i), (ring, i)
 
 
 def test_radical_is_idempotent_and_extensive():

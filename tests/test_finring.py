@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from radfact import finring as fr
 from radfact.errors import ResourceLimitError
@@ -268,3 +270,23 @@ def test_quotient_module_and_self_module():
     assert m.size == 2
     self_m = fr.module_from_ring(z6)
     assert self_m.size == 6
+
+
+def as_index_array(xs):
+    return np.array(xs, dtype=np.intp)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=300), max_size=40),
+       st.sampled_from([list, tuple, as_index_array]))
+@example([], list)
+@example([], tuple)
+@example([], as_index_array)
+def test_mask_of_round_trips_through_elements_of(xs, container):
+    assert fr.elements_of(fr.mask_of(container(xs))) == tuple(sorted(set(xs)))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=300), max_size=10),
+       st.integers(max_value=-1))
+def test_mask_of_rejects_negative_index(xs, bad):
+    with pytest.raises(ValueError):
+        fr.mask_of(xs + [bad])
