@@ -111,7 +111,7 @@ def _cmd_factor(args):
         ideal = quadring.IntIdeal(int(payload["zint"]))
         ring_desc = {"ring": "Z"}
     elif "d" in payload:
-        ring = quadring.QuadRing(int(payload["d"]))
+        ring = quadring.QuadRing(int(payload["d"]), args.max_norm)
         gens = [parse_quad_element(g) for g in payload.get("gens", [])]
         ideal = quadring.ideal_from_gens(ring, gens)
         ring_desc = {"ring": ring.label, "d": ring.d}

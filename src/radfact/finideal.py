@@ -135,11 +135,17 @@ def _principal_ideals(a):
     """Distinct principal ideals as (mask, generator) pairs, cached on the ring."""
     cached = a._cache.get("principals")
     if cached is None:
+        n = a.order
+        # row g marks the set g*R, already closed under + and outer multiplication
+        member = np.zeros((n, n), dtype=bool)
+        member[np.arange(n)[:, None], a.mul] = True
+        rows = np.packbits(member, axis=1, bitorder="little")
+        width = rows.shape[1]
+        raw = rows.tobytes()
         seen = {}
-        for g in range(a.order):
-            # rG is already closed under + and outer multiplication
-            seen.setdefault(mask_of(a.mul[g]), g)
-        cached = sorted((m, g) for m, g in seen.items())
+        for g in range(n):
+            seen.setdefault(raw[g * width:(g + 1) * width], g)
+        cached = sorted((int.from_bytes(m, "little"), g) for m, g in seen.items())
         a._cache["principals"] = cached
     return cached
 

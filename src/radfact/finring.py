@@ -321,9 +321,10 @@ def free_module(ring: FinRing, rank: int) -> FinModule:
         raise ValueError("rank must be >= 0")
     n = ring.order
     size = _bounded_power(n, rank, MAX_ORDER, "module size")
-    pw = n ** np.arange(rank, dtype=np.int64)
+    width = rank if n > 1 else 0    # over the zero ring every free module is zero
+    pw = n ** np.arange(width, dtype=np.int64)
     ee = np.arange(size, dtype=np.int64)
-    digits = (ee[:, None] // pw[None, :]) % n if rank else ee[:, None][:, :0]
+    digits = (ee[:, None] // pw[None, :]) % n if width else ee[:, None][:, :0]
     add = np.zeros((size, size), dtype=np.int64)
     for x in range(size):
         add[x] = ring.add[digits[x][None, :], digits].astype(np.int64) @ pw

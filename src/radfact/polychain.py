@@ -230,7 +230,10 @@ def parse_poly(text: str) -> RatPoly:
             raise ValueError(f"could not parse term {part!r} in {text!r}")
         if m.group("exp") is not None and m.group("var") is None:
             raise ValueError(f"exponent without variable in term {part!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {part!r}") from None
         if m.group("sign") == "-":
             coeff = -coeff
         exp = 0

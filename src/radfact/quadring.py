@@ -14,41 +14,109 @@ the ascending-chain factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from itertools import compress
 from math import gcd, isqrt
 from typing import ClassVar
-
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .errors import ResourceLimitError
 
 DEFAULT_MAX_NORM = 10 ** 12
 _TRIAL_LIMIT = 10 ** 6
+# Strong-probable-prime tests to the first 13 prime bases are exact below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
+_sieve = bytearray()
 _small_primes: list[int] = []
-_sieved_to = 0
 
 
 def _primes_below(limit):
-    global _small_primes, _sieved_to
-    if _sieved_to < limit:
-        sieve = bytearray([1]) * limit
+    """The sieved primes, covering at least every prime below min(limit, 10^6).
+
+    The sieve grows geometrically with the largest request, capped at the
+    trial-division bound, so a small norm never pays for a 10^6 sieve.
+    """
+    global _sieve, _small_primes
+    limit = min(limit, _TRIAL_LIMIT)
+    if len(_sieve) < limit:
+        size = min(max(limit, 2 * len(_sieve)), _TRIAL_LIMIT)
+        sieve = bytearray([1]) * size
         sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit - 1) + 1):
+        for p in range(2, isqrt(size - 1) + 1):
             if sieve[p]:
-                sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-        _small_primes = [i for i, b in enumerate(sieve) if b]
-        _sieved_to = limit
+                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+        _sieve = sieve
+        _small_primes = list(compress(range(size), sieve))
     return _small_primes
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for n < _MR_EXACT_BELOW.
+
+    A lookup in the sieve below its bound, deterministic Miller-Rabin to
+    the first 13 prime bases above it.
+    """
+    if n < 2:
+        return False
+    if n < len(_sieve):
+        return bool(_sieve[n])
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is beyond the exact primality range")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p, or None for a non-residue.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1).
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        c = b * b % p
+        m, t, r = i, t * c % p, r * b % p
+    return r
 
 
 def factor_int(n: int, max_norm: int = DEFAULT_MAX_NORM) -> dict[int, int]:
     """Factor a positive integer by trial division, refusing to guess.
 
-    Trial-divides by primes up to 10^6; a remaining cofactor must pass a
-    deterministic primality test or the whole factorization is rejected
-    with a resource error (never silently mis-factored).
+    Trial-divides by primes up to min(sqrt(n), 10^6); a remaining cofactor
+    beyond the square of the sieve must pass the deterministic primality
+    test or the whole factorization is rejected with a resource error
+    (never silently mis-factored).
     """
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -57,19 +125,22 @@ def factor_int(n: int, max_norm: int = DEFAULT_MAX_NORM) -> dict[int, int]:
             f"{n} exceeds the max-norm bound {max_norm}", "max-norm", max_norm)
     out: dict[int, int] = {}
     rem = n
-    for p in _primes_below(_TRIAL_LIMIT):
+    for p in _primes_below(isqrt(n) + 1):
         if p * p > rem:
             break
         while rem % p == 0:
             out[p] = out.get(p, 0) + 1
             rem //= p
     if rem > 1:
-        if rem < _TRIAL_LIMIT * _TRIAL_LIMIT or isprime(rem):
-            out[rem] = out.get(rem, 0) + 1
-        else:
+        if rem >= _MR_EXACT_BELOW:
+            raise ResourceLimitError(
+                f"cofactor {rem} is beyond the exact primality range",
+                "max-norm", max_norm)
+        if rem >= len(_sieve) ** 2 and not _is_prime(rem):
             raise ResourceLimitError(
                 f"cofactor {rem} is composite beyond the trial-division bound",
                 "max-norm", max_norm)
+        out[rem] = out.get(rem, 0) + 1
     return out
 
 
@@ -88,11 +159,12 @@ class QuadRing:
     """The maximal order Z[w] of Q(sqrt(d)), d squarefree and not 0 or 1."""
 
     d: int
+    max_norm: InitVar[int] = DEFAULT_MAX_NORM
 
-    def __post_init__(self):
+    def __post_init__(self, max_norm):
         if self.d in (0, 1):
             raise ValueError("d must not be 0 or 1")
-        if any(e > 1 for e in factor_int(abs(self.d)).values()):
+        if any(e > 1 for e in factor_int(abs(self.d), max_norm).values()):
             raise ValueError(f"d = {self.d} is not squarefree")
 
     @property
@@ -255,18 +327,6 @@ def whole_ring_ideal(ring: QuadRing) -> QuadIdeal:
     return QuadIdeal(ring, 1, 0, 1)
 
 
-def ideal_product(i, j):
-    return i * j
-
-
-def ideal_contains(i, j) -> bool:
-    return i.contains(j)
-
-
-def ideal_norm(i) -> int:
-    return i.norm
-
-
 def ideal_sum(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
     """I + J via the HNF of the stacked bases."""
     if i.ring != j.ring:
@@ -282,7 +342,7 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
     the order is maximal and monogenic.
     """
     p = int(p)
-    if p < 2 or not isprime(p):
+    if p < 2 or not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     c0, c1 = ring.min_poly
     if p == 2:
@@ -299,7 +359,7 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
         if disc == 0:
             r = (-c1 * pow(2, -1, p)) % p
             return [(QuadIdeal(ring, p, (-r) % p, 1), 2)]
-        s = sqrt_mod(disc, p)
+        s = _sqrt_mod(disc, p)
         if s is None:
             return [(QuadIdeal(ring, p, 0, p), 1)]
         inv2 = pow(2, -1, p)

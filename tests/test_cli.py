@@ -194,3 +194,31 @@ def test_parse_quad_element():
     assert cli.parse_quad_element(7) == (7, 0)
     with pytest.raises(ValueError):
         cli.parse_quad_element("u+v")
+
+
+def test_max_norm_governs_d(capsys, tmp_path):
+    # 10^12 + 1 = 73 * 137 * 99990001; 10^12 + 39 is prime, so its
+    # squarefree check runs Miller-Rabin on a cofactor above 10^12
+    for d in (1000000000001, 1000000000039):
+        payload = {"d": d, "gens": ["2"]}
+        code, _, err = run_cli(capsys, ["factor"], payload, tmp_path)
+        assert code == 3 and "max-norm" in err
+        code, out, _ = run_cli(capsys, ["--max-norm", str(10 ** 14), "factor"],
+                               payload, tmp_path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["d"] == d
+        assert all(report["checks"].values())
+
+
+def test_sf_chain_zero_denominator_is_invalid(capsys):
+    code, out, err = run_cli(capsys, ["sf-chain", "1/0*x+1"])
+    assert code == 2
+    assert out == "" and "zero denominator" in err
+
+
+def test_huge_rank_over_the_zero_ring(capsys, tmp_path):
+    payload = {"idealization": {"zn": 1, "module_rank": 10 ** 12}}
+    code, out, _ = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
+    assert code == 0
+    assert json.loads(out)["ring"]["order"] == 1

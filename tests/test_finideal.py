@@ -6,8 +6,9 @@ import pytest
 from radfact import cli
 from radfact import finring as fr
 from radfact.errors import ResourceLimitError
-from radfact.finideal import (FinIdeal, all_ideals, generated_ideal, ideal_power,
-                              ideal_product, ideal_sum, is_prime, maximal_ideals,
+from radfact.finideal import (FinIdeal, _principal_ideals, all_ideals,
+                              generated_ideal, ideal_power, ideal_product,
+                              ideal_sum, is_prime, maximal_ideals,
                               prime_spectrum, radical, vn_set, whole_ideal,
                               zero_ideal)
 
@@ -210,3 +211,14 @@ def test_ideal_power():
     assert ideal_power(m, 0) == whole_ideal(z8)
     assert ideal_power(m, 2).to_list() == [0, 4]
     assert ideal_power(m, 3).to_list() == [0]
+
+
+def test_principal_ideals_match_one_row_at_a_time():
+    rings = [fr.make_zn(n) for n in (1, 2, 12, 64)]
+    rings += [flagship(), fr.make_product(fr.make_zn(4), fr.make_zn(6)),
+              fr.make_poly_quotient(fr.make_zn(3), [0, 0, 1])]
+    for ring in rings:
+        seen = {}
+        for g in range(ring.order):
+            seen.setdefault(fr.mask_of(ring.mul[g]), g)
+        assert _principal_ideals(ring) == sorted(seen.items()), ring

@@ -1,0 +1,110 @@
+"""The in-house primality test and modular square roots against sympy.
+
+sympy is only a test oracle here; the package itself does not import it.
+"""
+
+import os
+import subprocess
+import sys
+from math import isqrt
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from radfact import quadring as q
+from radfact.errors import ResourceLimitError
+
+sympy = pytest.importorskip("sympy")
+
+PSI_13 = 3317044064679887385961981   # least strong pseudoprime to the first 13 prime bases
+
+# Carmichael 561, strong pseudoprime to bases 2, 3, 5, 7 (3215031751) and to
+# the first nine prime bases (3825123056546413051)
+PSEUDOPRIMES = (561, 3215031751, 3825123056546413051)
+
+
+@pytest.fixture
+def empty_sieve(monkeypatch):
+    """Start from an empty sieve, so every _is_prime call runs Miller-Rabin."""
+    monkeypatch.setattr(q, "_sieve", bytearray())
+    monkeypatch.setattr(q, "_small_primes", [])
+
+
+def test_is_prime_by_lookup_below_a_million():
+    q._primes_below(10 ** 6)
+    assert len(q._sieve) == 10 ** 6
+    primes = set(sympy.primerange(10 ** 6))
+    assert [n for n in range(10 ** 6) if q._is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_by_miller_rabin_below_a_million(empty_sieve):
+    primes = set(sympy.primerange(10 ** 6))
+    assert [n for n in range(10 ** 6) if q._is_prime(n)] == sorted(primes)
+
+
+@given(st.integers(min_value=0, max_value=PSI_13 - 1))
+@example(PSI_13 - 2)
+def test_is_prime_matches_sympy_in_exact_range(n):
+    assert q._is_prime(n) == sympy.isprime(n)
+    p = sympy.nextprime(n)
+    if p < PSI_13:
+        assert q._is_prime(p)
+
+
+@given(st.integers(min_value=2, max_value=10 ** 12), st.integers(min_value=2, max_value=10 ** 12))
+def test_is_prime_rejects_semiprimes(a, b):
+    p, r = sympy.nextprime(a), sympy.nextprime(b)
+    assert not q._is_prime(p * r)
+
+
+def test_is_prime_rejects_pseudoprimes(empty_sieve):
+    for n in PSEUDOPRIMES:
+        assert not sympy.isprime(n)
+        assert not q._is_prime(n), n
+    with pytest.raises(ValueError):
+        q._is_prime(PSI_13)
+
+
+def test_factor_int_refuses_cofactors_beyond_the_exact_range():
+    # psi_13 fools all 13 bases, and both its factors exceed the trial bound
+    with pytest.raises(ResourceLimitError) as exc:
+        q.factor_int(PSI_13, 10 ** 30)
+    assert exc.value.bound == "max-norm"
+
+
+def test_sieve_is_sized_to_the_job(empty_sieve):
+    assert q.factor_int(36) == {2: 2, 3: 2}
+    assert len(q._sieve) < 100
+    assert q.factor_int(1000003 * 999983, 10 ** 14) == {999983: 1, 1000003: 1}
+    assert len(q._sieve) == isqrt(1000003 * 999983) + 1
+    assert q.factor_int(6 * 1000000000039, 10 ** 14) == {2: 1, 3: 1, 1000000000039: 1}
+    assert len(q._sieve) == 10 ** 6      # the trial-division cap
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 40961, 65537, 998244353])
+def test_sqrt_mod_returns_a_root_or_none(p):
+    residues = 0
+    for a in list(range(200)) + [p - 1, p - 2, 3 ** 7 % p]:
+        r = q._sqrt_mod(a, p)
+        if r is None:
+            assert sympy.sqrt_mod(a, p) is None, (a, p)
+        else:
+            assert 0 <= r < p and r * r % p == a % p, (a, p)
+            residues += 1
+    assert residues
+
+
+@given(st.sampled_from([40961, 65537, 998244353]), st.integers(min_value=0))
+def test_sqrt_mod_of_squares(p, x):
+    r = q._sqrt_mod(x * x, p)
+    assert r in (x % p, -x % p)
+
+
+def test_cli_import_leaves_sympy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, radfact.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -184,3 +184,9 @@ def test_derivative_gcd_threshold_equivalence():
                 divides_dgcd = pi.divides(pc.derivative_gcd(f, k))
                 assert divides_power == (k <= ei)
                 assert divides_dgcd == divides_power
+
+
+def test_parse_rejects_zero_denominator():
+    for text in ("1/0*x+1", "x^2-3/0", "0/0"):
+        with pytest.raises(ValueError):
+            parse_poly(text)

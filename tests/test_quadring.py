@@ -14,6 +14,9 @@ def test_ring_validation():
     assert q.QuadRing(-7).min_poly == (2, -1)        # x^2 - x + 2
     assert not q.QuadRing(-5).omega_is_half
     assert q.QuadRing(-7).omega_is_half
+    with pytest.raises(ResourceLimitError):
+        q.QuadRing(10 ** 12 + 39)
+    assert q.QuadRing(10 ** 12 + 39, 10 ** 13) == q.QuadRing(10 ** 12 + 39, 10 ** 14)
 
 
 def test_element_arithmetic():
