@@ -14,12 +14,11 @@ instances, and `cli` exposes everything as batch JSON jobs.
 """
 
 from .errors import ResourceLimitError
-from .finring import (ElementSet, FinModule, FinRing, decompose_local,
-                      free_module, is_special_primary, make_idealization,
-                      make_poly_quotient, make_product, make_zn,
-                      module_from_ring, quotient, quotient_module,
-                      regular_elements, ring_from_dict, ring_to_dict,
-                      zero_module)
+from .finring import (FinModule, FinRing, decompose_local, free_module,
+                      is_special_primary, make_idealization, make_poly_quotient,
+                      make_product, make_zn, module_from_ring, quotient,
+                      quotient_module, regular_elements, ring_from_dict,
+                      ring_to_dict, zero_module)
 from .finideal import (FinIdeal, all_ideals, generated_ideal, ideal_power,
                        ideal_product, ideal_sum, is_prime, prime_spectrum,
                        radical, vn_set, whole_ideal, zero_ideal)

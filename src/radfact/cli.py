@@ -62,9 +62,9 @@ _GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
 def parse_quad_element(item) -> tuple[int, int]:
     """Accept an int, an [x, y] pair, or a string like "1+2*w" or "-w"."""
     if isinstance(item, int):
-        return (item, 0)
+        return (finring._strict_int(item, "generator"), 0)
     if isinstance(item, (list, tuple)) and len(item) == 2:
-        return (int(item[0]), int(item[1]))
+        return tuple(finring._strict_int(c, "generator coordinate") for c in item)
     if not isinstance(item, str):
         raise ValueError(f"unrecognized element {item!r}")
     s = item.replace(" ", "")
@@ -108,10 +108,10 @@ def _chain_report(chain, ideal, max_norm):
 def _cmd_factor(args):
     payload = _load_payload(args)
     if "zint" in payload:
-        ideal = quadring.IntIdeal(int(payload["zint"]))
+        ideal = quadring.IntIdeal(finring._strict_int(payload["zint"], "zint"))
         ring_desc = {"ring": "Z"}
     elif "d" in payload:
-        ring = quadring.QuadRing(int(payload["d"]), args.max_norm)
+        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.max_norm)
         gens = [parse_quad_element(g) for g in payload.get("gens", [])]
         ideal = quadring.ideal_from_gens(ring, gens)
         ring_desc = {"ring": ring.label, "d": ring.d}
@@ -319,7 +319,7 @@ def build_parser():
     parser.add_argument("--input", metavar="FILE", help="read the job payload from FILE")
     parser.add_argument("--output", metavar="FILE", help="write the report to FILE (atomic)")
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                        help="largest permitted ring order (default %(default)s)")
+                        help="largest permitted ring order (default and ceiling %(default)s)")
     parser.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS,
                         help="largest permitted ideal count (default %(default)s)")
     parser.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM,
@@ -347,12 +347,21 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_order > finring.MAX_ORDER:
+        # FinRing refuses any larger order, so a larger bound could only fail late
+        parser.error(f"--max-order {args.max_order} exceeds the ceiling "
+                     f"{finring.MAX_ORDER} on ring orders")
     try:
         return _HANDLERS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"radfact: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        # json.loads and ring_from_dict recurse once per level of the payload
+        print("radfact: invalid input: input nested too deeply", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as exc:
         print(f"radfact: resource bound {exc.bound} exceeded "

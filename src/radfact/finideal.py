@@ -52,11 +52,6 @@ class FinIdeal:
         i._gens = gens
         return i
 
-    @classmethod
-    def from_mask(cls, ring, mask):
-        _validate_ideal_mask(ring, mask)
-        return cls._unchecked(ring, mask)
-
     @property
     def elements(self) -> tuple[int, ...]:
         if self._els is None:
@@ -105,7 +100,7 @@ class FinIdeal:
                 g = (self.mask & ~span)
                 g = (g & -g).bit_length() - 1
                 gens.append(g)
-                span_els = _sum_els(ring, span_els, _union(ring, ring.mul[g]))
+                span_els = _sum_els(ring.add, span_els, _union(ring.add, ring.mul[g]))
                 span = mask_of(span_els)
             self._gens = tuple(gens)
         return self._gens
@@ -127,39 +122,47 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
             raise ValueError(f"generator {g} out of range")
     S = np.array([a.zero], dtype=np.intp)
     for g in gens:
-        S = _sum_els(a, S, _union(a, a.mul[g]))     # the sum of the principal ideals
+        S = _sum_els(a.add, S, _union(a.add, a.mul[g]))     # the sum of the principal ideals
     return FinIdeal._unchecked(a, mask_of(S), gens=tuple(sorted(set(gens))))
+
+
+def _row_sets(table):
+    """The distinct sets {table[i, j] : j} as sorted (bitset, least i) pairs.
+
+    Entries index the rows: row i lists the set that element i generates,
+    as a*R for `mul` or R*m for the transposed action of a module.
+    """
+    n = table.shape[0]
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], table] = True
+    rows = np.packbits(member, axis=1, bitorder="little")
+    width = rows.shape[1]
+    raw = rows.tobytes()
+    seen = {}
+    for i in range(n):
+        seen.setdefault(raw[i * width:(i + 1) * width], i)
+    return sorted((int.from_bytes(m, "little"), i) for m, i in seen.items())
 
 
 def _principal_ideals(a):
     """Distinct principal ideals as (mask, generator) pairs, cached on the ring."""
     cached = a._cache.get("principals")
     if cached is None:
-        n = a.order
-        # row g marks the set g*R, already closed under + and outer multiplication
-        member = np.zeros((n, n), dtype=bool)
-        member[np.arange(n)[:, None], a.mul] = True
-        rows = np.packbits(member, axis=1, bitorder="little")
-        width = rows.shape[1]
-        raw = rows.tobytes()
-        seen = {}
-        for g in range(n):
-            seen.setdefault(raw[g * width:(g + 1) * width], g)
-        cached = sorted((int.from_bytes(m, "little"), g) for m, g in seen.items())
-        a._cache["principals"] = cached
+        # row g of mul is the set g*R, already closed under + and outer multiplication
+        cached = a._cache["principals"] = _row_sets(a.mul)
     return cached
 
 
-def _union(a, idx):
-    """The distinct elements among the indices idx, sorted, by a scatter over a."""
-    hit = np.zeros(a.order, dtype=bool)
+def _union(add, idx):
+    """The distinct indices in idx, sorted, by a scatter over the elements of `add`."""
+    hit = np.zeros(add.shape[0], dtype=bool)
     hit[idx] = True
     return np.flatnonzero(hit)
 
 
-def _sum_els(a, els1, els2):
+def _sum_els(add, els1, els2):
     # the elementwise sum set of two additive subgroups is already a subgroup
-    return _union(a, a.add[els1[:, None], els2])
+    return _union(add, add[els1[:, None], els2])
 
 
 def _join_closure(cyclic, add, max_ideals):
@@ -207,7 +210,7 @@ def ideal_sum(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     if i.ring is not j.ring:
         raise ValueError("ideals of different rings")
     a = i.ring
-    els = _sum_els(a, np.array(i.elements, dtype=np.intp),
+    els = _sum_els(a.add, np.array(i.elements, dtype=np.intp),
                    np.array(j.elements, dtype=np.intp))
     return FinIdeal._unchecked(a, mask_of(els), gens=None)
 
@@ -220,7 +223,7 @@ def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     jels = np.array(j.elements, dtype=np.intp)
     acc = np.array([a.zero], dtype=np.intp)
     for g in i.small_gens():
-        acc = _sum_els(a, acc, _union(a, a.mul[jels, g]))
+        acc = _sum_els(a.add, acc, _union(a.add, a.mul[jels, g]))
     return FinIdeal._unchecked(a, mask_of(acc), gens=None)
 
 

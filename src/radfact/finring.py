@@ -173,23 +173,6 @@ class FinRing:
         return (1 << self.order) - 1
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a ring's elements, stored as a bitset."""
-
-    ring: FinRing
-    mask: int
-
-    def members(self) -> tuple[int, ...]:
-        return elements_of(self.mask)
-
-    def __contains__(self, x) -> bool:
-        return bool((self.mask >> int(x)) & 1)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-
 class FinModule:
     """A finite module over a FinRing, given by an addition and action table."""
 
@@ -301,16 +284,20 @@ def make_poly_quotient(base: FinRing, f) -> FinRing:
     return FinRing(order, add, mul, zero=0, one=1 % order, label=label)
 
 
+def _pair_table(first, second):
+    """A table on pairs (x, y), indexed x*w + y: entry first[x1, x2] in the first
+    coordinate and second[x1, y1, x2, y2] (broadcast, last axis w) in the second."""
+    n, w = first.shape[0], second.shape[-1]
+    return (first.astype(np.int64)[:, None, :, None] * w + second).reshape(n * w, n * w)
+
+
 def make_product(a: FinRing, b: FinRing) -> FinRing:
     """Direct product ring; element (x, y) has index x*b.order + y."""
-    oa, ob = a.order, b.order
-    order = oa * ob
-    _check_order(order, MAX_ORDER, "product order")
-    aa = a.add.astype(np.int64)
-    am = a.mul.astype(np.int64)
-    add = (aa[:, None, :, None] * ob + b.add[None, :, None, :]).reshape(order, order)
-    mul = (am[:, None, :, None] * ob + b.mul[None, :, None, :]).reshape(order, order)
-    return FinRing(order, add, mul,
+    ob = b.order
+    _check_order(a.order * ob, MAX_ORDER, "product order")
+    add = _pair_table(a.add, b.add[None, :, None, :])
+    mul = _pair_table(a.mul, b.mul[None, :, None, :])
+    return FinRing(a.order * ob, add, mul,
                    zero=a.zero * ob + b.zero, one=a.one * ob + b.one,
                    label=f"{a.label} x {b.label}")
 
@@ -324,7 +311,7 @@ def free_module(ring: FinRing, rank: int) -> FinModule:
     width = rank if n > 1 else 0    # over the zero ring every free module is zero
     pw = n ** np.arange(width, dtype=np.int64)
     ee = np.arange(size, dtype=np.int64)
-    digits = (ee[:, None] // pw[None, :]) % n if width else ee[:, None][:, :0]
+    digits = (ee[:, None] // pw[None, :]) % n
     add = np.zeros((size, size), dtype=np.int64)
     for x in range(size):
         add[x] = ring.add[digits[x][None, :], digits].astype(np.int64) @ pw
@@ -345,20 +332,34 @@ def zero_module(ring: FinRing) -> FinModule:
     return free_module(ring, 0)
 
 
+def _relabel(proj):
+    """The image of the element map `proj`, in element order, and the index
+    in it of each element's image; indexing a table with those indices
+    relabels its entries 0..k-1."""
+    return np.unique(proj, return_inverse=True)
+
+
+def _coset_reps(a, ideal):
+    """The map x -> least element of x + I."""
+    if ideal.ring is not a:
+        raise ValueError("ideal belongs to a different ring")
+    return a.add[:, list(ideal.elements)].min(axis=1)
+
+
+def _image_ring(a, proj, label):
+    """The factor ring a/J on the element proj[x] picked from each coset x + J:
+    the least element for a/I, or ex for eA, which is a/(1-e)A."""
+    keep, idx = _relabel(proj)
+    sub = np.ix_(keep, keep)
+    return FinRing(keep.size, idx[a.add[sub]], idx[a.mul[sub]],
+                   zero=int(idx[a.zero]), one=int(idx[a.one]), label=label)
+
+
 def quotient_module(ring: FinRing, ideal) -> FinModule:
     """The cyclic module ring/I, with cosets labelled by least representatives."""
-    if ideal.ring is not ring:
-        raise ValueError("ideal belongs to a different ring")
-    members = np.array(ideal.elements, dtype=np.intp)
-    reps = ring.add[:, members].min(axis=1)
-    keep = np.unique(reps)
-    pos = np.full(ring.order, -1, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
-    add = pos[reps[ring.add[np.ix_(keep, keep)]]]
-    action = pos[reps[ring.mul[:, keep]]]
-    zero = int(pos[reps[ring.zero]])
-    return FinModule(ring, keep.size, add, zero, action,
-                     label=f"{ring.label}/I{len(members)}")
+    keep, idx = _relabel(_coset_reps(ring, ideal))
+    return FinModule(ring, keep.size, idx[ring.add[np.ix_(keep, keep)]], int(idx[ring.zero]),
+                     idx[ring.mul[:, keep]], label=f"{ring.label}/I{len(ideal)}")
 
 
 def make_idealization(a: FinRing, e: FinModule) -> FinRing:
@@ -369,61 +370,35 @@ def make_idealization(a: FinRing, e: FinModule) -> FinRing:
     """
     if e.ring is not a:
         raise ValueError("module is not over the given ring")
-    oa, s = a.order, e.size
-    order = oa * s
-    _check_order(order, MAX_ORDER, "idealization order")
-    aa = a.add.astype(np.int64)
-    am = a.mul.astype(np.int64)
+    s = e.size
+    _check_order(a.order * s, MAX_ORDER, "idealization order")
     act = e.action
-    add = (aa[:, None, :, None] * s + e.add[None, :, None, :]).reshape(order, order)
     # cross[r1, m1, r2, m2] = e.add[act[r1, m2], act[r2, m1]]
     cross = e.add[act[:, None, None, :], act.T[None, :, :, None]]
-    mul = (am[:, None, :, None] * s + cross).reshape(order, order)
-    return FinRing(order, add, mul,
+    return FinRing(a.order * s, _pair_table(a.add, e.add[None, :, None, :]),
+                   _pair_table(a.mul, cross),
                    zero=a.zero * s + e.zero, one=a.one * s + e.zero,
                    label=f"{a.label}(+){e.label}")
 
 
 def quotient(a: FinRing, ideal) -> FinRing:
     """The factor ring a/I on least coset representatives."""
-    if ideal.ring is not a:
-        raise ValueError("ideal belongs to a different ring")
-    members = np.array(ideal.elements, dtype=np.intp)
-    reps = a.add[:, members].min(axis=1)
-    keep = np.unique(reps)
-    pos = np.full(a.order, -1, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
-    qadd = pos[reps[a.add[np.ix_(keep, keep)]]]
-    qmul = pos[reps[a.mul[np.ix_(keep, keep)]]]
-    return FinRing(keep.size, qadd, qmul,
-                   zero=int(pos[reps[a.zero]]), one=int(pos[reps[a.one]]),
-                   label=f"{a.label}/I{len(members)}")
+    return _image_ring(a, _coset_reps(a, ideal), f"{a.label}/I{len(ideal)}")
 
 
-def regular_elements(a: FinRing) -> ElementSet:
+def regular_elements(a: FinRing) -> tuple[int, ...]:
     """Elements x with xy = 0 only for y = 0; in a finite ring these are the units."""
     counts = (a.mul == a.zero).sum(axis=1)
-    return ElementSet(a, mask_of(np.flatnonzero(counts == 1)))
+    return tuple(np.flatnonzero(counts == 1).tolist())
 
 
-def units(a: FinRing) -> ElementSet:
-    return ElementSet(a, mask_of(np.flatnonzero((a.mul == a.one).any(axis=1))))
+def units(a: FinRing) -> tuple[int, ...]:
+    return tuple(np.flatnonzero((a.mul == a.one).any(axis=1)).tolist())
 
 
 def idempotents(a: FinRing) -> tuple[int, ...]:
     idx = np.arange(a.order)
     return tuple(int(e) for e in idx[a.mul.diagonal() == idx])
-
-
-def _subring_of_idempotent(a, e):
-    members = np.unique(a.mul[e])
-    pos = np.full(a.order, -1, dtype=np.int64)
-    pos[members] = np.arange(members.size)
-    sadd = pos[a.add[np.ix_(members, members)]]
-    smul = pos[a.mul[np.ix_(members, members)]]
-    return FinRing(members.size, sadd, smul,
-                   zero=int(pos[a.zero]), one=int(pos[e]),
-                   label=f"{a.label}|e={e}")
 
 
 def decompose_local(a: FinRing) -> list[FinRing]:
@@ -446,7 +421,7 @@ def decompose_local(a: FinRing) -> list[FinRing]:
             assert a.mul_el(e, f) == a.zero, "primitive idempotents not orthogonal"
         acc = a.add_el(acc, e)
     assert acc == a.one, "primitive idempotents do not sum to 1"
-    return [_subring_of_idempotent(a, e) for e in sorted(prim)]
+    return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in sorted(prim)]
 
 
 @dataclass

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finideal import (DEFAULT_MAX_IDEALS, FinIdeal, _join_closure, all_ideals,
-                       ideal_product, radical)
+from .finideal import (DEFAULT_MAX_IDEALS, FinIdeal, _join_closure, _row_sets,
+                       _sum_els, _union, all_ideals, ideal_product, radical)
 from .finring import (FinModule, FinRing, decompose_local, is_special_primary,
                       mask_of)
 
@@ -124,10 +124,7 @@ def is_vnr(a: FinRing) -> bool:
 def _submodule_masks(e: FinModule, max_ideals: int) -> set[int]:
     """All submodules of e, as bitsets, by join-closure of cyclic submodules."""
     # {r·m : r in ring} is already a submodule, so cyclic generation is one shot
-    cyclic = {}
-    for m in range(e.size):
-        cyclic.setdefault(mask_of(e.action[:, m]), m)
-    return set(_join_closure(cyclic.items(), e.add, max_ideals))
+    return set(_join_closure(_row_sets(e.action.T), e.add, max_ideals))
 
 
 def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
@@ -136,7 +133,7 @@ def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
     for ideal in all_ideals(e.ring, max_ideals):
         acc = np.array([e.zero], dtype=np.intp)
         for g in ideal.small_gens():
-            acc = np.unique(e.add[np.ix_(acc, np.unique(e.action[g]))])
+            acc = _sum_els(e.add, acc, _union(e.add, e.action[g]))
         out.add(mask_of(acc))
     return out
 

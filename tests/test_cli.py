@@ -222,3 +222,62 @@ def test_huge_rank_over_the_zero_ring(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
     assert code == 0
     assert json.loads(out)["ring"]["order"] == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"zint": 12.7},
+    {"zint": "12"},
+    {"zint": True},
+    {"d": -5.9, "gens": ["6"]},
+    {"d": "-5", "gens": ["6"]},
+    {"d": True, "gens": ["6"]},
+    {"d": -5, "gens": [[6.5, 0]]},
+    {"d": -5, "gens": [[6, "1"]]},
+    {"d": -5, "gens": [[6, False]]},
+    {"d": -5, "gens": [True]},
+])
+def test_non_integer_factor_fields_exit_2(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+def test_max_order_above_the_ceiling_exits_2(capsys, tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"zn": 4500}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--max-order", "5000", "--input", str(path), "decide-ssp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-order 5000 exceeds the ceiling 4096" in captured.err
+    code, _, err = run_cli(capsys, ["--max-order", "4096", "decide-ssp"], {"zn": 4500}, tmp_path)
+    assert code == 3 and "limit 4096" in err
+
+
+def nested_product(depth):
+    return '{"product": [' * depth + '{"zn": 2}' + ']}' * depth
+
+
+def deepest_nesting_json_accepts():
+    lo, hi = 1, 5000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            json.loads(nested_product(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("depth", [5000, None], ids=["5000", "deepest-json-accepts"])
+def test_deeply_nested_payload_exits_2(capsys, tmp_path, depth):
+    path = tmp_path / "payload.json"
+    path.write_text(nested_product(depth or deepest_nesting_json_accepts()))
+    code = cli.main(["--input", str(path), "decide-ssp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "input nested too deeply" in captured.err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from radfact import cli
 from radfact import finring as fr
 from radfact.errors import ResourceLimitError
 from radfact.finideal import all_ideals, generated_ideal, zero_ideal
@@ -146,10 +147,10 @@ def test_quotient_poly_ring_by_nilpotent():
 
 
 def test_regular_elements():
-    assert fr.regular_elements(fr.make_zn(6)).members() == (1, 5)
-    assert fr.regular_elements(fr.make_zn(4)).members() == (1, 3)
+    assert fr.regular_elements(fr.make_zn(6)) == (1, 5)
+    assert fr.regular_elements(fr.make_zn(4)) == (1, 3)
     gf4 = fr.make_poly_quotient(fr.make_zn(2), [1, 1, 1])
-    assert fr.regular_elements(gf4).members() == (1, 2, 3)
+    assert fr.regular_elements(gf4) == (1, 2, 3)
 
 
 def test_regular_elements_equal_units():
@@ -157,7 +158,7 @@ def test_regular_elements_equal_units():
     rings.append(fr.make_poly_quotient(fr.make_zn(3), [0, 0, 1]))
     rings.append(fr.make_product(fr.make_zn(4), fr.make_zn(6)))
     for ring in rings:
-        assert fr.regular_elements(ring).mask == fr.units(ring).mask
+        assert fr.regular_elements(ring) == fr.units(ring)
 
 
 def test_decompose_local_z12():
@@ -193,6 +194,87 @@ def test_decompose_local_is_a_bijection():
             images.add(tuple(ring.mul_el(e, x) for e in idems))
         assert len(images) == ring.order
         assert np.prod([f.order for f in factors]) == ring.order
+
+
+def reference_subring_of_idempotent(a, e):
+    """Oracle: eA on the members of row e of mul, relabelled through a position map."""
+    members = np.unique(a.mul[e])
+    pos = np.full(a.order, -1, dtype=np.int64)
+    pos[members] = np.arange(members.size)
+    sadd = pos[a.add[np.ix_(members, members)]]
+    smul = pos[a.mul[np.ix_(members, members)]]
+    return members.size, int(pos[a.zero]), int(pos[e]), sadd, smul
+
+
+def reference_cosets(a, ideal):
+    """Oracle: least coset representatives and the position of each in their sorted list."""
+    members = np.array(ideal.elements, dtype=np.intp)
+    reps = a.add[:, members].min(axis=1)
+    keep = np.unique(reps)
+    pos = np.full(a.order, -1, dtype=np.int64)
+    pos[keep] = np.arange(keep.size)
+    return reps, keep, pos
+
+
+def reference_quotient(a, ideal):
+    reps, keep, pos = reference_cosets(a, ideal)
+    qadd = pos[reps[a.add[np.ix_(keep, keep)]]]
+    qmul = pos[reps[a.mul[np.ix_(keep, keep)]]]
+    return keep.size, int(pos[reps[a.zero]]), int(pos[reps[a.one]]), qadd, qmul
+
+
+def reference_quotient_module(a, ideal):
+    reps, keep, pos = reference_cosets(a, ideal)
+    add = pos[reps[a.add[np.ix_(keep, keep)]]]
+    action = pos[reps[a.mul[:, keep]]]
+    return keep.size, int(pos[reps[a.zero]]), add, action
+
+
+def primitive_idempotents(a):
+    idems = fr.idempotents(a)
+    return [e for e in idems if e != a.zero
+            and all(f in (a.zero, e) for f in idems if a.mul_el(e, f) == f)]
+
+
+def ring_tables(r):
+    return r.order, r.zero, r.one, r.add, r.mul
+
+
+def assert_same_tables(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_projections_match_the_position_map_oracles():
+    catalog = [fr.ring_from_dict(spec) for spec in cli.default_catalog_specs()]
+    factors = 0
+    for ring in catalog:
+        prim = primitive_idempotents(ring)
+        local = fr.decompose_local(ring)
+        assert len(local) == len(prim)
+        for e, f in zip(prim, local):
+            assert_same_tables(ring_tables(f), reference_subring_of_idempotent(ring, e))
+        factors += len(local)
+        if ring.order > 16:
+            continue
+        for ideal in all_ideals(ring):
+            assert_same_tables(ring_tables(fr.quotient(ring, ideal)),
+                               reference_quotient(ring, ideal))
+            m = fr.quotient_module(ring, ideal)
+            assert_same_tables((m.size, m.zero, m.add, m.action),
+                               reference_quotient_module(ring, ideal))
+    assert factors == 2035
+
+
+def test_local_factors_of_z6_exact_tables():
+    f2, f3 = fr.decompose_local(fr.make_zn(6))
+    # e = 3: 3*Z6 = {0, 3}, one = 3 -> index 1
+    assert_same_tables(ring_tables(f2), (2, 0, 1, [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+    # e = 4: 4*Z6 = {0, 2, 4}, one = 4 -> index 2
+    assert_same_tables(ring_tables(f3), (3, 0, 2, [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                                         [[0, 0, 0], [0, 2, 1], [0, 1, 2]]))
+    assert (f2.label, f3.label) == ("Z6|e=3", "Z6|e=4")
 
 
 def test_is_special_primary_z9():
