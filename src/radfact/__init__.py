@@ -7,7 +7,8 @@ Three instance families share the ascending-chain machinery:
   exhaustively and checked against a structural oracle;
 * quadratic Dedekind orders and the rational integers (`quadring`),
   with exact Hermite-normal-form ideal arithmetic;
-* principal ideals of Q[X] (`polychain`), via iterated derivative gcds.
+* principal ideals of Q[X] (`polychain`), via one derivative gcd and exact
+  divisions of integer polynomials.
 
 `zpicompose` glues abstract special-primary components to the Dedekind
 instances, and `cli` exposes everything as batch JSON jobs.

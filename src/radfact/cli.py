@@ -198,24 +198,11 @@ def _cmd_ideals(args):
 def _sf_chain_entry(text):
     poly = polychain.parse_poly(text)
     chain = polychain.sf_chain(poly)
-    links = [polychain.format_poly(g) for g in chain]
-    product = polychain.RatPoly.const(1)
-    ok_divides = True
-    for g in chain:
-        product = product * g
-    for a, b in zip(chain, chain[1:]):
-        ok_divides &= b.divides(a)
     return {
         "input": text,
         "leading_coefficient": str(poly.lc),
-        "chain": links,
-        "checks": {
-            "product_matches_monic_input": product == poly.monic(),
-            "links_divide_downward": bool(ok_divides),
-            "links_squarefree": all(
-                polychain.poly_gcd(g, g.derivative()).is_one if g.degree >= 1 else True
-                for g in chain),
-        },
+        "chain": [polychain.format_poly(g) for g in chain],
+        "checks": polychain.chain_checks(poly, chain),
     }
 
 
@@ -292,7 +279,7 @@ def census_rows(specs, max_order=DEFAULT_MAX_ORDER, max_ideals=DEFAULT_MAX_IDEAL
 
 def _cmd_census(args):
     payload = _load_payload(args)
-    catalog = payload.get("catalog")
+    catalog = payload.get("catalog") if isinstance(payload, dict) else None
     if catalog == "default":
         specs = default_catalog_specs()
     elif isinstance(catalog, list):

@@ -490,6 +490,8 @@ def ring_from_dict(obj, max_order: int = MAX_ORDER) -> FinRing:
         return make_zn(n)
     if "poly_quotient" in obj:
         spec = obj["poly_quotient"]
+        if not isinstance(spec, dict):
+            raise ValueError("poly_quotient must be a JSON object")
         base = ring_from_dict(spec.get("base", {"zn": spec.get("zn")}), max_order)
         f = [_strict_int(c, "polynomial coefficient") for c in spec["f"]]
         _bounded_power(base.order, len(f) - 1, max_order, "quotient order")

@@ -1,15 +1,28 @@
 """Ascending radical chains of principal ideals in Q[X] via derivative gcds.
 
-Everything is exact: coefficients are `fractions.Fraction`, kept in lowest
-terms by construction, and gcds are monic outputs of exact Euclidean
-division.  Characteristic zero is essential here (the derivative criterion
-for repeated factors fails in characteristic p) and is all we implement.
+`RatPoly`, with exact `fractions.Fraction` coefficients, is the public
+type.  The chain, its checks, `poly_gcd`, `derivative_gcd` and `vk_poly`
+run on a private integer kernel instead: a nonzero polynomial over Q is a
+rational multiple of one primitive integer polynomial with a positive
+leading coefficient, and by Gauss's lemma products and exact quotients of
+primitive polynomials stay primitive.  Gcds come from the primitive
+pseudo-remainder sequence (Collins 1967); the chain takes one derivative
+gcd and then only gcds against squarefree links and exact divisions.
+Characteristic zero is essential here (the derivative criterion for
+repeated factors fails in characteristic p) and is all we implement.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+
+from .errors import ResourceLimitError
+
+# the largest exponent parse_poly accepts: a dense degree-256 sf-chain job
+# takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
+MAX_DEGREE = 256
 
 
 class RatPoly:
@@ -74,14 +87,10 @@ class RatPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        den = da * db
+        return RatPoly([Fraction(c, den) for c in _product(a, b)])
 
     __rmul__ = __mul__
 
@@ -94,31 +103,19 @@ class RatPoly:
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lc = 1 / other.lc
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lc
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return RatPoly(quot), RatPoly(rem[:other.degree])
+        # self = a/da and other = b/db, with s*a = q*b + r
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        q, r, s = _divmod(a, b)
+        den = s * da
+        return (RatPoly([Fraction(c * db, den) for c in q]),
+                RatPoly([Fraction(c, den) for c in r]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "RatPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division was expected to be exact")
-        return q
 
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -144,68 +141,194 @@ class RatPoly:
         return f"RatPoly({format_poly(self)!r})"
 
 
+# --- the integer kernel ------------------------------------------------------
+# Integer polynomials as int lists, lowest degree first, [] for zero.  A
+# nonzero polynomial over Q is a rational multiple of exactly one primitive
+# one with a positive leading coefficient, and the chain keeps every
+# polynomial in that form.
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Integers a and a common denominator d with coeffs = a/d."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(coeffs) -> list[int]:
+    """The primitive part of a RatPoly's coefficients: denominators cleared,
+    content divided out, leading coefficient positive."""
+    return _content_free(_cleared(coeffs)[0])
+
+
+def _content_free(a: list[int]) -> list[int]:
+    if not a:
+        return a
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _divmod(a: list[int], b: list[int], exact: bool = False):
+    """Pseudo-division: q, r and s != 0 with s*a = q*b + r and deg r < deg b.
+
+    Each step scales by lc(b)/g, g the gcd of lc(b) and the leading term,
+    rather than by lc(b), so s = 1 whenever the quotient is integral.  With
+    `exact`, a step that needs scaling or a nonzero remainder raises
+    ArithmeticError: b does not divide a in Z[x], which for a primitive b
+    means it does not divide a in Q[x] either (Gauss's lemma).
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(c, lb)
+        m, c = lb // g, c // g
+        if m != 1:
+            if exact:
+                raise ArithmeticError("division was expected to be exact")
+            r = [m * x for x in r]
+            q = [m * x for x in q]
+            s *= m
+        q[k] = c
+        r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+    while r and not r[-1]:
+        r.pop()
+    if exact and r:
+        raise ArithmeticError("division was expected to be exact")
+    return q, r, s
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd by the primitive pseudo-remainder sequence (Collins 1967)."""
+    a, b = _content_free(a), _content_free(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _content_free(_divmod(a, b)[1])
+    return a
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
+    return out
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _links(p: list[int]) -> list[list[int]]:
+    """Primitive links g1, ..., gn of a primitive p; none for a constant p.
+
+    One derivative gcd f1 = gcd(p, p') gives g1 = p/f1; then
+    g_{k+1} = gcd(f_k, g_k) and f_{k+1} = f_k/g_{k+1}, so every later gcd
+    is taken against a squarefree link.
+    """
+    if len(p) < 2:
+        return []
+    f = _gcd(p, _derivative(p))
+    g = _divmod(p, f, exact=True)[0]
+    links = [g]
+    while len(f) > 1:
+        g = _gcd(f, g)
+        f = _divmod(f, g, exact=True)[0]
+        links.append(g)
+    return links
+
+
+def _product_of(links) -> list[int]:
+    out = [1]
+    for g in links:
+        out = _product(out, g)
+    return out
+
+
+def _monic(a: list[int]) -> RatPoly:
+    lc = a[-1]
+    return RatPoly([Fraction(c, lc) for c in a])
+
+
+# --- the public routes --------------------------------------------------------
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd by exact Euclidean division; rejects gcd(0, 0)."""
+    """Monic gcd; rejects gcd(0, 0)."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        # monic remainders keep the coefficient growth of exact Euclid in check
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
-
-
-def derivative_gcd(f: RatPoly, k: int) -> RatPoly:
-    """Monic gcd(f, f', ..., f^(k-1)): the repeated part of f at threshold k."""
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    g = f.monic()
-    der = f
-    for _ in range(k - 1):
-        if g.is_one:
-            break
-        der = der.derivative()
-        g = poly_gcd(g, der)
-    return g
+    return _monic(_gcd(_primitive(f.coeffs), _primitive(g.coeffs)))
 
 
 def sf_chain(f: RatPoly) -> list[RatPoly]:
     """The ascending squarefree chain g1, ..., gn of the principal ideal (f).
 
-    With f0 = monic(f) and f_j = gcd(f_{j-1}, f_{j-1}'), the links are
-    g_k = f_{k-1}/f_k; each is monic squarefree, each divides the previous,
-    and the product of all links is monic(f).
+    With f = c * prod p_i^e_i, the link g_k is the monic product of the p_i
+    with e_i >= k: each is squarefree, each divides the previous, and the
+    product of all links is monic(f).  The links are re-multiplied against
+    the primitive part of f before they are returned.
     """
-    if f.is_zero or f.degree < 1:
-        raise ValueError("f must have degree >= 1")
-    prev = f.monic()
-    chain = []
-    while not prev.is_one:
-        nxt = poly_gcd(prev, prev.derivative())
-        chain.append(prev.exact_div(nxt))
-        prev = nxt
-    product = RatPoly.const(1)
-    for g in chain:
-        product = product * g
-    if product != f.monic():
-        raise ArithmeticError("squarefree chain failed to re-multiply")
-    return chain
-
-
-def squarefree_part(f: RatPoly) -> RatPoly:
-    f = f.monic()
     if f.degree < 1:
-        return f
-    return f.exact_div(poly_gcd(f, f.derivative()))
+        raise ValueError("f must have degree >= 1")
+    p = _primitive(f.coeffs)
+    links = _links(p)
+    # by Gauss's lemma a product of primitive links is primitive, so it
+    # equals p exactly when the monic links multiply to monic(f)
+    if _product_of(links) != p:
+        raise ArithmeticError("squarefree chain failed to re-multiply")
+    return [_monic(g) for g in links]
+
+
+def chain_checks(f: RatPoly, chain: list[RatPoly]) -> dict[str, bool]:
+    """Recompute the report's checks on a monic chain of f, in integers."""
+    links = [_primitive(g.coeffs) for g in chain]
+
+    def divides(b, a):
+        try:
+            _divmod(a, b, exact=True)
+        except ArithmeticError:
+            return False
+        return True
+
+    return {
+        "product_matches_monic_input": _product_of(links) == _primitive(f.coeffs),
+        "links_divide_downward": all(divides(b, a) for a, b in zip(links, links[1:])),
+        "links_squarefree": all(len(_gcd(g, _derivative(g))) == 1
+                                for g in links if len(g) > 1),
+    }
+
+
+def _chain_links(f: RatPoly, k: int) -> list[list[int]]:
+    if f.is_zero:
+        raise ValueError("f must be nonzero")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _links(_primitive(f.coeffs))
+
+
+def derivative_gcd(f: RatPoly, k: int) -> RatPoly:
+    """Monic gcd(f, f', ..., f^(k-1)): the repeated part of f at threshold k.
+
+    In characteristic 0 it is prod over p^e || f with e >= k of p^(e-k+1),
+    which is the product of the links g_k, g_{k+1}, ... of the chain.
+    """
+    return _monic(_product_of(_chain_links(f, k)[k - 1:]))
 
 
 def vk_poly(f: RatPoly, k: int) -> RatPoly:
     """The monic polynomial whose roots are the points where f vanishes to order >= k."""
-    return squarefree_part(derivative_gcd(f, k))
+    links = _chain_links(f, k)
+    return _monic(links[k - 1]) if k <= len(links) else RatPoly.const(1)
 
 
 _TERM_RE = re.compile(
@@ -239,6 +362,11 @@ def parse_poly(text: str) -> RatPoly:
         exp = 0
         if m.group("var"):
             exp = int(m.group("exp")) if m.group("exp") else 1
+            if exp > MAX_DEGREE:
+                # checked before the dense coefficient list is allocated
+                raise ResourceLimitError(
+                    f"polynomial degree {exp} exceeds the limit {MAX_DEGREE}",
+                    "max-degree", MAX_DEGREE)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():

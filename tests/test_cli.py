@@ -281,3 +281,25 @@ def test_deeply_nested_payload_exits_2(capsys, tmp_path, depth):
     assert code == 2
     assert captured.out == ""
     assert "input nested too deeply" in captured.err
+
+
+def test_sf_chain_degree_bound_exits_3(capsys):
+    code, out, err = run_cli(capsys, ["sf-chain", "x^100000000"])
+    assert code == 3 and out == ""
+    assert "max-degree" in err and "limit 256" in err and "100000000" in err
+
+
+@pytest.mark.parametrize("value", [[1], 3, "x", None])
+def test_poly_quotient_that_is_not_an_object_exits_2(capsys, tmp_path, value):
+    code, out, err = run_cli(capsys, ["decide-ssp"], {"poly_quotient": value}, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "poly_quotient must be a JSON object" in err
+
+
+@pytest.mark.parametrize("payload", [[1], 5, "default", True])
+def test_census_payload_that_is_not_an_object_exits_2(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, ["census"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "census payload needs" in err
