@@ -3,13 +3,16 @@
 Exit status: 0 on success, 2 on invalid input (with a position-bearing
 diagnostic for malformed JSON), 3 when a resource bound aborts the run,
 4 when a census finds a disagreement between the SSP decision and the
-structural oracle.  Verdicts themselves live in the report payload, never
-in the exit code.
+structural oracle, 5 when an internal arithmetic invariant fails (a
+re-multiplication or exact-division check: a bug, not a property of the
+input).  Verdicts themselves live in the report payload, never in the exit
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -23,6 +26,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_INVARIANT = 5
 
 DEFAULT_MAX_ORDER = finring.MAX_ORDER
 DEFAULT_MAX_IDEALS = finideal.DEFAULT_MAX_IDEALS
@@ -100,23 +104,29 @@ def _chain_report(chain, ideal, max_norm):
         "chain": [_ideal_dict(link) for link in chain],
         "factorization": [
             {"prime": _ideal_dict(p), "exponent": e}
-            for p, e in ideal.factorization(max_norm)],
+            for p, e in chain.factorization],
         "checks": {k: bool(v) for k, v in checks.items()},
     }
 
 
 def _cmd_factor(args):
     payload = _load_payload(args)
+    if not isinstance(payload, dict) or ("zint" in payload) == ("d" in payload):
+        raise ValueError('factor payload needs an object with exactly one of '
+                         '"zint" or "d" (with "gens")')
+    unknown = sorted(set(payload) - ({"zint"} if "zint" in payload else {"d", "gens"}))
+    if unknown:
+        raise ValueError(f"factor payload has unknown keys {unknown}")
     if "zint" in payload:
         ideal = quadring.IntIdeal(finring._strict_int(payload["zint"], "zint"))
         ring_desc = {"ring": "Z"}
-    elif "d" in payload:
-        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.max_norm)
-        gens = [parse_quad_element(g) for g in payload.get("gens", [])]
-        ideal = quadring.ideal_from_gens(ring, gens)
-        ring_desc = {"ring": ring.label, "d": ring.d}
     else:
-        raise ValueError('factor payload needs "d"+"gens" or "zint"')
+        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.max_norm)
+        gens = payload.get("gens", [])
+        if not isinstance(gens, list):
+            raise ValueError("factor payload: gens must be a JSON list")
+        ideal = quadring.ideal_from_gens(ring, [parse_quad_element(g) for g in gens])
+        ring_desc = {"ring": ring.label, "d": ring.d}
     chain = quadring.sp_factor(ideal, max_norm=args.max_norm)
     report = dict(ring_desc)
     report.update(_chain_report(chain, ideal, args.max_norm))
@@ -333,8 +343,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    # built on the first call, not at import, so a cold start pays for it once
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.max_order > finring.MAX_ORDER:
         # FinRing refuses any larger order, so a larger bound could only fail late
@@ -354,6 +370,9 @@ def main(argv=None) -> int:
         print(f"radfact: resource bound {exc.bound} exceeded "
               f"(limit {exc.value}): {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ArithmeticError as exc:
+        print(f"radfact: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"radfact: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

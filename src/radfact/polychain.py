@@ -361,12 +361,15 @@ def parse_poly(text: str) -> RatPoly:
             coeff = -coeff
         exp = 0
         if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-            if exp > MAX_DEGREE:
-                # checked before the dense coefficient list is allocated
+            digits = (m.group("exp") or "1").lstrip("0") or "0"
+            # checked before the dense coefficient list is allocated, and by
+            # length first, since int() refuses strings beyond 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
                 raise ResourceLimitError(
-                    f"polynomial degree {exp} exceeds the limit {MAX_DEGREE}",
+                    f"polynomial degree {shown} exceeds the limit {MAX_DEGREE}",
                     "max-degree", MAX_DEGREE)
+            exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():

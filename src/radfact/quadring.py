@@ -14,9 +14,9 @@ the ascending-chain factorization.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import ClassVar
 
 from .errors import ResourceLimitError
@@ -371,9 +371,14 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
 
 @dataclass(frozen=True)
 class PrimeFactorization:
-    """(prime ideal, exponent) pairs sorted by (residue characteristic, HNF)."""
+    """(prime ideal, exponent) pairs sorted by (residue characteristic, HNF).
+
+    `rational_primes` lists, sorted, the rational primes below the factors,
+    which are the primes dividing the norm.
+    """
 
     factors: tuple
+    rational_primes: tuple = ()
 
     def __iter__(self):
         return iter(self.factors)
@@ -391,9 +396,14 @@ class PrimeFactorization:
 
 @dataclass(frozen=True)
 class RadicalChain:
-    """Links J1 ⊆ J2 ⊆ ... ⊆ Jn of radical ideals whose product is a given ideal."""
+    """Links J1 ⊆ J2 ⊆ ... ⊆ Jn of radical ideals whose product is a given ideal.
+
+    `factorization` is the prime factorization the links were read off,
+    when they were (`sp_factor`); it takes no part in equality.
+    """
 
     links: tuple
+    factorization: PrimeFactorization | None = field(default=None, compare=False)
 
     def __iter__(self):
         return iter(self.links)
@@ -410,41 +420,52 @@ class RadicalChain:
         return out
 
 
-def _exponent_in(ideal, prime):
-    """Greatest k with ideal ⊆ prime^k, by containment iteration."""
-    n = ideal.norm
-    e = 0
-    power = prime
-    while power.norm <= n:
-        if not power.contains(ideal):
-            break
-        e += 1
-        power = power * prime
-    return e
+def _valuation(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _quad_factors(ideal, primes):
+    """(P, v_P(I)) for each prime P above `primes` that divides I, read off the HNF.
+
+    Write I = c*J with J = (a/c, b/c, 1) primitive.  The content c gives a
+    prime P above p the exponent e(P/p)*v_p(c); a primitive ideal is divisible
+    above p only by the degree-1 prime (p, r, 1) with r = b/c (mod p), to the
+    power v_p(a/c) (Cohen, A Course in Computational Algebraic Number Theory,
+    Sec. 5.2).
+    """
+    a, b, c = ideal.hnf
+    a1, b1 = a // c, b // c
+    out = []
+    for p in primes:
+        vc, va = _valuation(c, p), _valuation(a1, p)
+        for prime, ram in primes_above(ideal.ring, p):
+            e = ram * vc
+            if va and prime.c == 1 and prime.b == b1 % p:
+                e += va
+            if e:
+                out.append((prime, e))
+    return out
 
 
 def _factor_quad(ideal, max_norm):
     n = ideal.norm
     if n == 1:
         return PrimeFactorization(())
-    fac = factor_int(n, max_norm)
-    factors = []
-    recomposed = ideal.unit()
-    for p in sorted(fac):
-        for prime, _ram in primes_above(ideal.ring, p):
-            e = _exponent_in(ideal, prime)
-            if e:
-                factors.append((prime, e))
-                for _ in range(e):
-                    recomposed = recomposed * prime
+    primes = tuple(sorted(factor_int(n, max_norm)))
+    factors = _quad_factors(ideal, primes)
+    recomposed = _product_of((p for p, e in factors for _ in range(e)), ideal.unit())
     if recomposed != ideal:
         raise ArithmeticError(
             f"prime factorization of {ideal!r} failed to re-multiply")
-    return PrimeFactorization(tuple(factors))
+    return PrimeFactorization(tuple(factors), primes)
 
 
 def factor_ideal(i, max_norm: int = DEFAULT_MAX_NORM) -> PrimeFactorization:
-    """Prime factorization with exponents found by containment iteration."""
+    """Prime factorization with exponents read off the HNF, re-multiplied to I."""
     return i.factorization(max_norm)
 
 
@@ -468,26 +489,6 @@ def vn(i, n: int, max_norm: int = DEFAULT_MAX_NORM):
     return [p for p, e in i.factorization(max_norm) if e >= n]
 
 
-def primes_containing(i, max_norm: int = DEFAULT_MAX_NORM):
-    """V(I) by direct containment scan over the primes above norm divisors.
-
-    Deliberately avoids the exponent bookkeeping of `vn`, so it can serve
-    as an independent route when cross-checking V(J_k) = V_k(I).
-    """
-    out = []
-    if isinstance(i, IntIdeal):
-        for p in sorted(factor_int(i.n, max_norm)):
-            cand = IntIdeal(p)
-            if cand.contains(i):
-                out.append(cand)
-        return out
-    for p in sorted(factor_int(i.norm, max_norm)):
-        for prime, _ in primes_above(i.ring, p):
-            if prime.contains(i):
-                out.append(prime)
-    return out
-
-
 def sp_factor(i, allow_unit: bool = False,
               max_norm: int = DEFAULT_MAX_NORM) -> RadicalChain:
     """The ascending radical chain J1 ⊆ ... ⊆ Jn with product equal to I.
@@ -498,14 +499,14 @@ def sp_factor(i, allow_unit: bool = False,
     """
     if i.is_whole:
         if allow_unit:
-            return RadicalChain(())
+            return RadicalChain((), PrimeFactorization(()))
         raise ValueError("the unit ideal has no radical chain (pass allow_unit=True)")
     pf = i.factorization(max_norm)
     links = []
     for k in range(1, pf.max_exponent + 1):
         primes = [p for p, e in pf if e >= k]
         links.append(_product_of(primes, i.unit()))
-    chain = RadicalChain(tuple(links))
+    chain = RadicalChain(tuple(links), pf)
     product = chain.product()
     if product != i:
         raise ArithmeticError("radical chain failed to re-multiply to its ideal")
@@ -532,13 +533,31 @@ def normalize_factorization(ring, factors,
     return sp_factor(_product_of(factors, unit), max_norm=max_norm)
 
 
+def _radical_over(i, primes):
+    """Product of the primes above `primes` that divide I: its radical if they cover N(I)."""
+    if isinstance(i, IntIdeal):
+        return IntIdeal(prod(p for p in primes if i.n % p == 0))
+    return _product_of((p for p, _ in _quad_factors(i, primes)), i.unit())
+
+
 def verify_chain(chain: RadicalChain, ideal=None,
                  max_norm: int = DEFAULT_MAX_NORM) -> dict[str, bool]:
-    """Re-check every RadicalChain invariant; used by reports and tests."""
+    """Re-check every RadicalChain invariant; used by reports and tests.
+
+    Each link's radical is recomputed from the link's own HNF, over the
+    rational primes of N(I) recorded in the chain's factorization (every
+    link divides I, so no norm is factored again), or over the primes of
+    each link's norm for a chain that records none.  A link with a prime
+    factor outside the recorded primes cannot divide I, and fails the check.
+    """
     links = list(chain.links)
+    if chain.factorization is not None:
+        primes = chain.factorization.rational_primes
+    else:
+        primes = sorted(set().union(*(factor_int(l.norm, max_norm) for l in links)))
     checks = {
         "ascending": all(b.contains(a) for a, b in zip(links, links[1:])),
-        "links_radical": all(radical(l, max_norm) == l for l in links),
+        "links_radical": all(_radical_over(l, primes) == l for l in links),
         "links_proper": all(not l.is_whole for l in links),
     }
     if ideal is not None:
@@ -594,8 +613,9 @@ class IntIdeal:
         return IntIdeal(self.n * other.n)
 
     def factorization(self, max_norm: int = DEFAULT_MAX_NORM) -> PrimeFactorization:
-        return PrimeFactorization(tuple(
-            (IntIdeal(p), e) for p, e in sorted(factor_int(self.n, max_norm).items())))
+        fac = sorted(factor_int(self.n, max_norm).items())
+        return PrimeFactorization(tuple((IntIdeal(p), e) for p, e in fac),
+                                  tuple(p for p, _ in fac))
 
     def to_dict(self):
         return {"zint": self.n}

@@ -45,6 +45,50 @@ def random_quad_ideal(rng, ring, max_norm=10 ** 6):
             return ideal
 
 
+def reference_exponent(ideal, prime):
+    """Oracle: greatest k with ideal ⊆ prime^k, by containment iteration."""
+    n = ideal.norm
+    e = 0
+    power = prime
+    while power.norm <= n:
+        if not power.contains(ideal):
+            break
+        e += 1
+        power = power * prime
+    return e
+
+
+def reference_factorization(ideal, max_norm=q.DEFAULT_MAX_NORM):
+    """Oracle: (prime HNF, exponent) pairs with exponents by containment iteration."""
+    out = []
+    for p in sorted(q.factor_int(ideal.norm, max_norm)):
+        for prime, _ in q.primes_above(ideal.ring, p):
+            e = reference_exponent(ideal, prime)
+            if e:
+                out.append((prime.hnf, e))
+    return out
+
+
+def primes_containing(i, max_norm=q.DEFAULT_MAX_NORM):
+    """Oracle: V(I) by direct containment scan over the primes above norm divisors.
+
+    Deliberately avoids the exponent bookkeeping of `vn`, so it can serve
+    as an independent route when cross-checking V(J_k) = V_k(I).
+    """
+    out = []
+    if isinstance(i, q.IntIdeal):
+        for p in sorted(q.factor_int(i.n, max_norm)):
+            cand = q.IntIdeal(p)
+            if cand.contains(i):
+                out.append(cand)
+        return out
+    for p in sorted(q.factor_int(i.norm, max_norm)):
+        for prime, _ in q.primes_above(i.ring, p):
+            if prime.contains(i):
+                out.append(prime)
+    return out
+
+
 def random_radical_quad_ideal(rng, ring, max_norm=10 ** 6):
     """A random proper radical ideal: a product of distinct primes."""
     while True:

@@ -10,7 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import SEED, SUPPORTED_D, random_quad_ideal, random_zpi_ideal
+from conftest import (SEED, SUPPORTED_D, primes_containing, random_quad_ideal,
+                      random_zpi_ideal)
 from radfact import cli
 from radfact import finring as fr
 from radfact import polychain as pc
@@ -106,7 +107,7 @@ def test_criterion_4_dedekind_chain_suite():
                 # V-coherence: V(J_k), found by containment scan, equals V_k(I)
                 pf = ideal.factorization()
                 for k in range(1, pf.max_exponent + 1):
-                    vjk = {p.hnf for p in q.primes_containing(chain.links[k - 1])}
+                    vjk = {p.hnf for p in primes_containing(chain.links[k - 1])}
                     vki = {p.hnf for p in q.vn(ideal, k)}
                     assert vjk == vki, (d, ideal.hnf, k)
                 # permutation invariance of the canonical ascending form

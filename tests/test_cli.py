@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from radfact import cli
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, argv, payload=None, tmp_path=None):
@@ -303,3 +308,72 @@ def test_census_payload_that_is_not_an_object_exits_2(capsys, tmp_path, payload)
     assert code == 2
     assert out == ""
     assert "census payload needs" in err
+
+
+def test_broken_invariant_exits_5_without_traceback(capsys, tmp_path, monkeypatch):
+    # every "prime" above p is (p) itself, so the factorization cannot re-multiply
+    monkeypatch.setattr(cli.quadring, "primes_above",
+                        lambda ring, p: [(cli.quadring.QuadIdeal(ring, p, 0, p), 1)])
+    code, out, err = run_cli(capsys, ["factor"], {"d": -1, "gens": ["2", "1+w"]}, tmp_path)
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1 and "internal invariant failed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"d": -1, "gens": "22"}, "gens must be a JSON list"),
+    ({"d": -1, "gens": {"x": 22}}, "gens must be a JSON list"),
+    ("zint", "exactly one of"),
+    ([{"zint": 12}], "exactly one of"),
+    ({"d": -5, "zint": 12}, "exactly one of"),
+    ({"d": -5, "gens": ["6"], "zint": 12}, "exactly one of"),
+    ({"zint": 12, "label": "x"}, "unknown keys ['label']"),
+    ({"d": -5, "gens": ["6"], "max_norm": 5}, "unknown keys ['max_norm']"),
+])
+def test_factor_payload_shape_is_validated(capsys, tmp_path, payload, message):
+    code, out, err = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "factor payload" in err and message in err
+    assert "string indices" not in err
+
+
+def test_exponent_beyond_int_digit_limit_hits_the_degree_bound(capsys):
+    code, out, err = run_cli(capsys, ["sf-chain", "x^" + "9" * 5000])
+    assert code == 3 and out == ""
+    assert "max-degree" in err and "limit 256" in err and "5000 digits" in err
+    assert "int_max_str_digits" not in err
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "radfact.cli", *argv], env=env,
+                         capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    return out.returncode, out.stdout
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_shared_parser_matches_fresh_processes(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"zint": 12}))
+    polys = tmp_path / "polys.txt"
+    polys.write_text("x^2-1\nx^4-2*x^2+1\n")
+    sequence = [
+        ["--max-norm", "5", "--input", str(job), "factor"],
+        ["--input", str(job), "factor"],
+        ["sf-chain", "x^2-1"],
+        ["--input", str(polys), "sf-chain"],
+        ["--max-norm", "many", "--input", str(job), "factor"],
+        ["--input", str(job), "factor"],
+    ]
+    in_process = [_in_process(capsys, argv) for argv in sequence]
+    assert [code for code, _ in in_process] == [3, 0, 0, 0, 2, 0]
+    assert in_process == [_fresh_process(argv) for argv in sequence]

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import SUPPORTED_D, random_quad_ideal, random_radical_quad_ideal
+from conftest import (SUPPORTED_D, random_quad_ideal, random_radical_quad_ideal,
+                      reference_factorization)
 from radfact import quadring as q
 from radfact.errors import ResourceLimitError
 
@@ -119,6 +122,46 @@ def test_factor_ideal_examples():
     assert len(q.factor_ideal(q.whole_ring_ideal(zi))) == 0
 
 
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+BIG_NORM = 10 ** 60
+
+# (index into SMALL_PRIMES, which prime above it, exponent); exponents of
+# the primes above 2 go up to 20, the others up to 4
+prime_powers = st.lists(
+    st.integers(0, len(SMALL_PRIMES) - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.integers(0, 1), st.integers(0, 20 if i == 0 else 4))),
+    max_size=4)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+@given(content=st.integers(1, 60), parts=prime_powers,
+       gen=st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+@example(content=1, parts=[(0, 0, 20)], gen=(1, 0))
+@example(content=1, parts=[(0, 1, 20)], gen=(1, 0))
+@example(content=2 ** 5 * 3, parts=[(0, 0, 20), (1, 1, 3)], gen=(1, 0))
+@example(content=210, parts=[(0, 0, 20), (1, 0, 3), (2, 1, 2), (3, 0, 2), (4, 1, 1),
+                             (5, 0, 1)], gen=(3, 1))
+def test_closed_form_matches_containment_iteration(d, content, parts, gen):
+    """Valuations read off the HNF equal those found by containment iteration.
+
+    The content covers c > 1, and across d the primes 2..13 are ramified,
+    inert and split; the primes above 2 reach exponent 20.
+    """
+    ring = q.QuadRing(d)
+    ideal = q.principal_ideal(ring, (content, 0))
+    if gen != (0, 0):
+        ideal = ideal * q.principal_ideal(ring, gen)
+    for i, which, e in parts:
+        above = q.primes_above(ring, SMALL_PRIMES[i])
+        for _ in range(e):
+            ideal = ideal * above[which % len(above)][0]
+    pf = ideal.factorization(BIG_NORM)
+    assert [(p.hnf, e) for p, e in pf] == reference_factorization(ideal, BIG_NORM)
+    assert pf.rational_primes == tuple(sorted(q.factor_int(ideal.norm, BIG_NORM)))
+    if not ideal.is_whole:
+        assert all(q.verify_chain(q.sp_factor(ideal, max_norm=BIG_NORM), ideal).values())
+
+
 def test_factorization_rejects_unfactorable_norms():
     zi = q.QuadRing(-1)
     with pytest.raises(ResourceLimitError):
@@ -191,6 +234,21 @@ def test_verify_chain_flags_problems():
     assert not checks["ascending"]
     good = q.sp_factor(q.IntIdeal(12))
     assert all(q.verify_chain(good, q.IntIdeal(12)).values())
+
+
+def test_verify_chain_checks_links_over_the_recorded_primes():
+    """A chain carrying its factorization has each link re-checked over those primes."""
+    square = q.IntIdeal(4)
+    assert not q.verify_chain(q.RadicalChain((square,), square.factorization()))["links_radical"]
+    zi = q.QuadRing(-1)
+    p2 = q.primes_above(zi, 2)[0][0]
+    i = p2 * p2 * q.principal_ideal(zi, (3, 0))
+    chain = q.sp_factor(i)
+    assert [l.norm for l in chain] == [18, 2]
+    assert all(q.verify_chain(chain, i).values())
+    lumped = q.RadicalChain((p2 * p2, q.principal_ideal(zi, (3, 0))), chain.factorization)
+    checks = q.verify_chain(lumped, i)
+    assert not checks["links_radical"] and checks["product_matches"]
 
 
 def test_corollary5_sum_identity_small(rng):
