@@ -14,7 +14,7 @@ Three instance families share the ascending-chain machinery:
 instances, and `cli` exposes everything as batch JSON jobs.
 """
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
 from .finring import (FinModule, FinRing, decompose_local, free_module,
                       is_special_primary, make_idealization, make_poly_quotient,
                       make_product, make_zn, module_from_ring, quotient,

@@ -20,17 +20,13 @@ import sys
 import tempfile
 
 from . import finideal, finring, polychain, quadring, sspengine
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
 EXIT_INVARIANT = 5
-
-DEFAULT_MAX_ORDER = finring.MAX_ORDER
-DEFAULT_MAX_IDEALS = finideal.DEFAULT_MAX_IDEALS
-DEFAULT_MAX_NORM = quadring.DEFAULT_MAX_NORM
 
 
 def _emit(report, output_path):
@@ -97,8 +93,8 @@ def _ideal_dict(ideal):
     return d
 
 
-def _chain_report(chain, ideal, max_norm):
-    checks = quadring.verify_chain(chain, ideal, max_norm)
+def _chain_report(chain, ideal, bounds):
+    checks = quadring.verify_chain(chain, ideal, bounds)
     return {
         "ideal": _ideal_dict(ideal),
         "chain": [_ideal_dict(link) for link in chain],
@@ -121,15 +117,15 @@ def _cmd_factor(args):
         ideal = quadring.IntIdeal(finring._strict_int(payload["zint"], "zint"))
         ring_desc = {"ring": "Z"}
     else:
-        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.max_norm)
+        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.bounds)
         gens = payload.get("gens", [])
         if not isinstance(gens, list):
             raise ValueError("factor payload: gens must be a JSON list")
         ideal = quadring.ideal_from_gens(ring, [parse_quad_element(g) for g in gens])
         ring_desc = {"ring": ring.label, "d": ring.d}
-    chain = quadring.sp_factor(ideal, max_norm=args.max_norm)
+    chain = quadring.sp_factor(ideal, bounds=args.bounds)
     report = dict(ring_desc)
-    report.update(_chain_report(chain, ideal, args.max_norm))
+    report.update(_chain_report(chain, ideal, args.bounds))
     _emit(report, args.output)
     return EXIT_OK
 
@@ -165,8 +161,8 @@ def _verdict_checks(verdict):
 
 def _cmd_decide_ssp(args):
     payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.max_order)
-    verdict = sspengine.decide_ssp(ring, args.max_ideals)
+    ring = finring.ring_from_dict(payload, args.bounds)
+    verdict = sspengine.decide_ssp(ring, args.bounds)
     sp = sspengine.decide_sp(ring)
     report = {
         "ring": {"label": ring.label, "order": ring.order},
@@ -181,8 +177,8 @@ def _cmd_decide_ssp(args):
 
 def _cmd_spectrum(args):
     payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.max_order)
-    primes = finideal.prime_spectrum(ring, args.max_ideals)
+    ring = finring.ring_from_dict(payload, args.bounds)
+    primes = finideal.prime_spectrum(ring, args.bounds)
     report = {
         "ring": {"label": ring.label, "order": ring.order},
         "spectrum": [p.to_list() for p in primes],
@@ -194,8 +190,8 @@ def _cmd_spectrum(args):
 
 def _cmd_ideals(args):
     payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.max_order)
-    ideals = finideal.all_ideals(ring, args.max_ideals)
+    ring = finring.ring_from_dict(payload, args.bounds)
+    ideals = finideal.all_ideals(ring, args.bounds)
     report = {
         "ring": {"label": ring.label, "order": ring.order},
         "ideals": [i.to_list() for i in ideals],
@@ -266,13 +262,13 @@ def default_catalog_specs() -> list[dict]:
     return specs
 
 
-def census_rows(specs, max_order=DEFAULT_MAX_ORDER, max_ideals=DEFAULT_MAX_IDEALS):
+def census_rows(specs, bounds: Bounds = DEFAULT_BOUNDS):
     rows = []
     for spec in specs:
-        ring = finring.ring_from_dict(spec, max_order)
+        ring = finring.ring_from_dict(spec, bounds)
         factors = finring.decompose_local(ring)
-        verdicts = [finring.is_special_primary(f) for f in factors]
-        decided = sspengine.decide_ssp(ring, max_ideals).is_ssp
+        verdicts = [finring.is_special_primary(f, bounds) for f in factors]
+        decided = sspengine.decide_ssp(ring, bounds).is_ssp
         structural = all(v.is_special_primary for v in verdicts)
         rows.append({
             "label": ring.label,
@@ -296,7 +292,7 @@ def _cmd_census(args):
         specs = catalog
     else:
         raise ValueError('census payload needs "catalog": [...] or "default"')
-    rows = census_rows(specs, args.max_order, args.max_ideals)
+    rows = census_rows(specs, args.bounds)
     disagreements = sum(1 for r in rows if not r["agree"])
     report = {
         "rows": rows,
@@ -315,11 +311,11 @@ def build_parser():
                "for its randomized property runs.")
     parser.add_argument("--input", metavar="FILE", help="read the job payload from FILE")
     parser.add_argument("--output", metavar="FILE", help="write the report to FILE (atomic)")
-    parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+    parser.add_argument("--max-order", type=int, default=DEFAULT_BOUNDS.order,
                         help="largest permitted ring order (default and ceiling %(default)s)")
-    parser.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS,
+    parser.add_argument("--max-ideals", type=int, default=DEFAULT_BOUNDS.ideals,
                         help="largest permitted ideal count (default %(default)s)")
-    parser.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM,
+    parser.add_argument("--max-norm", type=int, default=DEFAULT_BOUNDS.norm,
                         help="largest permitted ideal norm (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("factor", help="ascending radical chain of a quadratic or integer ideal")
@@ -352,10 +348,10 @@ def _parser():
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.max_order > finring.MAX_ORDER:
-        # FinRing refuses any larger order, so a larger bound could only fail late
-        parser.error(f"--max-order {args.max_order} exceeds the ceiling "
-                     f"{finring.MAX_ORDER} on ring orders")
+    try:
+        args.bounds = Bounds(args.max_order, args.max_ideals, args.max_norm)
+    except ValueError as exc:
+        parser.error(f"--{exc}")    # the message opens with the bound's name, the flag's
     try:
         return _HANDLERS[args.command](args)
     except json.JSONDecodeError as exc:
@@ -367,8 +363,7 @@ def main(argv=None) -> int:
         print("radfact: invalid input: input nested too deeply", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as exc:
-        print(f"radfact: resource bound {exc.bound} exceeded "
-              f"(limit {exc.value}): {exc}", file=sys.stderr)
+        print(f"radfact: resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ArithmeticError as exc:
         print(f"radfact: internal invariant failed: {exc}", file=sys.stderr)

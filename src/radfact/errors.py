@@ -1,14 +1,47 @@
-"""Shared exception types."""
+"""Shared exception types and the resource bounds every engine runs under."""
+
+from dataclasses import dataclass
+from typing import NoReturn
+
+MAX_ORDER = 4096
 
 
 class ResourceLimitError(Exception):
     """An enumeration or factorization exceeded a configured resource bound.
 
     `bound` names the limit that was hit (e.g. "max-ideals"), `value` is the
-    configured limit.  The CLI maps this exception to exit status 3.
+    configured limit and `observed` the size that exceeded it (an int, or a
+    text such as "2^3000000").  The CLI maps this exception to exit status 3.
     """
 
-    def __init__(self, message, bound, value):
+    def __init__(self, message, bound, value, observed):
         super().__init__(message)
         self.bound = bound
         self.value = value
+        self.observed = observed
+
+
+def exceeded(bound: str, limit: int, observed, what: str) -> NoReturn:
+    """Raise the ResourceLimitError for `what`, of size `observed`, over `limit`."""
+    raise ResourceLimitError(
+        f"{what} exceeds the {bound} bound (limit {limit}, observed {observed})",
+        bound, limit, observed)
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """The limits a job runs under, one per CLI flag: `order` is max-order
+    (ring orders and module sizes, at most MAX_ORDER), `ideals` is max-ideals
+    (ideal and submodule lattices), `norm` is max-norm (integers factored)."""
+
+    order: int = MAX_ORDER
+    ideals: int = 1 << 20
+    norm: int = 10 ** 12
+
+    def __post_init__(self):
+        if self.order > MAX_ORDER:
+            raise ValueError(f"max-order {self.order} exceeds the ceiling "
+                             f"{MAX_ORDER} on ring orders")
+
+
+DEFAULT_BOUNDS = Bounds()

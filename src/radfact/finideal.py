@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BOUNDS, Bounds, exceeded
 from .finring import FinRing, elements_of, mask_of
-
-DEFAULT_MAX_IDEALS = 1 << 20
 
 
 def _validate_ideal_mask(ring, mask):
@@ -165,14 +163,17 @@ def _sum_els(add, els1, els2):
     return _union(add, add[els1[:, None], els2])
 
 
-def _join_closure(cyclic, add, max_ideals):
+def _join_closure(cyclic, add, bounds):
     """Every sum of the cyclic subgroups in `cyclic`, as {mask: generators}.
 
     `cyclic` holds (mask, generator) pairs with distinct masks, each mask a
     subgroup of the group with addition table `add`.
     """
+    limit = bounds.ideals
     cyclic = [(m, g, np.array(elements_of(m), dtype=np.intp)) for m, g in cyclic]
     known = {m: (els, (g,)) for m, g, els in cyclic}
+    if len(known) > limit:
+        exceeded("max-ideals", limit, len(known), "lattice size")
     queue = list(known)
     while queue:
         mask = queue.pop()
@@ -185,24 +186,21 @@ def _join_closure(cyclic, add, max_ideals):
             if jmask not in known:
                 known[jmask] = (np.array(elements_of(jmask), dtype=np.intp), gens + (g,))
                 queue.append(jmask)
-                if len(known) > max_ideals:
-                    raise ResourceLimitError(
-                        f"lattice size exceeds the max-ideals bound {max_ideals}",
-                        "max-ideals", max_ideals)
+                if len(known) > limit:
+                    exceeded("max-ideals", limit, len(known), "lattice size")
     return {m: gens for m, (_, gens) in known.items()}
 
 
-def all_ideals(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[FinIdeal]:
+def all_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
     """Every ideal of a, in sorted bitset order."""
     cached = a._cache.get("ideals")
     if cached is None:
-        known = _join_closure(_principal_ideals(a), a.add, max_ideals)
+        known = _join_closure(_principal_ideals(a), a.add, bounds)
         cached = sorted(known.items())
         a._cache["ideals"] = cached
-    if len(cached) > max_ideals:
-        raise ResourceLimitError(
-            f"ideal count {len(cached)} exceeds the max-ideals bound {max_ideals}",
-            "max-ideals", max_ideals)
+    if len(cached) > bounds.ideals:
+        # a lattice cached under a larger bound
+        exceeded("max-ideals", bounds.ideals, len(cached), "ideal count")
     return [FinIdeal._unchecked(a, m, gens=g) for m, g in cached]
 
 
@@ -272,25 +270,25 @@ def is_prime(i: FinIdeal) -> bool:
     return not member[a.mul[np.ix_(comp, comp)]].any()
 
 
-def prime_spectrum(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[FinIdeal]:
+def prime_spectrum(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
     """All prime ideals; in a finite ring these are exactly the maximal ideals."""
-    return [i for i in all_ideals(a, max_ideals) if is_prime(i)]
+    return [i for i in all_ideals(a, bounds) if is_prime(i)]
 
 
-def maximal_ideals(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[FinIdeal]:
-    ideals = all_ideals(a, max_ideals)
+def maximal_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
+    ideals = all_ideals(a, bounds)
     whole = a.whole_mask
     proper = [i for i in ideals if i.mask != whole]
     return [i for i in proper
             if not any(j.mask != i.mask and j.contains(i) for j in proper)]
 
 
-def vn_set(i: FinIdeal, n: int, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[FinIdeal]:
+def vn_set(i: FinIdeal, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
     """All primes P with I ⊆ P^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
-    for p in prime_spectrum(i.ring, max_ideals):
+    for p in prime_spectrum(i.ring, bounds):
         if ideal_power(p, n).contains(i):
             out.append(p)
     return out

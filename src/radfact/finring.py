@@ -3,7 +3,8 @@
 Elements are canonical indices 0..order-1; `add` and `mul` are immutable
 numpy int32 tables.  Every constructor runs the full axiom verification
 before returning, so a `FinRing` in hand is always a genuine commutative
-unitary ring.  Orders are capped at MAX_ORDER = 4096.
+unitary ring.  Constructors check the order they would build against
+`Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
 
 All values are immutable after construction and every operation here is a
 pure function of its inputs, so sharing across threads is safe.
@@ -15,28 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-
-MAX_ORDER = 4096
+from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, exceeded
 
 
-def _check_order(order, max_order, what="ring order"):
-    if order > max_order:
-        raise ResourceLimitError(
-            f"{what} {order} exceeds the max-order bound {max_order}",
-            "max-order", max_order)
+def _check_order(order, bounds, what):
+    if order > bounds.order:
+        exceeded("max-order", bounds.order, order, what)
 
 
-def _bounded_power(base, exp, max_order, what):
-    """base ** exp for base >= 1, multiplied out with a cut-off at max_order,
-    so a huge exponent fails on the bound without building a huge integer."""
+def _bounded_power(base, exp, bounds, what):
+    """base ** exp for base >= 1, multiplied out with a cut-off at the order
+    bound, so a huge exponent fails on it without building a huge integer."""
     size = 1
     for _ in range(exp if base > 1 else 0):
         size *= base
-        if size > max_order:
-            raise ResourceLimitError(
-                f"{what} {base}^{exp} exceeds the max-order bound {max_order}",
-                "max-order", max_order)
+        if size > bounds.order:
+            exceeded("max-order", bounds.order, f"{base}^{exp}", what)
     return size
 
 
@@ -105,7 +100,6 @@ def _verify_group(add, zero, what):
 def _verify_ring_tables(order, add, mul, zero, one):
     if order < 1:
         raise ValueError("ring order must be positive")
-    _check_order(order, MAX_ORDER)
     if not (0 <= zero < order and 0 <= one < order):
         raise ValueError("zero/one indices out of range")
     if zero == one and order != 1:
@@ -209,10 +203,11 @@ class FinModule:
         return f"FinModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
 
 
-def make_zn(n: int) -> FinRing:
+def make_zn(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """The ring of integers modulo n, with representatives 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_order(n, bounds, "ring order")
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -242,18 +237,18 @@ def _format_int_poly(coeffs):
     return "+".join(terms) if terms else "0"
 
 
-def make_poly_quotient(base: FinRing, f) -> FinRing:
+def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """Quotient Z_n[x]/(f) for a monic f, given lowest-degree-first coefficients."""
     if not _is_canonical_zn(base):
         raise ValueError("base ring must be a canonical Z/n ring built by make_zn")
     n = base.order
-    f = [int(c) % n for c in f]
     d = len(f) - 1
     if d < 1:
         raise ValueError("modulus must have degree >= 1")
+    order = _bounded_power(n, d, bounds, "quotient order")
+    f = [int(c) % n for c in f]
     if f[d] != 1 % n:
         raise ValueError("modulus must be monic")
-    order = _bounded_power(n, d, MAX_ORDER, "quotient order")
 
     # residues of x^j mod f for j < 2d-1, as coefficient rows
     width = max(2 * d - 1, d)
@@ -291,10 +286,10 @@ def _pair_table(first, second):
     return (first.astype(np.int64)[:, None, :, None] * w + second).reshape(n * w, n * w)
 
 
-def make_product(a: FinRing, b: FinRing) -> FinRing:
+def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """Direct product ring; element (x, y) has index x*b.order + y."""
     ob = b.order
-    _check_order(a.order * ob, MAX_ORDER, "product order")
+    _check_order(a.order * ob, bounds, "product order")
     add = _pair_table(a.add, b.add[None, :, None, :])
     mul = _pair_table(a.mul, b.mul[None, :, None, :])
     return FinRing(a.order * ob, add, mul,
@@ -302,12 +297,12 @@ def make_product(a: FinRing, b: FinRing) -> FinRing:
                    label=f"{a.label} x {b.label}")
 
 
-def free_module(ring: FinRing, rank: int) -> FinModule:
+def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinModule:
     """The free module ring^rank with componentwise action."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
     n = ring.order
-    size = _bounded_power(n, rank, MAX_ORDER, "module size")
+    size = _bounded_power(n, rank, bounds, "module size")
     width = rank if n > 1 else 0    # over the zero ring every free module is zero
     pw = n ** np.arange(width, dtype=np.int64)
     ee = np.arange(size, dtype=np.int64)
@@ -362,7 +357,7 @@ def quotient_module(ring: FinRing, ideal) -> FinModule:
                      idx[ring.mul[:, keep]], label=f"{ring.label}/I{len(ideal)}")
 
 
-def make_idealization(a: FinRing, e: FinModule) -> FinRing:
+def make_idealization(a: FinRing, e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """The idealization of a module: pairs (r, m) with (r,m)(s,n) = (rs, rn+sm).
 
     The embedded copy of the module squares to zero, which is what produces
@@ -371,7 +366,7 @@ def make_idealization(a: FinRing, e: FinModule) -> FinRing:
     if e.ring is not a:
         raise ValueError("module is not over the given ring")
     s = e.size
-    _check_order(a.order * s, MAX_ORDER, "idealization order")
+    _check_order(a.order * s, bounds, "idealization order")
     act = e.action
     # cross[r1, m1, r2, m2] = e.add[act[r1, m2], act[r2, m1]]
     cross = e.add[act[:, None, None, :], act.T[None, :, :, None]]
@@ -431,11 +426,11 @@ class SpecialPrimaryVerdict:
     nilpotency_index: int | None      # least t with M^t = 0
 
 
-def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
+def is_special_primary(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SpecialPrimaryVerdict:
     """Decide whether every proper ideal of a is a power of a unique maximal ideal."""
     from .finideal import all_ideals, ideal_product, maximal_ideals
 
-    maximal = maximal_ideals(a)
+    maximal = maximal_ideals(a, bounds)
     if len(maximal) != 1:
         return SpecialPrimaryVerdict(False, None, None)
     m = maximal[0]
@@ -448,7 +443,7 @@ def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
         t += 1
         if t > a.order:
             raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
-    ok = {i.mask for i in all_ideals(a) if i.mask != a.whole_mask} == power_masks
+    ok = {i.mask for i in all_ideals(a, bounds) if i.mask != a.whole_mask} == power_masks
     return SpecialPrimaryVerdict(ok, m, t)
 
 
@@ -470,59 +465,84 @@ def _strict_int(value, what):
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _module_from_dict(ring, obj, max_order):
-    if obj == "self":
-        return module_from_ring(ring)
-    if isinstance(obj, dict) and "rank" in obj:
-        rank = _strict_int(obj["rank"], "module rank")
-        _bounded_power(ring.order, rank, max_order, "module size")
-        return free_module(ring, rank)
-    raise ValueError(f"unrecognized module description: {obj!r}")
+def _json_object(value, what, allowed):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(value.keys() - allowed)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return value
 
 
-def ring_from_dict(obj, max_order: int = MAX_ORDER) -> FinRing:
-    """Build a ring from its JSON form: full tables or a constructor shorthand."""
+def _base_ring(spec, key, what, bounds):
+    """The ring described under `key`, or Z/n for "zn": exactly one of the two."""
+    if (key in spec) == ("zn" in spec):
+        raise ValueError(f"{what} needs exactly one of {key!r} or 'zn'")
+    return ring_from_dict(spec[key] if key in spec else {"zn": spec["zn"]}, bounds)
+
+
+def _table(rows, order, what):
+    """A JSON table: `order` rows of `order` integers in 0..order-1."""
+    if not (isinstance(rows, list) and len(rows) == order
+            and all(isinstance(r, list) and len(r) == order for r in rows)
+            and all(type(x) is int and 0 <= x < order for r in rows for x in r)):
+        raise ValueError(f"{what} table must hold {order} rows of {order} "
+                         f"integers in 0..{order - 1}")
+    return np.array(rows, dtype=np.int64).reshape(order, order)
+
+
+_SHORTHANDS = ("zn", "poly_quotient", "product", "idealization")
+_TABLE_KEYS = {"order", "zero", "one", "add", "mul"}
+
+
+def ring_from_dict(obj, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
+    """Build a ring from its JSON form: full tables or a constructor shorthand.
+
+    Every field is type-checked before it is used, and a key the form does
+    not take is refused, each with a ValueError that names the field.
+    """
     if not isinstance(obj, dict):
         raise ValueError("ring description must be a JSON object")
-    if "zn" in obj:
-        n = _strict_int(obj["zn"], "zn")
-        _check_order(n, max_order)
-        return make_zn(n)
-    if "poly_quotient" in obj:
-        spec = obj["poly_quotient"]
-        if not isinstance(spec, dict):
-            raise ValueError("poly_quotient must be a JSON object")
-        base = ring_from_dict(spec.get("base", {"zn": spec.get("zn")}), max_order)
-        f = [_strict_int(c, "polynomial coefficient") for c in spec["f"]]
-        _bounded_power(base.order, len(f) - 1, max_order, "quotient order")
-        return make_poly_quotient(base, f)
-    if "product" in obj:
-        parts = [ring_from_dict(p, max_order) for p in obj["product"]]
-        if not parts:
-            raise ValueError("product of zero rings is not supported")
-        out = parts[0]
-        for p in parts[1:]:
-            _check_order(out.order * p.order, max_order)
-            out = make_product(out, p)
-        return out
-    if "idealization" in obj:
-        spec = dict(obj["idealization"])
-        if "zn" in spec and "ring" not in spec:
-            spec["ring"] = {"zn": spec.pop("zn")}
-        ring = ring_from_dict(spec["ring"], max_order)
-        module = spec.get("module", "self")
-        if "module_rank" in spec:
-            module = {"rank": spec["module_rank"]}
-        module = _module_from_dict(ring, module, max_order)
-        _check_order(ring.order * module.size, max_order)
-        return make_idealization(ring, module)
-    needed = {"order", "zero", "one", "add", "mul"}
-    if needed <= obj.keys():
+    kind = next((k for k in _SHORTHANDS if k in obj), None)
+    if kind is None and _TABLE_KEYS <= obj.keys():
+        _json_object(obj, "table ring description", _TABLE_KEYS | {"label"})
         order = _strict_int(obj["order"], "order")
-        _check_order(order, max_order)
-        add, mul = np.array(obj["add"]), np.array(obj["mul"])
-        if add.dtype.kind not in "iu" or mul.dtype.kind not in "iu":
-            raise ValueError("add and mul tables must hold integers")
-        return FinRing(order, add, mul, _strict_int(obj["zero"], "zero"),
-                       _strict_int(obj["one"], "one"), obj.get("label", ""))
-    raise ValueError(f"unrecognized ring description with keys {sorted(obj.keys())}")
+        if order < 1:
+            raise ValueError("ring order must be positive")
+        _check_order(order, bounds, "ring order")
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError("label must be a string")
+        return FinRing(order, _table(obj["add"], order, "add"), _table(obj["mul"], order, "mul"),
+                       _strict_int(obj["zero"], "zero"), _strict_int(obj["one"], "one"), label)
+    if kind is None:
+        raise ValueError(f"unrecognized ring description with keys {sorted(obj.keys())}")
+    spec = _json_object(obj, f"{kind} ring description", {kind})[kind]
+    if kind == "zn":
+        return make_zn(_strict_int(spec, "zn"), bounds)
+    if kind == "poly_quotient":
+        spec = _json_object(spec, "poly_quotient", {"base", "zn", "f"})
+        base = _base_ring(spec, "base", "poly_quotient", bounds)
+        if not isinstance(spec.get("f"), list):
+            raise ValueError("poly_quotient f must be a JSON list")
+        f = [_strict_int(c, "polynomial coefficient") for c in spec["f"]]
+        return make_poly_quotient(base, f, bounds)
+    if kind == "product":
+        if not isinstance(spec, list):
+            raise ValueError("product must be a JSON list")
+        if not spec:
+            raise ValueError("product of zero rings is not supported")
+        out = ring_from_dict(spec[0], bounds)
+        for part in spec[1:]:
+            out = make_product(out, ring_from_dict(part, bounds), bounds)
+        return out
+    spec = _json_object(spec, "idealization", {"zn", "ring", "module", "module_rank"})
+    ring = _base_ring(spec, "ring", "idealization", bounds)
+    if "module" in spec and "module_rank" in spec:
+        raise ValueError("idealization takes at most one of 'module' or 'module_rank'")
+    module = {"rank": spec["module_rank"]} if "module_rank" in spec else spec.get("module", "self")
+    if module == "self":
+        return make_idealization(ring, module_from_ring(ring), bounds)
+    rank = _json_object(module, "module (other than 'self')", {"rank"}).get("rank")
+    return make_idealization(ring, free_module(ring, _strict_int(rank, "module rank"), bounds),
+                             bounds)

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ResourceLimitError
+from .errors import exceeded
 
 # the largest exponent parse_poly accepts: a dense degree-256 sf-chain job
 # takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
@@ -365,10 +365,8 @@ def parse_poly(text: str) -> RatPoly:
             # checked before the dense coefficient list is allocated, and by
             # length first, since int() refuses strings beyond 4300 digits
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
-                raise ResourceLimitError(
-                    f"polynomial degree {shown} exceeds the limit {MAX_DEGREE}",
-                    "max-degree", MAX_DEGREE)
+                shown = int(digits) if len(digits) <= 20 else f"{len(digits)} digits"
+                exceeded("max-degree", MAX_DEGREE, shown, "polynomial degree")
             exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
     out = [Fraction(0)] * (max(coeffs) + 1)

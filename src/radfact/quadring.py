@@ -15,13 +15,13 @@ the ascending-chain factorization.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import ClassVar
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BOUNDS, Bounds, exceeded
 
-DEFAULT_MAX_NORM = 10 ** 12
 _TRIAL_LIMIT = 10 ** 6
 # Strong-probable-prime tests to the first 13 prime bases are exact below
 # psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017).
@@ -110,7 +110,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def factor_int(n: int, max_norm: int = DEFAULT_MAX_NORM) -> dict[int, int]:
+def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
     """Factor a positive integer by trial division, refusing to guess.
 
     Trial-divides by primes up to min(sqrt(n), 10^6); a remaining cofactor
@@ -120,9 +120,8 @@ def factor_int(n: int, max_norm: int = DEFAULT_MAX_NORM) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError("can only factor positive integers")
-    if n > max_norm:
-        raise ResourceLimitError(
-            f"{n} exceeds the max-norm bound {max_norm}", "max-norm", max_norm)
+    if n > bounds.norm:
+        exceeded("max-norm", bounds.norm, n, "integer to factor")
     out: dict[int, int] = {}
     rem = n
     for p in _primes_below(isqrt(n) + 1):
@@ -133,13 +132,11 @@ def factor_int(n: int, max_norm: int = DEFAULT_MAX_NORM) -> dict[int, int]:
             rem //= p
     if rem > 1:
         if rem >= _MR_EXACT_BELOW:
-            raise ResourceLimitError(
-                f"cofactor {rem} is beyond the exact primality range",
-                "max-norm", max_norm)
+            exceeded("max-norm", bounds.norm, rem,
+                     "cofactor beyond the exact primality range")
         if rem >= len(_sieve) ** 2 and not _is_prime(rem):
-            raise ResourceLimitError(
-                f"cofactor {rem} is composite beyond the trial-division bound",
-                "max-norm", max_norm)
+            exceeded("max-norm", bounds.norm, rem,
+                     "cofactor composite beyond the trial-division bound")
         out[rem] = out.get(rem, 0) + 1
     return out
 
@@ -159,21 +156,21 @@ class QuadRing:
     """The maximal order Z[w] of Q(sqrt(d)), d squarefree and not 0 or 1."""
 
     d: int
-    max_norm: InitVar[int] = DEFAULT_MAX_NORM
+    bounds: InitVar[Bounds] = DEFAULT_BOUNDS
 
-    def __post_init__(self, max_norm):
+    def __post_init__(self, bounds):
         if self.d in (0, 1):
             raise ValueError("d must not be 0 or 1")
-        if any(e > 1 for e in factor_int(abs(self.d), max_norm).values()):
+        if any(e > 1 for e in factor_int(abs(self.d), bounds).values()):
             raise ValueError(f"d = {self.d} is not squarefree")
 
     @property
     def omega_is_half(self) -> bool:
         return self.d % 4 == 1
 
-    @property
+    @cached_property
     def min_poly(self) -> tuple[int, int]:
-        """(c0, c1) with w^2 + c1*w + c0 = 0."""
+        """(c0, c1) with w^2 + c1*w + c0 = 0, computed once per ring."""
         if self.omega_is_half:
             return (-(self.d - 1) // 4, -1)
         return (-self.d, 0)
@@ -288,8 +285,8 @@ class QuadIdeal:
                 for u in self.basis() for v in other.basis()]
         return QuadIdeal(self.ring, *_hnf_rows(rows))
 
-    def factorization(self, max_norm: int = DEFAULT_MAX_NORM) -> "PrimeFactorization":
-        return _factor_quad(self, max_norm)
+    def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> "PrimeFactorization":
+        return _factor_quad(self, bounds)
 
     def to_dict(self):
         return {"d": self.ring.d, "hnf": [self.a, self.b, self.c]}
@@ -451,11 +448,11 @@ def _quad_factors(ideal, primes):
     return out
 
 
-def _factor_quad(ideal, max_norm):
+def _factor_quad(ideal, bounds):
     n = ideal.norm
     if n == 1:
         return PrimeFactorization(())
-    primes = tuple(sorted(factor_int(n, max_norm)))
+    primes = tuple(sorted(factor_int(n, bounds)))
     factors = _quad_factors(ideal, primes)
     recomposed = _product_of((p for p, e in factors for _ in range(e)), ideal.unit())
     if recomposed != ideal:
@@ -464,9 +461,9 @@ def _factor_quad(ideal, max_norm):
     return PrimeFactorization(tuple(factors), primes)
 
 
-def factor_ideal(i, max_norm: int = DEFAULT_MAX_NORM) -> PrimeFactorization:
+def factor_ideal(i, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:
     """Prime factorization with exponents read off the HNF, re-multiplied to I."""
-    return i.factorization(max_norm)
+    return i.factorization(bounds)
 
 
 def _product_of(ideals, unit):
@@ -476,21 +473,21 @@ def _product_of(ideals, unit):
     return out
 
 
-def radical(i, max_norm: int = DEFAULT_MAX_NORM):
+def radical(i, bounds: Bounds = DEFAULT_BOUNDS):
     """Product of the distinct primes dividing the ideal."""
-    pf = i.factorization(max_norm)
+    pf = i.factorization(bounds)
     return _product_of(pf.distinct_primes(), i.unit())
 
 
-def vn(i, n: int, max_norm: int = DEFAULT_MAX_NORM):
+def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
     """Primes P with I ⊆ P^n, read off the factorization exponents."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [p for p, e in i.factorization(max_norm) if e >= n]
+    return [p for p, e in i.factorization(bounds) if e >= n]
 
 
 def sp_factor(i, allow_unit: bool = False,
-              max_norm: int = DEFAULT_MAX_NORM) -> RadicalChain:
+              bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
     """The ascending radical chain J1 ⊆ ... ⊆ Jn with product equal to I.
 
     J_k multiplies the primes whose exponent is at least k, so the chain
@@ -501,7 +498,7 @@ def sp_factor(i, allow_unit: bool = False,
         if allow_unit:
             return RadicalChain((), PrimeFactorization(()))
         raise ValueError("the unit ideal has no radical chain (pass allow_unit=True)")
-    pf = i.factorization(max_norm)
+    pf = i.factorization(bounds)
     links = []
     for k in range(1, pf.max_exponent + 1):
         primes = [p for p, e in pf if e >= k]
@@ -517,7 +514,7 @@ def sp_factor(i, allow_unit: bool = False,
 
 
 def normalize_factorization(ring, factors,
-                            max_norm: int = DEFAULT_MAX_NORM) -> RadicalChain:
+                            bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
     """Canonical ascending chain with the same product as the given radical ideals."""
     factors = list(factors)
     if not factors:
@@ -528,9 +525,9 @@ def normalize_factorization(ring, factors,
             raise ValueError(f"factor {idx} belongs to a different ring")
         if f.is_whole:
             raise ValueError(f"factor {idx} is the unit ideal, not a proper radical")
-        if radical(f, max_norm) != f:
+        if radical(f, bounds) != f:
             raise ValueError(f"factor {idx} is not a radical ideal")
-    return sp_factor(_product_of(factors, unit), max_norm=max_norm)
+    return sp_factor(_product_of(factors, unit), bounds=bounds)
 
 
 def _radical_over(i, primes):
@@ -541,7 +538,7 @@ def _radical_over(i, primes):
 
 
 def verify_chain(chain: RadicalChain, ideal=None,
-                 max_norm: int = DEFAULT_MAX_NORM) -> dict[str, bool]:
+                 bounds: Bounds = DEFAULT_BOUNDS) -> dict[str, bool]:
     """Re-check every RadicalChain invariant; used by reports and tests.
 
     Each link's radical is recomputed from the link's own HNF, over the
@@ -554,7 +551,7 @@ def verify_chain(chain: RadicalChain, ideal=None,
     if chain.factorization is not None:
         primes = chain.factorization.rational_primes
     else:
-        primes = sorted(set().union(*(factor_int(l.norm, max_norm) for l in links)))
+        primes = sorted(set().union(*(factor_int(l.norm, bounds) for l in links)))
     checks = {
         "ascending": all(b.contains(a) for a, b in zip(links, links[1:])),
         "links_radical": all(_radical_over(l, primes) == l for l in links),
@@ -612,8 +609,8 @@ class IntIdeal:
     def __mul__(self, other):
         return IntIdeal(self.n * other.n)
 
-    def factorization(self, max_norm: int = DEFAULT_MAX_NORM) -> PrimeFactorization:
-        fac = sorted(factor_int(self.n, max_norm).items())
+    def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:
+        fac = sorted(factor_int(self.n, bounds).items())
         return PrimeFactorization(tuple((IntIdeal(p), e) for p, e in fac),
                                   tuple(p for p, _ in fac))
 

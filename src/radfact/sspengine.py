@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finideal import (DEFAULT_MAX_IDEALS, FinIdeal, _join_closure, _row_sets,
-                       _sum_els, _union, all_ideals, ideal_product, radical)
+from .errors import DEFAULT_BOUNDS, Bounds
+from .finideal import (FinIdeal, _join_closure, _row_sets, _sum_els, _union,
+                       all_ideals, ideal_product, radical)
 from .finring import (FinModule, FinRing, decompose_local, is_special_primary,
                       mask_of)
 
@@ -67,9 +68,9 @@ class SpVerdict:
     note: str
 
 
-def radical_closure(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> RadicalClosure:
+def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalClosure:
     """All products of radical ideals of a, with one witness expression each."""
-    ideals = all_ideals(a, max_ideals)
+    ideals = all_ideals(a, bounds)
     radicals = [i for i in ideals if radical(i).mask == i.mask]
     whole = a.whole_mask
     proper_radicals = [r for r in radicals if r.mask != whole]
@@ -90,19 +91,19 @@ def radical_closure(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> Radical
     return RadicalClosure(a, members, parent, by_mask)
 
 
-def decide_ssp(a: FinRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> SspVerdict:
+def decide_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     """Exhaustive SSP decision with factorization witnesses."""
-    closure = radical_closure(a, max_ideals)
-    ideals = all_ideals(a, max_ideals)
+    closure = radical_closure(a, bounds)
+    ideals = all_ideals(a, bounds)
     missing = [i for i in ideals if i.mask not in closure.parent]
     factorizations = {i: closure.factors_of(i) for i in ideals}
     witness = missing[0] if missing else None
     return SspVerdict(not missing, witness, factorizations)
 
 
-def structural_ssp(a: FinRing) -> bool:
+def structural_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """Independent oracle: every local factor must be special primary."""
-    return all(is_special_primary(f).is_special_primary for f in decompose_local(a))
+    return all(is_special_primary(f, bounds).is_special_primary for f in decompose_local(a))
 
 
 def decide_sp(a: FinRing) -> SpVerdict:
@@ -121,16 +122,16 @@ def is_vnr(a: FinRing) -> bool:
     return True
 
 
-def _submodule_masks(e: FinModule, max_ideals: int) -> set[int]:
+def _submodule_masks(e: FinModule, bounds: Bounds) -> set[int]:
     """All submodules of e, as bitsets, by join-closure of cyclic submodules."""
     # {r·m : r in ring} is already a submodule, so cyclic generation is one shot
-    return set(_join_closure(_row_sets(e.action.T), e.add, max_ideals))
+    return set(_join_closure(_row_sets(e.action.T), e.add, bounds))
 
 
-def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
+def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:
     """The submodules IE, for I ranging over all ideals of the base ring."""
     out = set()
-    for ideal in all_ideals(e.ring, max_ideals):
+    for ideal in all_ideals(e.ring, bounds):
         acc = np.array([e.zero], dtype=np.intp)
         for g in ideal.small_gens():
             acc = _sum_els(e.add, acc, _union(e.add, e.action[g]))
@@ -138,6 +139,6 @@ def _ideal_image_masks(e: FinModule, max_ideals: int) -> set[int]:
     return out
 
 
-def is_multiplication_module(e: FinModule, max_ideals: int = DEFAULT_MAX_IDEALS) -> bool:
+def is_multiplication_module(e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """Exhaustively test that every submodule F equals IE for some ideal I."""
-    return _submodule_masks(e, max_ideals) <= _ideal_image_masks(e, max_ideals)
+    return _submodule_masks(e, bounds) <= _ideal_image_masks(e, bounds)

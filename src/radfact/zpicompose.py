@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadring import (DEFAULT_MAX_NORM, IntIdeal, IntRing, QuadIdeal,
-                       QuadRing, sp_factor, whole_ring_ideal)
+from .errors import DEFAULT_BOUNDS, Bounds
+from .quadring import (IntIdeal, IntRing, QuadIdeal, QuadRing, sp_factor,
+                       whole_ring_ideal)
 
 
 class _ZeroEntry:
@@ -147,7 +148,7 @@ class ZpiChain:
         return out
 
 
-def radical_chain(i: ZpiIdeal, max_norm: int = DEFAULT_MAX_NORM) -> ZpiChain:
+def radical_chain(i: ZpiIdeal, bounds: Bounds = DEFAULT_BOUNDS) -> ZpiChain:
     """Merge componentwise ascending chains into one chain of ZpiIdeals."""
     if i.is_unit:
         raise ValueError("the unit ideal has no radical chain")
@@ -163,7 +164,7 @@ def radical_chain(i: ZpiIdeal, max_norm: int = DEFAULT_MAX_NORM) -> ZpiChain:
         elif entry.is_whole:
             comp_chains.append([])
         else:
-            comp_chains.append(list(sp_factor(entry, max_norm=max_norm).links))
+            comp_chains.append(list(sp_factor(entry, bounds=bounds).links))
     n = max(len(c) for c in comp_chains)
     links = []
     for pos in range(n):
@@ -182,34 +183,6 @@ def radical_chain(i: ZpiIdeal, max_norm: int = DEFAULT_MAX_NORM) -> ZpiChain:
     return chain
 
 
-def ring_to_dict(r: ZpiRing) -> dict:
-    comps = []
-    for c in r.components:
-        if isinstance(c, SprComponent):
-            comps.append({"spr": c.t})
-        elif isinstance(c.ring, IntRing):
-            comps.append({"ded": "Z"})
-        else:
-            comps.append({"ded": {"d": c.ring.d}})
-    return {"components": comps}
-
-
-def ring_from_dict(obj) -> ZpiRing:
-    comps = []
-    for c in obj["components"]:
-        if "spr" in c:
-            comps.append(SprComponent(int(c["spr"])))
-        elif "ded" in c:
-            spec = c["ded"]
-            if spec == "Z":
-                comps.append(DedComponent(IntRing()))
-            else:
-                comps.append(DedComponent(QuadRing(int(spec["d"]))))
-        else:
-            raise ValueError(f"unrecognized component {c!r}")
-    return ZpiRing(tuple(comps))
-
-
 def ideal_to_list(i: ZpiIdeal) -> list:
     out = []
     for comp, e in zip(i.ring.components, i.entries):
@@ -222,21 +195,3 @@ def ideal_to_list(i: ZpiIdeal) -> list:
         else:
             out.append({"hnf": list(e.hnf)})
     return out
-
-
-def ideal_from_list(ring: ZpiRing, items) -> ZpiIdeal:
-    if len(items) != len(ring.components):
-        raise ValueError("entry count does not match component count")
-    entries = []
-    for comp, item in zip(ring.components, items):
-        if isinstance(comp, SprComponent):
-            entries.append(int(item))
-        elif item == "zero":
-            entries.append(ZERO)
-        elif isinstance(comp.ring, IntRing):
-            n = item["zint"] if isinstance(item, dict) else item
-            entries.append(IntIdeal(int(n)))
-        else:
-            hnf = item["hnf"] if isinstance(item, dict) else item
-            entries.append(QuadIdeal(comp.ring, int(hnf[0]), int(hnf[1]), int(hnf[2])))
-    return ZpiIdeal(ring, tuple(entries))

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from radfact import cli
+from conftest import INTERNAL_PHRASES
+from radfact import cli, finideal
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -161,7 +162,7 @@ def test_census_empty_catalog(capsys, tmp_path):
 
 def test_census_disagreement_exits_4(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.sspengine, "decide_ssp",
-                        lambda ring, max_ideals: type(
+                        lambda ring, bounds: type(
                             "V", (), {"is_ssp": False, "witness_nonfactorable": None,
                                       "factorizations": {}})())
     payload = {"catalog": [{"zn": 4}]}
@@ -300,6 +301,70 @@ def test_poly_quotient_that_is_not_an_object_exits_2(capsys, tmp_path, value):
     assert code == 2
     assert out == ""
     assert "poly_quotient must be a JSON object" in err
+
+
+_TABLE = {"order": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"product": 5}, "product must be a JSON list"),
+    ({"product": {"zn": 2}}, "product must be a JSON list"),
+    ({"idealization": [1]}, "idealization must be a JSON object"),
+    ({"idealization": 7}, "idealization must be a JSON object"),
+    ({"poly_quotient": {"zn": 3}}, "poly_quotient f must be a JSON list"),
+    ({"poly_quotient": {"zn": 3, "f": None}}, "poly_quotient f must be a JSON list"),
+    ({"poly_quotient": {"zn": 3, "f": 5}}, "poly_quotient f must be a JSON list"),
+    ({"poly_quotient": {"f": [1, 1]}}, "poly_quotient needs exactly one of 'base' or 'zn'"),
+    (dict(_TABLE, add=[[0, 1], [1]]), "add table must hold 2 rows of 2 integers"),
+    (dict(_TABLE, mul=[[0, 0], [0, "1"]]), "mul table must hold 2 rows of 2 integers"),
+    (dict(_TABLE, add=[[0, 1], [1, True]]), "add table must hold 2 rows of 2 integers"),
+    (dict(_TABLE, add=[[0, 1], [1, 2 ** 32]]), "add table must hold 2 rows of 2 integers"),
+    (dict(_TABLE, mul=5), "mul table must hold 2 rows of 2 integers"),
+    (dict(_TABLE, label=7), "label must be a string"),
+    (dict(_TABLE, extra=1), "table ring description has unknown keys ['extra']"),
+    ({"zn": 4, "label": "x"}, "zn ring description has unknown keys ['label']"),
+    ({"poly_quotient": {"base": {"zn": 4, "label": "x"}, "f": [1, 1]}},
+     "zn ring description has unknown keys ['label']"),
+    ({"poly_quotient": {"zn": 2, "f": [1, 1], "g": 0}}, "poly_quotient has unknown keys ['g']"),
+    ({"product": [{"zn": 2}], "label": "x"}, "product ring description has unknown keys"),
+    ({"idealization": {"zn": 2, "ring": {"zn": 2}}}, "idealization needs exactly one of"),
+    ({"idealization": {"zn": 2, "module_rank": 1, "module": "self"}}, "at most one of"),
+    ({"idealization": {"zn": 2, "module": {"rank": 1, "free": True}}}, "unknown keys ['free']"),
+])
+def test_ring_fields_are_checked_before_use_exit_2(capsys, tmp_path, payload, message):
+    code, out, err = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
+IDEALIZATION_2826 = {"idealization": {"zn": 2, "module_rank": 6}}   # 2,826 ideals
+
+
+@pytest.mark.parametrize("argv, payload, bound, limit, observed", [
+    (["--max-order", "64", "decide-ssp"], {"zn": 100}, "max-order", 64, 100),
+    (["--max-ideals", "100", "census"], {"catalog": [IDEALIZATION_2826]}, "max-ideals", 100, 101),
+    (["--max-norm", str(5 * 10 ** 12), "factor"], {"zint": 10 ** 13},
+     "max-norm", 5 * 10 ** 12, 10 ** 13),
+    (["sf-chain", "x^300+1"], None, "max-degree", 256, 300),
+], ids=["max-order", "max-ideals", "max-norm", "max-degree"])
+def test_each_flag_governs_its_bound_and_shows_the_observed_size(
+        capsys, tmp_path, monkeypatch, argv, payload, bound, limit, observed):
+    lattices = []
+
+    def spy(*args):
+        known = closure(*args)
+        lattices.append(len(known))
+        return known
+
+    closure = finideal._join_closure
+    monkeypatch.setattr(finideal, "_join_closure", spy)
+    code, out, err = run_cli(capsys, argv, payload, tmp_path)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert bound in err and f"(limit {limit}, observed {observed})" in err
+    assert all(size <= limit + 1 for size in lattices)
 
 
 @pytest.mark.parametrize("payload", [[1], 5, "default", True])

@@ -1,0 +1,31 @@
+import ast
+import os
+
+import pytest
+
+from radfact.errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "radfact")
+
+
+def test_resource_limit_error_is_built_only_in_errors_py():
+    offenders = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "ResourceLimitError":
+                    offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_bounds_defaults_and_ceiling():
+    assert DEFAULT_BOUNDS == Bounds(order=4096, ideals=2 ** 20, norm=10 ** 12)
+    assert Bounds(order=MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(ValueError, match="max-order 4097 exceeds the ceiling 4096"):
+        Bounds(order=MAX_ORDER + 1)

@@ -5,7 +5,7 @@ import pytest
 
 from radfact import cli
 from radfact import finring as fr
-from radfact.errors import ResourceLimitError
+from radfact.errors import Bounds, ResourceLimitError
 from radfact.finideal import (FinIdeal, _principal_ideals, all_ideals,
                               generated_ideal, ideal_power, ideal_product,
                               ideal_sum, is_prime, maximal_ideals,
@@ -78,7 +78,7 @@ def test_all_ideals_against_subset_oracle():
 
 def test_all_ideals_resource_bound():
     with pytest.raises(ResourceLimitError) as exc:
-        all_ideals(fr.make_zn(12), max_ideals=2)
+        all_ideals(fr.make_zn(12), bounds=Bounds(ideals=2))
     assert exc.value.bound == "max-ideals"
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,29 @@ def test_max_order_bound():
     with pytest.raises(ResourceLimitError) as exc:
         fr.make_zn(fr.MAX_ORDER + 1)
     assert exc.value.bound == "max-order"
+
+
+Z2, Z64, Z65 = fr.make_zn(2), fr.make_zn(64), fr.make_zn(65)
+
+
+@pytest.mark.parametrize("build, observed", [
+    (lambda: fr.make_zn(fr.MAX_ORDER + 1), fr.MAX_ORDER + 1),
+    (lambda: fr.make_poly_quotient(Z2, [1] + [0] * 12 + [1]), "2^13"),
+    (lambda: fr.make_product(Z64, Z65), 64 * 65),
+    (lambda: fr.free_module(Z2, 13), "2^13"),
+    (lambda: fr.make_idealization(Z65, fr.module_from_ring(Z65)), 65 * 65),
+], ids=["zn", "poly_quotient", "product", "free_module", "idealization"])
+def test_order_bound_is_checked_before_allocating(build, observed):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.bound == "max-order" and exc.value.value == fr.MAX_ORDER
+    assert exc.value.observed == observed
+    assert peak < 8 * 2 ** 20
 
 
 def test_shorthand_dispatch():

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radfact import quadring as q
-from radfact.errors import ResourceLimitError
+from radfact.errors import Bounds, ResourceLimitError
 
 sympy = pytest.importorskip("sympy")
 
@@ -69,16 +69,16 @@ def test_is_prime_rejects_pseudoprimes(empty_sieve):
 def test_factor_int_refuses_cofactors_beyond_the_exact_range():
     # psi_13 fools all 13 bases, and both its factors exceed the trial bound
     with pytest.raises(ResourceLimitError) as exc:
-        q.factor_int(PSI_13, 10 ** 30)
+        q.factor_int(PSI_13, Bounds(norm=10 ** 30))
     assert exc.value.bound == "max-norm"
 
 
 def test_sieve_is_sized_to_the_job(empty_sieve):
     assert q.factor_int(36) == {2: 2, 3: 2}
     assert len(q._sieve) < 100
-    assert q.factor_int(1000003 * 999983, 10 ** 14) == {999983: 1, 1000003: 1}
+    assert q.factor_int(1000003 * 999983, Bounds(norm=10 ** 14)) == {999983: 1, 1000003: 1}
     assert len(q._sieve) == isqrt(1000003 * 999983) + 1
-    assert q.factor_int(6 * 1000000000039, 10 ** 14) == {2: 1, 3: 1, 1000000000039: 1}
+    assert q.factor_int(6 * 1000000000039, Bounds(norm=10 ** 14)) == {2: 1, 3: 1, 1000000000039: 1}
     assert len(q._sieve) == 10 ** 6      # the trial-division cap
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import (SUPPORTED_D, random_quad_ideal, random_radical_quad_ideal,
                       reference_factorization)
 from radfact import quadring as q
-from radfact.errors import ResourceLimitError
+from radfact.errors import Bounds, ResourceLimitError
 
 
 def test_ring_validation():
@@ -19,7 +19,8 @@ def test_ring_validation():
     assert q.QuadRing(-7).omega_is_half
     with pytest.raises(ResourceLimitError):
         q.QuadRing(10 ** 12 + 39)
-    assert q.QuadRing(10 ** 12 + 39, 10 ** 13) == q.QuadRing(10 ** 12 + 39, 10 ** 14)
+    assert (q.QuadRing(10 ** 12 + 39, Bounds(norm=10 ** 13))
+            == q.QuadRing(10 ** 12 + 39, Bounds(norm=10 ** 14)))
 
 
 def test_element_arithmetic():
@@ -123,7 +124,7 @@ def test_factor_ideal_examples():
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-BIG_NORM = 10 ** 60
+BIG = Bounds(norm=10 ** 60)
 
 # (index into SMALL_PRIMES, which prime above it, exponent); exponents of
 # the primes above 2 go up to 20, the others up to 4
@@ -155,21 +156,21 @@ def test_closed_form_matches_containment_iteration(d, content, parts, gen):
         above = q.primes_above(ring, SMALL_PRIMES[i])
         for _ in range(e):
             ideal = ideal * above[which % len(above)][0]
-    pf = ideal.factorization(BIG_NORM)
-    assert [(p.hnf, e) for p, e in pf] == reference_factorization(ideal, BIG_NORM)
-    assert pf.rational_primes == tuple(sorted(q.factor_int(ideal.norm, BIG_NORM)))
+    pf = ideal.factorization(BIG)
+    assert [(p.hnf, e) for p, e in pf] == reference_factorization(ideal, BIG)
+    assert pf.rational_primes == tuple(sorted(q.factor_int(ideal.norm, BIG)))
     if not ideal.is_whole:
-        assert all(q.verify_chain(q.sp_factor(ideal, max_norm=BIG_NORM), ideal).values())
+        assert all(q.verify_chain(q.sp_factor(ideal, bounds=BIG), ideal).values())
 
 
 def test_factorization_rejects_unfactorable_norms():
     zi = q.QuadRing(-1)
     with pytest.raises(ResourceLimitError):
-        q.factor_ideal(q.principal_ideal(zi, (2, 0)), max_norm=3)
+        q.factor_ideal(q.principal_ideal(zi, (2, 0)), bounds=Bounds(norm=3))
     big = 1000003  # prime just over the trial-division bound
     with pytest.raises(ResourceLimitError):
-        q.factor_int(big * (big + 30), 10 ** 14)    # composite cofactor survives
-    assert q.factor_int(big, 10 ** 12) == {big: 1}
+        q.factor_int(big * (big + 30), Bounds(norm=10 ** 14))    # composite cofactor survives
+    assert q.factor_int(big, Bounds(norm=10 ** 12)) == {big: 1}
 
 
 def test_radical_and_vn():
