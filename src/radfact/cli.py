@@ -266,15 +266,14 @@ def census_rows(specs, bounds: Bounds = DEFAULT_BOUNDS):
     rows = []
     for spec in specs:
         ring = finring.ring_from_dict(spec, bounds)
-        factors = finring.decompose_local(ring)
-        verdicts = [finring.is_special_primary(f, bounds) for f in factors]
+        factors = sspengine.local_factors(ring)
         decided = sspengine.decide_ssp(ring, bounds).is_ssp
-        structural = all(v.is_special_primary for v in verdicts)
+        structural = all(v.is_special_primary for _, v in factors)
         rows.append({
             "label": ring.label,
             "order": ring.order,
-            "local_profile": [f.order for f in factors],
-            "special_primary": [v.is_special_primary for v in verdicts],
+            "local_profile": [f.order for f, _ in factors],
+            "special_primary": [v.is_special_primary for _, v in factors],
             "decide_ssp": decided,
             "structural_ssp": structural,
             "agree": decided == structural,

@@ -124,8 +124,8 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
     return FinIdeal._unchecked(a, mask_of(S), gens=tuple(sorted(set(gens))))
 
 
-def _row_sets(table):
-    """The distinct sets {table[i, j] : j} as sorted (bitset, least i) pairs.
+def _row_masks(table) -> list[int]:
+    """Row i of `table`, as the bitset of its entries, for every i; equal rows share one int.
 
     Entries index the rows: row i lists the set that element i generates,
     as a*R for `mul` or R*m for the transposed action of a module.
@@ -136,18 +136,39 @@ def _row_sets(table):
     rows = np.packbits(member, axis=1, bitorder="little")
     width = rows.shape[1]
     raw = rows.tobytes()
-    seen = {}
+    ints = {}
+    out = []
     for i in range(n):
-        seen.setdefault(raw[i * width:(i + 1) * width], i)
-    return sorted((int.from_bytes(m, "little"), i) for m, i in seen.items())
+        row = raw[i * width:(i + 1) * width]
+        mask = ints.get(row)
+        if mask is None:
+            mask = ints[row] = int.from_bytes(row, "little")
+        out.append(mask)
+    return out
+
+
+def _distinct(masks):
+    """The distinct masks as sorted (bitset, least index) pairs."""
+    seen = {}
+    for i, mask in enumerate(masks):
+        seen.setdefault(mask, i)
+    return sorted(seen.items())
+
+
+def _principal_masks(a) -> list[int]:
+    """The bitset of the principal ideal xR for every element x, cached on the ring."""
+    cached = a._cache.get("principal_masks")
+    if cached is None:
+        # row x of mul is the set x*R, already closed under + and outer multiplication
+        cached = a._cache["principal_masks"] = _row_masks(a.mul)
+    return cached
 
 
 def _principal_ideals(a):
     """Distinct principal ideals as (mask, generator) pairs, cached on the ring."""
     cached = a._cache.get("principals")
     if cached is None:
-        # row g of mul is the set g*R, already closed under + and outer multiplication
-        cached = a._cache["principals"] = _row_sets(a.mul)
+        cached = a._cache["principals"] = _distinct(_principal_masks(a))
     return cached
 
 
@@ -223,6 +244,39 @@ def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     for g in i.small_gens():
         acc = _sum_els(a.add, acc, _union(a.add, a.mul[jels, g]))
     return FinIdeal._unchecked(a, mask_of(acc), gens=None)
+
+
+def _lattice_product(a, lattice):
+    """Multiply ideals of a given by mask, on the full ideal lattice
+    `lattice` ({mask: generators}, as `all_ideals` enumerates it).
+
+    With I = sum gR and J = sum hR, IJ is the sum of the principal ideals
+    (gh)R.  Their union u lies in IJ, so IJ = u when u is a lattice mask;
+    otherwise IJ, the least ideal containing u, is the meet of the lattice
+    ideals that contain u, since ideals are closed under intersection.
+    Rows of `mul` are fetched as a generator first needs them.
+    """
+    principal = _principal_masks(a)
+    whole = a.whole_mask
+    rows = {}
+
+    def product(mask1, mask2):
+        u = 0
+        for g in lattice[mask1]:
+            row = rows.get(g)
+            if row is None:
+                row = rows[g] = a.mul[g].tolist()
+            for h in lattice[mask2]:
+                u |= principal[row[h]]
+        if u in lattice:
+            return u
+        meet = whole
+        for mask in lattice:
+            if u & ~mask == 0:
+                meet &= mask
+        return meet
+
+    return product
 
 
 def ideal_power(i: FinIdeal, n: int) -> FinIdeal:

@@ -1,7 +1,8 @@
 """Finite commutative rings presented by dense element tables.
 
 Elements are canonical indices 0..order-1; `add` and `mul` are immutable
-numpy int32 tables.  Every constructor runs the full axiom verification
+numpy int32 tables, and a table entry that the int32 cast would change is
+refused.  Every constructor runs the full axiom verification
 before returning, so a `FinRing` in hand is always a genuine commutative
 unitary ring.  Constructors check the order they would build against
 `Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
@@ -131,7 +132,15 @@ def _verify_ring_tables(order, add, mul, zero, one):
 
 
 def _freeze(table):
-    t = np.ascontiguousarray(table, dtype=np.int32)
+    """An immutable int32 copy of `table`; an entry that the cast would
+    change (wrap around, truncate) is refused with a ValueError."""
+    table = np.asarray(table)
+    try:
+        t = np.ascontiguousarray(table, dtype=np.int32)
+    except (OverflowError, TypeError):
+        raise ValueError("table entry is not an int32 integer") from None
+    if table.dtype != np.int32 and not np.array_equal(t, table):
+        raise ValueError("table entry is not an int32 integer")
     t.setflags(write=False)
     return t
 
@@ -399,8 +408,8 @@ def idempotents(a: FinRing) -> tuple[int, ...]:
 def decompose_local(a: FinRing) -> list[FinRing]:
     """Split a into its local factors eA along the primitive idempotents.
 
-    The zero ring decomposes into an empty product.  Factors come back
-    sorted by their idempotent's element index.
+    The zero ring decomposes into an empty product, and a local ring into
+    itself.  Factors come back sorted by their idempotent's element index.
     """
     idems = idempotents(a)
     prim = []
@@ -416,6 +425,8 @@ def decompose_local(a: FinRing) -> list[FinRing]:
             assert a.mul_el(e, f) == a.zero, "primitive idempotents not orthogonal"
         acc = a.add_el(acc, e)
     assert acc == a.one, "primitive idempotents do not sum to 1"
+    if prim == [a.one]:
+        return [a]      # a is local: its one factor is a itself
     return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in sorted(prim)]
 
 
@@ -426,25 +437,40 @@ class SpecialPrimaryVerdict:
     nilpotency_index: int | None      # least t with M^t = 0
 
 
-def is_special_primary(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SpecialPrimaryVerdict:
-    """Decide whether every proper ideal of a is a power of a unique maximal ideal."""
-    from .finideal import all_ideals, ideal_product, maximal_ideals
+def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
+    """Decide whether every proper ideal of a is a power of a unique maximal ideal.
 
-    maximal = maximal_ideals(a, bounds)
-    if len(maximal) != 1:
+    a is local exactly when its non-units M are closed under addition, and
+    a finite local ring is special primary exactly when M is principal
+    (Atiyah-Macdonald, Prop. 8.8; Zariski-Samuel, Vol. I, Ch. IV, §15).
+    No ideal lattice is enumerated.
+    """
+    from .finideal import FinIdeal, _principal_masks, ideal_product
+
+    unit = (a.mul == a.one).any(axis=1)
+    nonunits = np.flatnonzero(~unit)
+    if nonunits.size == 0 or unit[a.add[np.ix_(nonunits, nonunits)]].any():
         return SpecialPrimaryVerdict(False, None, None)
-    m = maximal[0]
-    zero_mask = 1 << a.zero
-    power_masks = {m.mask}
+    mask = mask_of(nonunits)
+    principal = _principal_masks(a)
+    gen = next((x for x in nonunits.tolist() if principal[x] == mask), None)
+    if gen is not None:
+        # M = mR, so M^t = (m^t)R is zero exactly when m^t is
+        x, t = gen, 1
+        while x != a.zero:
+            x = int(a.mul[x, gen])
+            t += 1
+            if t > a.order:
+                raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
+        return SpecialPrimaryVerdict(True, FinIdeal._unchecked(a, mask, gens=(gen,)), t)
+    m = FinIdeal._unchecked(a, mask)
     cur, t = m, 1
-    while cur.mask != zero_mask:
+    while cur.mask != 1 << a.zero:
         cur = ideal_product(cur, m)
-        power_masks.add(cur.mask)
         t += 1
         if t > a.order:
             raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
-    ok = {i.mask for i in all_ideals(a, bounds) if i.mask != a.whole_mask} == power_masks
-    return SpecialPrimaryVerdict(ok, m, t)
+    return SpecialPrimaryVerdict(False, m, t)
 
 
 def ring_to_dict(a: FinRing) -> dict:

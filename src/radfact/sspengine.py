@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds
-from .finideal import (FinIdeal, _join_closure, _row_sets, _sum_els, _union,
-                       all_ideals, ideal_product, radical)
-from .finring import (FinModule, FinRing, decompose_local, is_special_primary,
-                      mask_of)
+from .finideal import (FinIdeal, _distinct, _join_closure, _lattice_product, _row_masks,
+                       _sum_els, _union, all_ideals, radical)
+from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, decompose_local,
+                      is_special_primary, mask_of)
 
 
 @dataclass
@@ -71,24 +71,23 @@ class SpVerdict:
 def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalClosure:
     """All products of radical ideals of a, with one witness expression each."""
     ideals = all_ideals(a, bounds)
-    radicals = [i for i in ideals if radical(i).mask == i.mask]
-    whole = a.whole_mask
-    proper_radicals = [r for r in radicals if r.mask != whole]
-    parent: dict[int, tuple[int, int] | None] = {r.mask: None for r in radicals}
-    by_mask = {r.mask: r for r in radicals}
+    by_mask = {i.mask: i for i in ideals}
+    product = _lattice_product(a, {i.mask: i.small_gens() for i in ideals})
+    radicals = [i.mask for i in ideals if radical(i).mask == i.mask]
+    proper_radicals = [r for r in radicals if r != a.whole_mask]
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
     frontier = radicals
     while frontier:
         nxt = []
         for m in frontier:
             for r in proper_radicals:
-                p = ideal_product(m, r)
-                if p.mask not in parent:
-                    parent[p.mask] = (m.mask, r.mask)
-                    by_mask[p.mask] = p
+                p = product(m, r)
+                if p not in parent:
+                    parent[p] = (m, r)
                     nxt.append(p)
-        frontier = sorted(nxt, key=lambda i: i.mask)
-    members = sorted(by_mask.values(), key=lambda i: i.mask)
-    return RadicalClosure(a, members, parent, by_mask)
+        frontier = sorted(nxt)
+    members = [by_mask[m] for m in sorted(parent)]
+    return RadicalClosure(a, members, parent, {m: by_mask[m] for m in parent})
 
 
 def decide_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
@@ -101,9 +100,14 @@ def decide_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     return SspVerdict(not missing, witness, factorizations)
 
 
-def structural_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
+def local_factors(a: FinRing) -> list[tuple[FinRing, SpecialPrimaryVerdict]]:
+    """The local factors of a, each with its special-primary verdict."""
+    return [(f, is_special_primary(f)) for f in decompose_local(a)]
+
+
+def structural_ssp(a: FinRing) -> bool:
     """Independent oracle: every local factor must be special primary."""
-    return all(is_special_primary(f, bounds).is_special_primary for f in decompose_local(a))
+    return all(v.is_special_primary for _, v in local_factors(a))
 
 
 def decide_sp(a: FinRing) -> SpVerdict:
@@ -125,7 +129,7 @@ def is_vnr(a: FinRing) -> bool:
 def _submodule_masks(e: FinModule, bounds: Bounds) -> set[int]:
     """All submodules of e, as bitsets, by join-closure of cyclic submodules."""
     # {r·m : r in ring} is already a submodule, so cyclic generation is one shot
-    return set(_join_closure(_row_sets(e.action.T), e.add, bounds))
+    return set(_join_closure(_distinct(_row_masks(e.action.T)), e.add, bounds))
 
 
 def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from radfact import cli
+from radfact import finring as fr
 from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS
+from radfact.finideal import all_ideals, ideal_product, maximal_ideals
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
 
@@ -18,6 +21,36 @@ INTERNAL_PHRASES = ("object is not iterable", "dictionary update sequence",
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+@pytest.fixture(scope="session")
+def catalog_rings():
+    """The rings of the default census catalog, built once per session."""
+    return [fr.ring_from_dict(spec) for spec in cli.default_catalog_specs()]
+
+
+def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
+    """Oracle: the special-primary verdict read off the full ideal lattice.
+
+    The ring must have exactly one maximal ideal M, and the proper ideals
+    must be exactly the powers of M.  Independent of the principal-ideal
+    criterion in `finring.is_special_primary` and of the radical closure.
+    """
+    maximal = maximal_ideals(a, bounds)
+    if len(maximal) != 1:
+        return fr.SpecialPrimaryVerdict(False, None, None)
+    m = maximal[0]
+    zero_mask = 1 << a.zero
+    power_masks = {m.mask}
+    cur, t = m, 1
+    while cur.mask != zero_mask:
+        cur = ideal_product(cur, m)
+        power_masks.add(cur.mask)
+        t += 1
+        if t > a.order:
+            raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
+    ok = {i.mask for i in all_ideals(a, bounds) if i.mask != a.whole_mask} == power_masks
+    return fr.SpecialPrimaryVerdict(ok, m, t)
 
 
 def random_quad_ideal(rng, ring, max_norm=10 ** 6):

@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_special_primary
 from radfact import cli
 from radfact import finring as fr
-from radfact.errors import ResourceLimitError
+from radfact.errors import Bounds, ResourceLimitError
 from radfact.finideal import all_ideals, generated_ideal, zero_ideal
 
 
@@ -175,6 +176,7 @@ def test_decompose_local_of_local_ring_is_trivial():
     factors = fr.decompose_local(z8)
     assert len(factors) == 1
     assert factors[0].order == 8
+    assert factors[0] is z8
 
 
 def test_decompose_local_cube():
@@ -301,6 +303,51 @@ def test_is_special_primary_flagship_counterexample():
     assert v.maximal_ideal.to_list() == [0, 1, 2, 3]
 
 
+def verdict_fields(v):
+    m = v.maximal_ideal
+    return v.is_special_primary, None if m is None else m.mask, v.nilpotency_index
+
+
+def test_special_primary_matches_the_lattice_oracle_on_the_catalog(catalog_rings):
+    factors = [f for ring in catalog_rings for f in fr.decompose_local(ring)]
+    assert len(factors) == 2035
+    for f in factors + catalog_rings:       # the local factors, then rings local or not
+        assert verdict_fields(fr.is_special_primary(f)) == \
+            verdict_fields(reference_special_primary(f)), f.label
+
+
+def test_special_primary_of_the_2826_ideal_idealization():
+    z2 = fr.make_zn(2)
+    b = fr.make_idealization(z2, fr.free_module(z2, 6))
+    v = fr.is_special_primary(b)
+    assert verdict_fields(v) == (False, (1 << 64) - 1, 2)    # M = {(0, m)}, indices 0..63
+    assert "ideals" not in b._cache          # decided without the lattice
+    assert verdict_fields(v) == verdict_fields(reference_special_primary(b))
+
+
+zn_specs = st.integers(1, 40).map(lambda n: {"zn": n})
+poly_specs = st.tuples(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 3), min_size=1,
+                                                            max_size=3)).map(
+    lambda t: {"poly_quotient": {"zn": t[0], "f": t[1] + [1]}})
+idealization_specs = st.tuples(st.integers(1, 6), st.integers(0, 2)).map(
+    lambda t: {"idealization": {"zn": t[0], "module_rank": t[1]}})
+part_specs = st.one_of(zn_specs, poly_specs, idealization_specs)
+ring_specs = st.one_of(part_specs, st.lists(part_specs, min_size=2, max_size=3).map(
+    lambda parts: {"product": parts}))
+
+
+@settings(deadline=None)
+@given(ring_specs)
+def test_special_primary_matches_the_lattice_oracle_on_drawn_rings(spec):
+    try:
+        ring = fr.ring_from_dict(spec, Bounds(order=128))
+    except ResourceLimitError:
+        assume(False)
+    for f in [ring] + fr.decompose_local(ring):
+        assert verdict_fields(fr.is_special_primary(f)) == \
+            verdict_fields(reference_special_primary(f)), f.label
+
+
 def test_special_primary_ideal_count_is_t_plus_one():
     for ring in (fr.make_zn(9), fr.make_zn(8), fr.make_zn(5),
                  fr.make_poly_quotient(fr.make_zn(2), [0, 0, 0, 1])):
@@ -317,6 +364,15 @@ def test_from_tables_validates_axioms():
     bad["mul"][2][3] = 1
     with pytest.raises(ValueError):
         fr.ring_from_dict(bad)
+
+
+@pytest.mark.parametrize("entry", [np.int64(2 ** 32), 2 ** 70, 1.5])
+def test_table_entries_that_the_int32_cast_would_change_are_refused(entry):
+    # at 2**32 the cast to int32 used to wrap to 0 and build Z2 silently
+    add = np.array([[0, 1], [1, entry]], dtype=type(entry) if entry != 2 ** 70 else object)
+    with pytest.raises(ValueError, match="int32"):
+        fr.FinRing(2, add, np.array([[0, 0], [0, 1]]), 0, 1)
+    assert fr.FinRing(2, np.array([[0, 1], [1, 0]]), np.array([[0, 0], [0, 1]]), 0, 1).order == 2
 
 
 def test_verification_names_broken_axiom():

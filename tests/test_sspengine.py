@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from radfact import finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
@@ -35,6 +36,58 @@ def brute_force_ssp(ring):
             break
         layer = nxt
     return all(i.mask in reachable for i in ideals)
+
+
+def idealization_2826():
+    z2 = fr.make_zn(2)
+    return fr.make_idealization(z2, fr.free_module(z2, 6))     # Z2 ⋉ Z2^6, 2,826 ideals
+
+
+def test_closure_members_remultiply_through_ideal_product(catalog_rings):
+    for ring in catalog_rings + [idealization_2826()]:
+        clo = ssp.radical_closure(ring)
+        by_mask = {m.mask: m for m in clo.members}
+        assert sorted(by_mask) == sorted(clo.parent)
+        for mask, pair in clo.parent.items():
+            if pair is None:
+                assert radical(by_mask[mask]).mask == mask, ring.label
+            else:
+                m, r = pair
+                assert ideal_product(by_mask[m], by_mask[r]).mask == mask, ring.label
+
+
+def test_lattice_product_matches_ideal_product_on_every_pair():
+    z2, z3, z4 = fr.make_zn(2), fr.make_zn(3), fr.make_zn(4)
+    # the idealizations hold pairs whose principal products do not union to an ideal
+    rings = [fr.make_zn(12), fr.make_product(z2, z4), fr.make_poly_quotient(z2, [0, 0, 1]),
+             flagship(), fr.make_idealization(z2, fr.free_module(z2, 3)),
+             fr.make_idealization(z4, fr.module_from_ring(z4)),
+             fr.make_idealization(z3, fr.free_module(z3, 2))]
+    misses = 0
+    for ring in rings:
+        ideals = all_ideals(ring)
+        lattice = {i.mask: i.small_gens() for i in ideals}
+        product = finideal._lattice_product(ring, lattice)
+        principal = finideal._principal_masks(ring)
+        for i, j in itertools.product(ideals, repeat=2):
+            assert product(i.mask, j.mask) == ideal_product(i, j).mask, ring.label
+            union = 0
+            for g in lattice[i.mask]:
+                for h in lattice[j.mask]:
+                    union |= principal[ring.mul_el(g, h)]
+            misses += union not in lattice
+    assert misses >= 20
+
+
+def test_structural_oracle_enumerates_no_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice enumerated")
+
+    monkeypatch.setattr(finideal, "_join_closure", refuse)
+    assert not ssp.structural_ssp(idealization_2826())
+    assert ssp.structural_ssp(fr.make_zn(256))
+    assert [(f.order, v.is_special_primary) for f, v in ssp.local_factors(fr.make_zn(12))] == [
+        (3, True), (4, True)]
 
 
 def test_radical_closure_of_flagship():
