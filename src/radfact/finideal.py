@@ -95,6 +95,10 @@ class FinIdeal:
             span_els = np.array([ring.zero], dtype=np.intp)
             gens = []
             while span != self.mask:
+                # for an ideal the span stays inside the mask and grows each
+                # round; a span that leaves it would make the loop endless
+                if span & ~self.mask:
+                    raise ArithmeticError("small_gens: the mask is not an ideal")
                 g = (self.mask & ~span)
                 g = (g & -g).bit_length() - 1
                 gens.append(g)

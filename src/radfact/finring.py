@@ -2,10 +2,19 @@
 
 Elements are canonical indices 0..order-1; `add` and `mul` are immutable
 numpy int32 tables, and a table entry that the int32 cast would change is
-refused.  Every constructor runs the full axiom verification
-before returning, so a `FinRing` in hand is always a genuine commutative
-unitary ring.  Constructors check the order they would build against
-`Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
+refused.  The axioms are verified at the boundary and hold by construction
+inside: the public `FinRing` and `FinModule` constructors, and through them
+the table form of `ring_from_dict`, take tables from outside and run the
+full axiom verification.  The internal constructors skip it through the
+private `_trusted` constructors, because each output is a ring or module by
+construction: `make_zn` (Z/n), `make_poly_quotient` (Z/n[x] modulo a monic
+f, over a canonical Z/n base), `make_product` and `make_idealization` (of
+verified parts), `quotient` (a/I, the image of a under x -> x + I) and
+`decompose_local` (eA for an idempotent e, the image of x -> ex), and the
+modules `free_module` and `quotient_module`.  So a `FinRing` in hand is
+always a genuine commutative unitary ring.  Constructors check the order
+they would build against `Bounds.order` (at most MAX_ORDER = 4096) before
+they allocate a table.
 
 All values are immutable after construction and every operation here is a
 pure function of its inputs, so sharing across threads is safe.
@@ -131,6 +140,26 @@ def _verify_ring_tables(order, add, mul, zero, one):
             raise ValueError("multiplication is not associative")
 
 
+def _verify_module_tables(ring, size, add, zero, action):
+    _verify_group(add, zero, "module")
+    n, s = ring.order, size
+    if action.shape != (n, s):
+        raise ValueError("action table has wrong shape")
+    if s and (int(action.min()) < 0 or int(action.max()) >= s):
+        raise ValueError("action table entry out of range")
+    sx = np.arange(s)
+    if not np.array_equal(action[ring.one], sx):
+        raise ValueError("1 does not act as the identity")
+    for r in range(n):
+        row = action[r]
+        if not np.array_equal(row[add], add[np.ix_(row, row)]):
+            raise ValueError("action is not additive in the module argument")
+        if not np.array_equal(action[ring.add[r]], add[row[None, :], action]):
+            raise ValueError("action is not additive in the ring argument")
+        if not np.array_equal(action[ring.mul[r]], row[action]):
+            raise ValueError("action does not respect ring multiplication")
+
+
 def _freeze(table):
     """An immutable int32 copy of `table`; an entry that the cast would
     change (wrap around, truncate) is refused with a ValueError."""
@@ -146,7 +175,9 @@ def _freeze(table):
 
 
 class FinRing:
-    """A finite commutative unitary ring with dense operation tables."""
+    """A finite commutative unitary ring with dense operation tables.
+
+    The constructor verifies every ring axiom on the given tables."""
 
     __slots__ = ("order", "add", "mul", "zero", "one", "label", "_cache")
 
@@ -154,6 +185,16 @@ class FinRing:
         add = _freeze(add)
         mul = _freeze(mul)
         _verify_ring_tables(order, add, mul, zero, one)
+        self._fill(order, add, mul, zero, one, label)
+
+    @classmethod
+    def _trusted(cls, order, add, mul, zero, one, label):
+        """A ring from tables that form a ring by construction: no axiom check."""
+        r = object.__new__(cls)
+        r._fill(order, _freeze(add), _freeze(mul), zero, one, label)
+        return r
+
+    def _fill(self, order, add, mul, zero, one, label):
         self.order = int(order)
         self.add = add
         self.mul = mul
@@ -177,30 +218,26 @@ class FinRing:
 
 
 class FinModule:
-    """A finite module over a FinRing, given by an addition and action table."""
+    """A finite module over a FinRing, given by an addition and action table.
+
+    The constructor verifies the group and module axioms on the given tables."""
 
     __slots__ = ("ring", "size", "add", "zero", "action", "label")
 
     def __init__(self, ring, size, add, zero, action, label=""):
         add = _freeze(add)
         action = _freeze(action)
-        _verify_group(add, zero, "module")
-        n, s = ring.order, size
-        if action.shape != (n, s):
-            raise ValueError("action table has wrong shape")
-        if s and (int(action.min()) < 0 or int(action.max()) >= s):
-            raise ValueError("action table entry out of range")
-        sx = np.arange(s)
-        if not np.array_equal(action[ring.one], sx):
-            raise ValueError("1 does not act as the identity")
-        for r in range(n):
-            row = action[r]
-            if not np.array_equal(row[add], add[np.ix_(row, row)]):
-                raise ValueError("action is not additive in the module argument")
-            if not np.array_equal(action[ring.add[r]], add[row[None, :], action]):
-                raise ValueError("action is not additive in the ring argument")
-            if not np.array_equal(action[ring.mul[r]], row[action]):
-                raise ValueError("action does not respect ring multiplication")
+        _verify_module_tables(ring, size, add, zero, action)
+        self._fill(ring, size, add, zero, action, label)
+
+    @classmethod
+    def _trusted(cls, ring, size, add, zero, action, label):
+        """A module from tables that form a module by construction: no axiom check."""
+        m = object.__new__(cls)
+        m._fill(ring, size, _freeze(add), zero, _freeze(action), label)
+        return m
+
+    def _fill(self, ring, size, add, zero, action, label):
         self.ring = ring
         self.size = int(size)
         self.add = add
@@ -212,23 +249,31 @@ class FinModule:
         return f"FinModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
 
 
+def _zn_tables(n):
+    """The int32 addition and multiplication tables of Z/n, reduced in place:
+    (n-1)^2 < 2^31 for n <= MAX_ORDER, so no wider n x n array is made."""
+    idx = np.arange(n, dtype=np.int32)
+    add = np.add.outer(idx, idx)
+    mul = np.multiply.outer(idx, idx)
+    np.remainder(add, n, out=add)
+    np.remainder(mul, n, out=mul)
+    return add, mul
+
+
 def make_zn(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """The ring of integers modulo n, with representatives 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(n, bounds, "ring order")
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    return FinRing(n, add, mul, zero=0, one=1 % n, label=f"Z{n}")
+    add, mul = _zn_tables(n)
+    return FinRing._trusted(n, add, mul, zero=0, one=1 % n, label=f"Z{n}")
 
 
 def _is_canonical_zn(ring):
     n = ring.order
-    idx = np.arange(n, dtype=np.int64)
+    add, mul = _zn_tables(n)
     return (ring.zero == 0 and ring.one == 1 % n
-            and np.array_equal(ring.add, (idx[:, None] + idx[None, :]) % n)
-            and np.array_equal(ring.mul, (idx[:, None] * idx[None, :]) % n))
+            and np.array_equal(ring.add, add) and np.array_equal(ring.mul, mul))
 
 
 def _format_int_poly(coeffs):
@@ -285,7 +330,7 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
         res = (conv % n) @ red % n
         mul[a] = res @ pw
     label = f"Z{n}[x]/({_format_int_poly(f)})"
-    return FinRing(order, add, mul, zero=0, one=1 % order, label=label)
+    return FinRing._trusted(order, add, mul, zero=0, one=1 % order, label=label)
 
 
 def _pair_table(first, second):
@@ -301,9 +346,9 @@ def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
     _check_order(a.order * ob, bounds, "product order")
     add = _pair_table(a.add, b.add[None, :, None, :])
     mul = _pair_table(a.mul, b.mul[None, :, None, :])
-    return FinRing(a.order * ob, add, mul,
-                   zero=a.zero * ob + b.zero, one=a.one * ob + b.one,
-                   label=f"{a.label} x {b.label}")
+    return FinRing._trusted(a.order * ob, add, mul,
+                            zero=a.zero * ob + b.zero, one=a.one * ob + b.one,
+                            label=f"{a.label} x {b.label}")
 
 
 def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinModule:
@@ -322,7 +367,7 @@ def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
     action = np.zeros((n, size), dtype=np.int64)
     for r in range(n):
         action[r] = ring.mul[r][digits] @ pw
-    return FinModule(ring, size, add, 0, action, label=f"{ring.label}^{rank}")
+    return FinModule._trusted(ring, size, add, 0, action, label=f"{ring.label}^{rank}")
 
 
 def module_from_ring(ring: FinRing) -> FinModule:
@@ -355,15 +400,16 @@ def _image_ring(a, proj, label):
     the least element for a/I, or ex for eA, which is a/(1-e)A."""
     keep, idx = _relabel(proj)
     sub = np.ix_(keep, keep)
-    return FinRing(keep.size, idx[a.add[sub]], idx[a.mul[sub]],
-                   zero=int(idx[a.zero]), one=int(idx[a.one]), label=label)
+    return FinRing._trusted(keep.size, idx[a.add[sub]], idx[a.mul[sub]],
+                            zero=int(idx[a.zero]), one=int(idx[a.one]), label=label)
 
 
 def quotient_module(ring: FinRing, ideal) -> FinModule:
     """The cyclic module ring/I, with cosets labelled by least representatives."""
     keep, idx = _relabel(_coset_reps(ring, ideal))
-    return FinModule(ring, keep.size, idx[ring.add[np.ix_(keep, keep)]], int(idx[ring.zero]),
-                     idx[ring.mul[:, keep]], label=f"{ring.label}/I{len(ideal)}")
+    return FinModule._trusted(ring, keep.size, idx[ring.add[np.ix_(keep, keep)]],
+                              int(idx[ring.zero]), idx[ring.mul[:, keep]],
+                              label=f"{ring.label}/I{len(ideal)}")
 
 
 def make_idealization(a: FinRing, e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
@@ -379,10 +425,10 @@ def make_idealization(a: FinRing, e: FinModule, bounds: Bounds = DEFAULT_BOUNDS)
     act = e.action
     # cross[r1, m1, r2, m2] = e.add[act[r1, m2], act[r2, m1]]
     cross = e.add[act[:, None, None, :], act.T[None, :, :, None]]
-    return FinRing(a.order * s, _pair_table(a.add, e.add[None, :, None, :]),
-                   _pair_table(a.mul, cross),
-                   zero=a.zero * s + e.zero, one=a.one * s + e.zero,
-                   label=f"{a.label}(+){e.label}")
+    return FinRing._trusted(a.order * s, _pair_table(a.add, e.add[None, :, None, :]),
+                            _pair_table(a.mul, cross),
+                            zero=a.zero * s + e.zero, one=a.one * s + e.zero,
+                            label=f"{a.label}(+){e.label}")
 
 
 def quotient(a: FinRing, ideal) -> FinRing:

@@ -338,6 +338,8 @@ _TERM_RE = re.compile(
 
 def parse_poly(text: str) -> RatPoly:
     """Parse shapes like "x^3-x^2-x+1", "3/2*x^2 - 1", "-x", "7"."""
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")

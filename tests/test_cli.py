@@ -129,6 +129,18 @@ def test_non_integer_ring_fields_exit_2(capsys, tmp_path, payload):
     assert "invalid input" in err
 
 
+def test_table_ring_with_one_broken_distributivity_entry_exits_2(capsys, tmp_path):
+    # Z4 with 2*2 = 2: commutative, unital, absorbing, but 2*(1+1) != 2*1 + 2*1
+    payload = {"order": 4, "zero": 0, "one": 1,
+               "add": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+               "mul": [[(a * b) % 4 for b in range(4)] for a in range(4)]}
+    payload["mul"][2][2] = 2
+    code, out, err = run_cli(capsys, ["decide-ssp"], payload, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err == "radfact: invalid input: multiplication does not distribute over addition\n"
+
+
 @pytest.mark.parametrize("payload", [
     {"idealization": {"zn": 2, "module_rank": 3000000}},
     {"idealization": {"zn": 3, "module": {"rank": 10 ** 9}}},

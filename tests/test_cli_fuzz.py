@@ -1,16 +1,18 @@
 """Hypothesis fuzzing of `cli.main`: any payload ends in a documented exit
 code with at most one diagnostic line, never in a traceback or in the
-wording of a Python or numpy internal."""
+wording of a Python or numpy internal.  The two text parsers are fuzzed
+directly as well: they return or raise ValueError or ResourceLimitError."""
 
 import contextlib
 import io
 import json
 from datetime import timedelta
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from radfact import cli
+from radfact import cli, polychain
+from radfact.errors import ResourceLimitError
 from radfact.finring import make_zn, ring_to_dict
 
 from conftest import INTERNAL_PHRASES
@@ -115,3 +117,35 @@ def test_main_ends_in_a_documented_exit_code(tmp_path_factory, job):
     assert code in (0, 2, 3, 4, 5)
     assert err.count("\n") == (0 if code in (0, 4) else 1)
     assert not any(phrase in err for phrase in INTERNAL_PHRASES), err
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+parser_inputs = st.one_of(
+    st.text(),
+    st.text("0123456789+-*/^xw .", max_size=40),
+    st.lists(st.sampled_from(["x", "w", "^", "*", "/", "+", "-", "0", "7", "256", "257",
+                              "9" * 30, "1" * 5000]), max_size=12).map("".join),
+    json_values,
+    st.lists(json_values, min_size=2, max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=2))
+@given(parser_inputs)
+@example("x^257")
+@example("x^" + "1" * 5000)
+@example("1" * 5000 + "*w")
+@example(None)
+@example([1, [2]])
+def test_text_parsers_return_or_raise_only_input_errors(value):
+    for parse in (polychain.parse_poly, cli.parse_quad_element):
+        try:
+            parse(value)
+        except (ValueError, ResourceLimitError) as exc:
+            event(f"{parse.__name__}: {type(exc).__name__}")
+        else:
+            event(f"{parse.__name__}: parsed")

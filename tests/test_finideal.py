@@ -50,6 +50,14 @@ def test_ideal_constructor_validates():
     assert FinIdeal(z4, [0, 2]).to_list() == [0, 2]
 
 
+def test_small_gens_refuses_a_mask_that_is_not_an_ideal():
+    # {1, 2} lacks zero: the greedy span leaves the mask at once
+    with pytest.raises(ArithmeticError, match="not an ideal"):
+        FinIdeal._unchecked(fr.make_zn(4), 0b0110).small_gens()
+    with pytest.raises(ArithmeticError, match="not an ideal"):
+        FinIdeal._unchecked(fr.make_zn(4), 0b0011).small_gens()   # {0, 1} spans all of Z4
+
+
 def test_all_ideals_counts():
     assert len(all_ideals(fr.make_zn(4))) == 3
     assert len(all_ideals(fr.make_zn(1))) == 1

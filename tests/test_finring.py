@@ -1,4 +1,6 @@
+import ast
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,8 @@ from radfact import cli
 from radfact import finring as fr
 from radfact.errors import Bounds, ResourceLimitError
 from radfact.finideal import all_ideals, generated_ideal, zero_ideal
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "radfact")
 
 
 def find_isomorphism(a, b):
@@ -452,3 +456,89 @@ def test_mask_of_round_trips_through_elements_of(xs, container):
 def test_mask_of_rejects_negative_index(xs, bad):
     with pytest.raises(ValueError):
         fr.mask_of(xs + [bad])
+
+
+# The internal constructors skip axiom verification (`FinRing._trusted`);
+# the tests below run the verifier on what they build.
+
+def assert_ring(r):
+    fr._verify_ring_tables(r.order, r.add, r.mul, r.zero, r.one)
+
+
+def assert_module(m):
+    fr._verify_module_tables(m.ring, m.size, m.add, m.zero, m.action)
+
+
+def test_catalog_rings_and_their_local_factors_pass_the_verifier(catalog_rings):
+    for ring in catalog_rings:
+        assert_ring(ring)
+        for f in fr.decompose_local(ring):
+            assert_ring(f)
+
+
+def test_quotients_of_small_catalog_rings_pass_the_verifier(catalog_rings):
+    quotients = 0
+    for ring in catalog_rings:
+        if ring.order > 16:
+            continue
+        for ideal in all_ideals(ring):
+            assert_ring(fr.quotient(ring, ideal))
+            assert_module(fr.quotient_module(ring, ideal))
+            quotients += 1
+    assert quotients == 370
+
+
+self_idealization_specs = st.integers(1, 11).map(
+    lambda n: {"idealization": {"zn": n, "module": "self"}})
+construction_specs = st.one_of(ring_specs, self_idealization_specs, st.lists(
+    st.one_of(part_specs, self_idealization_specs), min_size=2, max_size=2).map(
+    lambda parts: {"product": parts}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(construction_specs, st.lists(st.integers(0, 127), max_size=3), st.integers(0, 2))
+def test_drawn_constructions_pass_the_verifier(spec, gens, rank):
+    bounds = Bounds(order=128)
+    try:
+        ring = fr.ring_from_dict(spec, bounds)
+    except ResourceLimitError:
+        assume(False)
+    assert_ring(ring)
+    for f in fr.decompose_local(ring):
+        assert_ring(f)
+    ideal = generated_ideal(ring, [g % ring.order for g in gens])
+    assert_ring(fr.quotient(ring, ideal))
+    assert_module(fr.quotient_module(ring, ideal))
+    assert_module(fr.module_from_ring(ring))
+    try:
+        free = fr.free_module(ring, rank, bounds)
+    except ResourceLimitError:
+        return
+    assert_module(free)
+
+
+def test_trusted_constructors_are_called_only_in_finring_py():
+    calls = {}
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_trusted"):
+                calls.setdefault(name, []).append(node.lineno)
+    assert list(calls) == ["finring.py"]
+
+
+def test_make_zn_4096_builds_int32_tables_without_wide_intermediates():
+    tracemalloc.start()
+    try:
+        z = fr.make_zn(4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.add.dtype == np.int32 and z.mul.dtype == np.int32
+    assert not z.add.flags.writeable and not z.mul.flags.writeable
+    assert (z.add_el(4095, 2), z.mul_el(4095, 4095)) == (1, 1)
+    assert peak < 256 * 2 ** 20
