@@ -96,7 +96,8 @@ class FinIdeal:
             gens = []
             while span != self.mask:
                 # for an ideal the span stays inside the mask and grows each
-                # round; a span that leaves it would make the loop endless
+                # round (it gains g = g*1); a span that leaves the mask, or
+                # one that does not grow, would make the loop endless
                 if span & ~self.mask:
                     raise ArithmeticError("small_gens: the mask is not an ideal")
                 g = (self.mask & ~span)
@@ -104,6 +105,8 @@ class FinIdeal:
                 gens.append(g)
                 span_els = _sum_els(ring.add, span_els, _union(ring.add, ring.mul[g]))
                 span = mask_of(span_els)
+                if not span >> g & 1:
+                    raise ArithmeticError("small_gens: the span does not grow; not a ring")
             self._gens = tuple(gens)
         return self._gens
 

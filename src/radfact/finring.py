@@ -367,7 +367,9 @@ def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
     action = np.zeros((n, size), dtype=np.int64)
     for r in range(n):
         action[r] = ring.mul[r][digits] @ pw
-    return FinModule._trusted(ring, size, add, 0, action, label=f"{ring.label}^{rank}")
+    # the zero vector has every digit ring.zero, which need not be index 0
+    zero = int(ring.zero * pw.sum())
+    return FinModule._trusted(ring, size, add, zero, action, label=f"{ring.label}^{rank}")
 
 
 def module_from_ring(ring: FinRing) -> FinModule:

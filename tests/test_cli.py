@@ -141,6 +141,22 @@ def test_table_ring_with_one_broken_distributivity_entry_exits_2(capsys, tmp_pat
     assert err == "radfact: invalid input: multiplication does not distribute over addition\n"
 
 
+def test_idealization_over_a_table_ring_whose_zero_is_not_index_0(capsys, tmp_path):
+    # Z2 with its elements swapped; its idealization is Z2(+)Z2 with zero (1, 1) = index 3
+    swapped = {"order": 2, "zero": 1, "one": 0, "add": [[1, 0], [0, 1]], "mul": [[0, 1], [1, 1]]}
+    code, out, err = run_cli(capsys, ["decide-ssp"], {"idealization": {"ring": swapped}},
+                             tmp_path)
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    code, out, _ = run_cli(capsys, ["decide-ssp"], {"idealization": {"zn": 2}}, tmp_path)
+    want = json.loads(out)
+    assert code == 0
+    for key in ("checks", "is_sp", "is_ssp", "witness"):
+        assert got[key] == want[key]
+    assert got["factorizations"] == {"[0, 1, 2, 3]": [[0, 1, 2, 3]], "[2, 3]": [[2, 3]],
+                                     "[3]": [[2, 3], [2, 3]]}
+
+
 @pytest.mark.parametrize("payload", [
     {"idealization": {"zn": 2, "module_rank": 3000000}},
     {"idealization": {"zn": 3, "module": {"rank": 10 ** 9}}},

@@ -58,6 +58,14 @@ def test_small_gens_refuses_a_mask_that_is_not_an_ideal():
         FinIdeal._unchecked(fr.make_zn(4), 0b0011).small_gens()   # {0, 1} spans all of Z4
 
 
+def test_small_gens_refuses_a_span_that_does_not_grow():
+    # tables that are not a ring (1*1 = 0, so 1 is not in 1R) skip verification
+    # only through _trusted; the greedy span of {0, 1} then stays {0}
+    broken = fr.FinRing._trusted(2, [[0, 1], [1, 0]], [[0, 0], [0, 0]], 0, 1, "broken")
+    with pytest.raises(ArithmeticError, match="does not grow"):
+        FinIdeal._unchecked(broken, 0b11).small_gens()
+
+
 def test_all_ideals_counts():
     assert len(all_ideals(fr.make_zn(4))) == 3
     assert len(all_ideals(fr.make_zn(1))) == 1

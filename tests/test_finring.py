@@ -495,6 +495,27 @@ construction_specs = st.one_of(ring_specs, self_idealization_specs, st.lists(
     lambda parts: {"product": parts}))
 
 
+def assert_constructions_pass_the_verifier(ring, gens, rank, bounds):
+    """Run the verifier on `ring` and on what the internal constructors build from it."""
+    assert_ring(ring)
+    for f in fr.decompose_local(ring):
+        assert_ring(f)
+    ideal = generated_ideal(ring, [g % ring.order for g in gens])
+    assert_ring(fr.quotient(ring, ideal))
+    assert_module(fr.quotient_module(ring, ideal))
+    modules = [fr.module_from_ring(ring)]
+    try:
+        modules.append(fr.free_module(ring, rank, bounds))
+    except ResourceLimitError:
+        pass
+    for m in modules:
+        assert_module(m)
+        try:
+            assert_ring(fr.make_idealization(ring, m, bounds))
+        except ResourceLimitError:
+            pass
+
+
 @settings(max_examples=100, deadline=None)
 @given(construction_specs, st.lists(st.integers(0, 127), max_size=3), st.integers(0, 2))
 def test_drawn_constructions_pass_the_verifier(spec, gens, rank):
@@ -503,18 +524,50 @@ def test_drawn_constructions_pass_the_verifier(spec, gens, rank):
         ring = fr.ring_from_dict(spec, bounds)
     except ResourceLimitError:
         assume(False)
-    assert_ring(ring)
-    for f in fr.decompose_local(ring):
-        assert_ring(f)
-    ideal = generated_ideal(ring, [g % ring.order for g in gens])
-    assert_ring(fr.quotient(ring, ideal))
-    assert_module(fr.quotient_module(ring, ideal))
-    assert_module(fr.module_from_ring(ring))
+    assert_constructions_pass_the_verifier(ring, gens, rank, bounds)
+
+
+def relabelled(ring, perm):
+    """`ring` with element x renamed perm[x], built by the verifying constructor."""
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    sub = np.ix_(back, back)
+    return fr.FinRing(ring.order, perm[ring.add[sub]], perm[ring.mul[sub]],
+                      int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}'")
+
+
+# Z2 with its elements swapped: a valid table ring whose zero is index 1
+SWAPPED_Z2 = {"order": 2, "zero": 1, "one": 0, "add": [[1, 0], [0, 1]], "mul": [[0, 1], [1, 1]]}
+
+
+def test_constructions_over_rings_whose_zero_is_not_index_0():
+    z2 = fr.ring_from_dict(SWAPPED_Z2)
+    bounds = Bounds(order=128)
+    rings = [z2, fr.make_product(fr.make_zn(3), z2),
+             fr.make_idealization(z2, fr.module_from_ring(z2))]
+    assert [r.zero for r in rings] == [1, 1, 3]
+    for ring in rings:
+        for rank in range(3):
+            m = fr.free_module(ring, rank, bounds)
+            assert m.add[m.zero].tolist() == list(range(m.size))
+            for g in range(ring.order):
+                assert_constructions_pass_the_verifier(ring, [g], rank, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 31), max_size=2),
+       st.integers(0, 2))
+def test_constructions_over_relabelled_rings_pass_the_verifier(spec, seed, gens, rank):
     try:
-        free = fr.free_module(ring, rank, bounds)
+        base = fr.ring_from_dict(spec, Bounds(order=32))
     except ResourceLimitError:
-        return
-    assert_module(free)
+        assume(False)
+    ring = relabelled(base, np.random.default_rng(seed).permutation(base.order))
+    bounds = Bounds(order=128)
+    assert_constructions_pass_the_verifier(ring, gens, rank, bounds)
+    for product in (fr.make_product(ring, fr.make_zn(2)), fr.make_product(fr.make_zn(3), ring)):
+        assert_ring(product)
+        assert_module(fr.module_from_ring(product))
 
 
 def test_trusted_constructors_are_called_only_in_finring_py():
