@@ -1,9 +1,12 @@
 """Ideal lattices of finite table rings: enumeration, radicals, spectrum.
 
-Ideals are bitsets over element indices, compared and hashed by value; every
-list of ideals produced here comes back sorted by bitset value so output is
-deterministic.  Enumeration never touches the power set: it is a join
-closure over the (few) distinct principal ideals.
+Ideals are bitsets over element indices, in the format that `finring`
+owns (`mask_of`, `elements_of`, `_pack`, `_bits`), compared and hashed by
+value; every list of ideals produced here comes back sorted by bitset value
+so output is deterministic.  Enumeration never touches the power set: every
+ideal is a sum of principal ideals, so the lattice is the join closure of
+the (few) distinct principal ideals, and each known ideal is summed with
+every principal ideal it lacks in one gather (`_sums`).
 """
 
 from __future__ import annotations
@@ -11,15 +14,42 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds, exceeded
-from .finring import FinRing, elements_of, mask_of
+from .finring import FinRing, _bits, _pack, elements_of, mask_of
+
+# The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
+# one ideal of a product of many fields lacks can hold millions of elements.
+_GATHER = 1 << 22
+
+
+def _sums(add, els, parts):
+    """Row k is the membership row of els + parts[k], for index arrays of
+    subgroups of the group with addition table `add` (a sum of subgroups is
+    a subgroup): one gather and one scatter, batched to _GATHER sums."""
+    n = add.shape[0]
+    cols = np.concatenate(parts)
+    row = np.repeat(np.arange(len(parts)) * n, [p.size for p in parts])   # flat offsets
+    member = np.zeros(len(parts) * n, dtype=bool)
+    step = _GATHER // els.size
+    for lo in range(0, cols.size, step):
+        member[add[els[:, None], cols[lo:lo + step]] + row[lo:lo + step]] = True
+    return member.reshape(len(parts), n)
+
+
+def _span(add, start, parts):
+    """The sorted elements of start + parts[0] + parts[1] + ..., folded through
+    `_sums`; `start` holds the zero element, or the elements of a subgroup to
+    extend, and each part the elements of a subgroup, repeats allowed."""
+    els = np.asarray(start, dtype=np.intp)
+    for part in parts:
+        els = np.flatnonzero(_sums(add, els, [np.unique(part)])[0])
+    return els
 
 
 def _validate_ideal_mask(ring, mask):
     if mask <= 0 or (mask >> ring.order):
         raise ValueError("members out of range for this ring")
-    els = np.array(elements_of(mask), dtype=np.intp)
-    member = np.zeros(ring.order, dtype=bool)
-    member[els] = True
+    member = _bits(mask, ring.order)
+    els = np.flatnonzero(member)
     if not member[ring.zero]:
         raise ValueError("an ideal must contain zero")
     if not member[ring.add[np.ix_(els, els)]].all():
@@ -92,7 +122,7 @@ class FinIdeal:
         if self._gens is None:
             ring = self.ring
             span = 1 << ring.zero
-            span_els = np.array([ring.zero], dtype=np.intp)
+            span_els = [ring.zero]
             gens = []
             while span != self.mask:
                 # for an ideal the span stays inside the mask and grows each
@@ -103,7 +133,7 @@ class FinIdeal:
                 g = (self.mask & ~span)
                 g = (g & -g).bit_length() - 1
                 gens.append(g)
-                span_els = _sum_els(ring.add, span_els, _union(ring.add, ring.mul[g]))
+                span_els = _span(ring.add, span_els, [ring.mul[g]])
                 span = mask_of(span_els)
                 if not span >> g & 1:
                     raise ArithmeticError("small_gens: the span does not grow; not a ring")
@@ -125,10 +155,8 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
     for g in gens:
         if not 0 <= g < a.order:
             raise ValueError(f"generator {g} out of range")
-    S = np.array([a.zero], dtype=np.intp)
-    for g in gens:
-        S = _sum_els(a.add, S, _union(a.add, a.mul[g]))     # the sum of the principal ideals
-    return FinIdeal._unchecked(a, mask_of(S), gens=tuple(sorted(set(gens))))
+    span = _span(a.add, [a.zero], [a.mul[g] for g in gens])   # the sum of the principal ideals
+    return FinIdeal._unchecked(a, mask_of(span), gens=tuple(sorted(set(gens))))
 
 
 def _row_masks(table) -> list[int]:
@@ -140,18 +168,7 @@ def _row_masks(table) -> list[int]:
     n = table.shape[0]
     member = np.zeros((n, n), dtype=bool)
     member[np.arange(n)[:, None], table] = True
-    rows = np.packbits(member, axis=1, bitorder="little")
-    width = rows.shape[1]
-    raw = rows.tobytes()
-    ints = {}
-    out = []
-    for i in range(n):
-        row = raw[i * width:(i + 1) * width]
-        mask = ints.get(row)
-        if mask is None:
-            mask = ints[row] = int.from_bytes(row, "little")
-        out.append(mask)
-    return out
+    return _pack(member)
 
 
 def _distinct(masks):
@@ -171,48 +188,30 @@ def _principal_masks(a) -> list[int]:
     return cached
 
 
-def _principal_ideals(a):
-    """Distinct principal ideals as (mask, generator) pairs, cached on the ring."""
-    cached = a._cache.get("principals")
-    if cached is None:
-        cached = a._cache["principals"] = _distinct(_principal_masks(a))
-    return cached
-
-
-def _union(add, idx):
-    """The distinct indices in idx, sorted, by a scatter over the elements of `add`."""
-    hit = np.zeros(add.shape[0], dtype=bool)
-    hit[idx] = True
-    return np.flatnonzero(hit)
-
-
-def _sum_els(add, els1, els2):
-    # the elementwise sum set of two additive subgroups is already a subgroup
-    return _union(add, add[els1[:, None], els2])
-
-
 def _join_closure(cyclic, add, bounds):
     """Every sum of the cyclic subgroups in `cyclic`, as {mask: generators}.
 
     `cyclic` holds (mask, generator) pairs with distinct masks, each mask a
-    subgroup of the group with addition table `add`.
+    subgroup of the group with addition table `add`.  Each known sum is
+    added in one `_sums` call to every cyclic subgroup it neither contains
+    nor lies in: a sum with a subgroup on either side is already known.
     """
     limit = bounds.ideals
-    cyclic = [(m, g, np.array(elements_of(m), dtype=np.intp)) for m, g in cyclic]
-    known = {m: (els, (g,)) for m, g, els in cyclic}
+    parts = [np.flatnonzero(_bits(m, add.shape[0])) for m, _ in cyclic]
+    known = {m: (els, (g,)) for (m, g), els in zip(cyclic, parts)}
     if len(known) > limit:
         exceeded("max-ideals", limit, len(known), "lattice size")
     queue = list(known)
     while queue:
         mask = queue.pop()
         els, gens = known[mask]
-        rows = els[:, None]
-        for cmask, g, cels in cyclic:
-            if cmask & ~mask == 0:
-                continue
-            jmask = mask_of(add[rows, cels])
+        lack = [k for k, (m, _) in enumerate(cyclic) if m & ~mask and mask & ~m]
+        if not lack:
+            continue
+        member = _sums(add, els, [parts[k] for k in lack])
+        for k, jmask, row in zip(lack, _pack(member), member):
             if jmask not in known:
-                known[jmask] = (np.array(elements_of(jmask), dtype=np.intp), gens + (g,))
+                known[jmask] = (np.flatnonzero(row), gens + (cyclic[k][1],))
                 queue.append(jmask)
                 if len(known) > limit:
                     exceeded("max-ideals", limit, len(known), "lattice size")
@@ -223,7 +222,7 @@ def all_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
     """Every ideal of a, in sorted bitset order."""
     cached = a._cache.get("ideals")
     if cached is None:
-        known = _join_closure(_principal_ideals(a), a.add, bounds)
+        known = _join_closure(_distinct(_principal_masks(a)), a.add, bounds)
         cached = sorted(known.items())
         a._cache["ideals"] = cached
     if len(cached) > bounds.ideals:
@@ -236,9 +235,7 @@ def ideal_sum(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     if i.ring is not j.ring:
         raise ValueError("ideals of different rings")
     a = i.ring
-    els = _sum_els(a.add, np.array(i.elements, dtype=np.intp),
-                   np.array(j.elements, dtype=np.intp))
-    return FinIdeal._unchecked(a, mask_of(els), gens=None)
+    return FinIdeal._unchecked(a, mask_of(_span(a.add, i.elements, [j.elements])), gens=None)
 
 
 def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
@@ -247,10 +244,8 @@ def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
         raise ValueError("ideals of different rings")
     a = i.ring
     jels = np.array(j.elements, dtype=np.intp)
-    acc = np.array([a.zero], dtype=np.intp)
-    for g in i.small_gens():
-        acc = _sum_els(a.add, acc, _union(a.add, a.mul[jels, g]))
-    return FinIdeal._unchecked(a, mask_of(acc), gens=None)
+    span = _span(a.add, [a.zero], [a.mul[jels, g] for g in i.small_gens()])
+    return FinIdeal._unchecked(a, mask_of(span), gens=None)
 
 
 def _lattice_product(a, lattice):
@@ -315,9 +310,7 @@ def radical(i: FinIdeal) -> FinIdeal:
     for some k exactly when x^N in I.
     """
     a = i.ring
-    member = np.zeros(a.order, dtype=bool)
-    member[list(i.elements)] = True
-    return FinIdeal._unchecked(a, mask_of(np.flatnonzero(member[_power_map(a)])))
+    return FinIdeal._unchecked(a, _pack([_bits(i.mask, a.order)[_power_map(a)]])[0])
 
 
 def is_prime(i: FinIdeal) -> bool:
@@ -325,8 +318,7 @@ def is_prime(i: FinIdeal) -> bool:
     if i.is_whole:
         return False
     a = i.ring
-    member = np.zeros(a.order, dtype=bool)
-    member[list(i.elements)] = True
+    member = _bits(i.mask, a.order)
     comp = np.flatnonzero(~member)
     return not member[a.mul[np.ix_(comp, comp)]].any()
 

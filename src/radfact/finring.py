@@ -45,6 +45,22 @@ def _bounded_power(base, exp, bounds, what):
     return size
 
 
+def _pack(member) -> list[int]:
+    """Row i of the boolean (k, n) matrix `member` as a bitset integer, for
+    every i: bit x is set when member[i, x].  Equal rows share one int."""
+    packed = np.packbits(member, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    rows = [raw[i * width:(i + 1) * width] for i in range(packed.shape[0])]
+    ints = {row: int.from_bytes(row, "little") for row in set(rows)}
+    return [ints[row] for row in rows]
+
+
+def _bits(mask: int, n: int):
+    """The boolean membership row of length n of a bitset `mask` below 2**n."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 def mask_of(elements) -> int:
     """Pack element indices (a sequence or array, repeats allowed) into a bitset integer.
 
@@ -55,14 +71,12 @@ def mask_of(elements) -> int:
         idx = np.asarray(elements, dtype=np.intp).ravel()
     except OverflowError:
         raise ValueError("element index out of range") from None
-    bits = np.bincount(idx) > 0
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return _pack([np.bincount(idx) > 0])[0]
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitset integer into a sorted tuple of element indices."""
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+    return tuple(np.flatnonzero(_bits(mask, mask.bit_length())).tolist())
 
 
 def _additive_generators(add, zero):
@@ -249,31 +263,28 @@ class FinModule:
         return f"FinModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
 
 
-def _zn_tables(n):
-    """The int32 addition and multiplication tables of Z/n, reduced in place:
-    (n-1)^2 < 2^31 for n <= MAX_ORDER, so no wider n x n array is made."""
-    idx = np.arange(n, dtype=np.int32)
-    add = np.add.outer(idx, idx)
-    mul = np.multiply.outer(idx, idx)
-    np.remainder(add, n, out=add)
-    np.remainder(mul, n, out=mul)
-    return add, mul
-
-
 def make_zn(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """The ring of integers modulo n, with representatives 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(n, bounds, "ring order")
-    add, mul = _zn_tables(n)
+    # int32 tables reduced in place: (n-1)^2 < 2^31 for n <= MAX_ORDER, so no
+    # wider n x n array is made
+    idx = np.arange(n, dtype=np.int32)
+    add = np.add.outer(idx, idx)
+    mul = np.multiply.outer(idx, idx)
+    np.remainder(add, n, out=add)
+    np.remainder(mul, n, out=mul)
     return FinRing._trusted(n, add, mul, zero=0, one=1 % n, label=f"Z{n}")
 
 
 def _is_canonical_zn(ring):
+    # Every FinRing is a ring.  With zero 0, one 1 % n and x + 1 = x + 1 mod n
+    # for every label x, label k is the sum k*1, so the axioms force both
+    # tables to be those of make_zn: one column decides, not two n x n tables.
     n = ring.order
-    add, mul = _zn_tables(n)
     return (ring.zero == 0 and ring.one == 1 % n
-            and np.array_equal(ring.add, add) and np.array_equal(ring.mul, mul))
+            and np.array_equal(ring.add[:, ring.one], (np.arange(n) + 1) % n))
 
 
 def _format_int_poly(coeffs):
@@ -469,10 +480,11 @@ def decompose_local(a: FinRing) -> list[FinRing]:
             prim.append(e)
     acc = a.zero
     for i, e in enumerate(prim):
-        for f in prim[i + 1:]:
-            assert a.mul_el(e, f) == a.zero, "primitive idempotents not orthogonal"
+        if any(a.mul_el(e, f) != a.zero for f in prim[i + 1:]):
+            raise ArithmeticError("primitive idempotents not orthogonal")
         acc = a.add_el(acc, e)
-    assert acc == a.one, "primitive idempotents do not sum to 1"
+    if acc != a.one:
+        raise ArithmeticError("primitive idempotents do not sum to 1")
     if prim == [a.one]:
         return [a]      # a is local: its one factor is a itself
     return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in sorted(prim)]

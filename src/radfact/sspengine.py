@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DEFAULT_BOUNDS, Bounds
 from .finideal import (FinIdeal, _distinct, _join_closure, _lattice_product, _row_masks,
-                       _sum_els, _union, all_ideals, radical)
+                       _span, all_ideals, radical)
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, decompose_local,
                       is_special_primary, mask_of)
 
@@ -134,13 +132,8 @@ def _submodule_masks(e: FinModule, bounds: Bounds) -> set[int]:
 
 def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:
     """The submodules IE, for I ranging over all ideals of the base ring."""
-    out = set()
-    for ideal in all_ideals(e.ring, bounds):
-        acc = np.array([e.zero], dtype=np.intp)
-        for g in ideal.small_gens():
-            acc = _sum_els(e.add, acc, _union(e.add, e.action[g]))
-        out.add(mask_of(acc))
-    return out
+    return {mask_of(_span(e.add, [e.zero], [e.action[g] for g in ideal.small_gens()]))
+            for ideal in all_ideals(e.ring, bounds)}
 
 
 def is_multiplication_module(e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> bool:

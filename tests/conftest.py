@@ -1,12 +1,14 @@
 import os
 import random
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from radfact import cli
 from radfact import finring as fr
 from radfact import quadring as q
-from radfact.errors import DEFAULT_BOUNDS
+from radfact.errors import DEFAULT_BOUNDS, exceeded
 from radfact.finideal import all_ideals, ideal_product, maximal_ideals
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
@@ -16,6 +18,17 @@ SUPPORTED_D = (-1, -2, -5, -7, 2, 3, 5)
 # phrasings of Python and numpy internals that must not reach a CLI diagnostic
 INTERNAL_PHRASES = ("object is not iterable", "dictionary update sequence",
                     "inhomogeneous", "'f'", "NoneType", "Traceback")
+
+
+zn_specs = st.integers(1, 40).map(lambda n: {"zn": n})
+poly_specs = st.tuples(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 3), min_size=1,
+                                                            max_size=3)).map(
+    lambda t: {"poly_quotient": {"zn": t[0], "f": t[1] + [1]}})
+idealization_specs = st.tuples(st.integers(1, 6), st.integers(0, 2)).map(
+    lambda t: {"idealization": {"zn": t[0], "module_rank": t[1]}})
+part_specs = st.one_of(zn_specs, poly_specs, idealization_specs)
+ring_specs = st.one_of(part_specs, st.lists(part_specs, min_size=2, max_size=3).map(
+    lambda parts: {"product": parts}))
 
 
 @pytest.fixture
@@ -51,6 +64,44 @@ def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
             raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
     ok = {i.mask for i in all_ideals(a, bounds) if i.mask != a.whole_mask} == power_masks
     return fr.SpecialPrimaryVerdict(ok, m, t)
+
+
+def relabelled(ring, perm):
+    """`ring` with element x renamed perm[x], built by the verifying constructor."""
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    sub = np.ix_(back, back)
+    return fr.FinRing(ring.order, perm[ring.add[sub]], perm[ring.mul[sub]],
+                      int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}'")
+
+
+def reference_join_closure(cyclic, add, bounds=DEFAULT_BOUNDS):
+    """Oracle: `finideal._join_closure` one (known sum, cyclic subgroup) pair
+    at a time, each sum gathered and packed on its own through `mask_of`.
+
+    The batched closure must give the same {mask: generators}, in the same
+    insertion order: it skips only sums that are already known.
+    """
+    limit = bounds.ideals
+    cyclic = [(m, g, np.array(fr.elements_of(m), dtype=np.intp)) for m, g in cyclic]
+    known = {m: (els, (g,)) for m, g, els in cyclic}
+    if len(known) > limit:
+        exceeded("max-ideals", limit, len(known), "lattice size")
+    queue = list(known)
+    while queue:
+        mask = queue.pop()
+        els, gens = known[mask]
+        rows = els[:, None]
+        for cmask, g, cels in cyclic:
+            if cmask & ~mask == 0:
+                continue
+            jmask = fr.mask_of(add[rows, cels])
+            if jmask not in known:
+                known[jmask] = (np.array(fr.elements_of(jmask), dtype=np.intp), gens + (g,))
+                queue.append(jmask)
+                if len(known) > limit:
+                    exceeded("max-ideals", limit, len(known), "lattice size")
+    return {m: gens for m, (_, gens) in known.items()}
 
 
 def random_quad_ideal(rng, ring, max_norm=10 ** 6):

@@ -414,6 +414,16 @@ def test_broken_invariant_exits_5_without_traceback(capsys, tmp_path, monkeypatc
     assert "Traceback" not in err
 
 
+def test_broken_local_decomposition_exits_5_without_traceback(capsys, tmp_path, monkeypatch):
+    # an all-zero mul (1*1 = 0) has no idempotents that sum to one
+    broken = cli.finring.FinRing._trusted(2, [[0, 1], [1, 0]], [[0, 0], [0, 0]], 0, 1, "broken")
+    monkeypatch.setattr(cli.finring, "ring_from_dict", lambda spec, bounds: broken)
+    code, out, err = run_cli(capsys, ["census"], {"catalog": [{"zn": 2}]}, tmp_path)
+    assert code == 5
+    assert out == ""
+    assert err == "radfact: internal invariant failed: primitive idempotents do not sum to 1\n"
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"d": -1, "gens": "22"}, "gens must be a JSON list"),
     ({"d": -1, "gens": {"x": 22}}, "gens must be a JSON list"),

@@ -24,6 +24,19 @@ def test_resource_limit_error_is_built_only_in_errors_py():
     assert offenders == []
 
 
+def test_src_has_no_assert_statement():
+    # an assert vanishes under python -O and is a traceback under the CLI;
+    # a broken invariant raises ArithmeticError, which the CLI reports as exit 5
+    offenders = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def test_bounds_defaults_and_ceiling():
     assert DEFAULT_BOUNDS == Bounds(order=4096, ideals=2 ** 20, norm=10 ** 12)
     assert Bounds(order=MAX_ORDER).order == MAX_ORDER

@@ -1,12 +1,16 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from radfact import cli
+from conftest import reference_join_closure, relabelled, ring_specs
+from radfact import cli, finideal
 from radfact import finring as fr
-from radfact.errors import Bounds, ResourceLimitError
-from radfact.finideal import (FinIdeal, _principal_ideals, all_ideals,
+from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
+from radfact.finideal import (FinIdeal, _distinct, _join_closure, _principal_masks, all_ideals,
                               generated_ideal, ideal_power, ideal_product,
                               ideal_sum, is_prime, maximal_ideals,
                               prime_spectrum, radical, vn_set, whole_ideal,
@@ -237,4 +241,79 @@ def test_principal_ideals_match_one_row_at_a_time():
         seen = {}
         for g in range(ring.order):
             seen.setdefault(fr.mask_of(ring.mul[g]), g)
-        assert _principal_ideals(ring) == sorted(seen.items()), ring
+        assert _distinct(_principal_masks(ring)) == sorted(seen.items()), ring
+
+
+def assert_join_closure_matches_the_reference(ring):
+    cyclic = _distinct(_principal_masks(ring))
+    assert list(_join_closure(cyclic, ring.add, DEFAULT_BOUNDS).items()) == \
+        list(reference_join_closure(cyclic, ring.add).items()), ring.label
+
+
+def test_join_closure_matches_the_pair_at_a_time_reference(catalog_rings):
+    factors = [f for ring in catalog_rings for f in fr.decompose_local(ring)]
+    assert len(factors) == 2035
+    for ring in catalog_rings + factors:
+        assert_join_closure_matches_the_reference(ring)
+
+
+def test_join_closure_in_gathers_of_a_few_sums_each(catalog_rings, monkeypatch):
+    monkeypatch.setattr(finideal, "_GATHER", 64)
+    for ring in catalog_rings:
+        if ring.order <= 64:
+            assert_join_closure_matches_the_reference(ring)
+
+
+def drawn_relabelled_ring(spec, seed, order):
+    """The ring of `spec` (at most `order` elements) under a random relabelling
+    that moves zero off index 0, with the relabelling."""
+    try:
+        base = fr.ring_from_dict(spec, Bounds(order=order))
+    except ResourceLimitError:
+        assume(False)
+    assume(base.order > 1)
+    perm = np.random.default_rng(seed).permutation(base.order)
+    if perm[base.zero] == 0:
+        perm = (perm + 1) % base.order
+    ring = relabelled(base, perm)
+    assert ring.zero != 0
+    return base, ring, perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_join_closure_matches_the_reference_on_relabelled_rings(spec, seed):
+    base, ring, perm = drawn_relabelled_ring(spec, seed, 128)
+    assert_join_closure_matches_the_reference(ring)
+    moved = {fr.mask_of(perm[list(i.elements)]) for i in all_ideals(base)}
+    assert {i.mask for i in all_ideals(ring)} == moved
+
+
+def additive_closure(ring, elements):
+    """Oracle: the least set holding zero and `elements` that is closed under +."""
+    out = {ring.zero, *elements}
+    while True:
+        more = {ring.add_el(x, y) for x in out for y in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 31), max_size=3))
+def test_ideal_operations_match_their_set_definitions_on_relabelled_rings(spec, seed, gens):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 32)
+    everything = range(ring.order)
+    gens = [g % ring.order for g in gens]
+    assert set(generated_ideal(ring, gens).elements) == \
+        additive_closure(ring, {ring.mul_el(r, g) for r in everything for g in gens})
+    ideals = all_ideals(ring)
+    pick = random.Random(seed)
+    for _ in range(4):
+        # a copy without generators, so ideal_product runs small_gens too
+        i = FinIdeal._unchecked(ring, pick.choice(ideals).mask)
+        j = pick.choice(ideals)
+        assert set(ideal_sum(i, j).elements) == \
+            {ring.add_el(x, y) for x in i.elements for y in j.elements}
+        assert set(ideal_product(i, j).elements) == \
+            additive_closure(ring, {ring.mul_el(x, y) for x in i.elements for y in j.elements})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_special_primary
+from conftest import part_specs, reference_special_primary, relabelled, ring_specs
 from radfact import cli
 from radfact import finring as fr
 from radfact.errors import Bounds, ResourceLimitError
@@ -87,6 +87,20 @@ def test_poly_quotient_rejections():
     gf4 = fr.make_poly_quotient(z2, [1, 1, 1])
     with pytest.raises(ValueError):
         fr.make_poly_quotient(gf4, [1, 1])      # base not a make_zn ring
+
+
+def test_relabelled_zn_is_refused_as_a_poly_quotient_base():
+    # every labelling of Z/n is a verified ring; only make_zn's is canonical,
+    # including the relabellings that keep zero at 0 and one at 1
+    for n in range(1, 7):
+        z = fr.make_zn(n)
+        for perm in itertools.permutations(range(n)):
+            ring = relabelled(z, perm)
+            if perm == tuple(range(n)):
+                assert fr.make_poly_quotient(ring, [1, 1]).order == n
+            else:
+                with pytest.raises(ValueError, match="canonical"):
+                    fr.make_poly_quotient(ring, [1, 1])
 
 
 def test_product_isomorphic_to_crt():
@@ -187,6 +201,13 @@ def test_decompose_local_cube():
     r = fr.make_product(fr.make_product(fr.make_zn(2), fr.make_zn(2)), fr.make_zn(2))
     factors = fr.decompose_local(r)
     assert [f.order for f in factors] == [2, 2, 2]
+
+
+def test_decompose_local_refuses_tables_whose_idempotents_do_not_sum_to_one():
+    # an all-zero mul (1*1 = 0) is no ring and gets in only through _trusted
+    broken = fr.FinRing._trusted(2, [[0, 1], [1, 0]], [[0, 0], [0, 0]], 0, 1, "broken")
+    with pytest.raises(ArithmeticError, match="do not sum to 1"):
+        fr.decompose_local(broken)
 
 
 def test_decompose_local_is_a_bijection():
@@ -327,17 +348,6 @@ def test_special_primary_of_the_2826_ideal_idealization():
     assert verdict_fields(v) == (False, (1 << 64) - 1, 2)    # M = {(0, m)}, indices 0..63
     assert "ideals" not in b._cache          # decided without the lattice
     assert verdict_fields(v) == verdict_fields(reference_special_primary(b))
-
-
-zn_specs = st.integers(1, 40).map(lambda n: {"zn": n})
-poly_specs = st.tuples(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 3), min_size=1,
-                                                            max_size=3)).map(
-    lambda t: {"poly_quotient": {"zn": t[0], "f": t[1] + [1]}})
-idealization_specs = st.tuples(st.integers(1, 6), st.integers(0, 2)).map(
-    lambda t: {"idealization": {"zn": t[0], "module_rank": t[1]}})
-part_specs = st.one_of(zn_specs, poly_specs, idealization_specs)
-ring_specs = st.one_of(part_specs, st.lists(part_specs, min_size=2, max_size=3).map(
-    lambda parts: {"product": parts}))
 
 
 @settings(deadline=None)
@@ -527,15 +537,6 @@ def test_drawn_constructions_pass_the_verifier(spec, gens, rank):
     assert_constructions_pass_the_verifier(ring, gens, rank, bounds)
 
 
-def relabelled(ring, perm):
-    """`ring` with element x renamed perm[x], built by the verifying constructor."""
-    perm = np.asarray(perm)
-    back = np.argsort(perm)
-    sub = np.ix_(back, back)
-    return fr.FinRing(ring.order, perm[ring.add[sub]], perm[ring.mul[sub]],
-                      int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}'")
-
-
 # Z2 with its elements swapped: a valid table ring whose zero is index 1
 SWAPPED_Z2 = {"order": 2, "zero": 1, "one": 0, "add": [[1, 0], [0, 1]], "mul": [[0, 1], [1, 1]]}
 
@@ -582,6 +583,17 @@ def test_trusted_constructors_are_called_only_in_finring_py():
                     and node.func.attr == "_trusted"):
                 calls.setdefault(name, []).append(node.lineno)
     assert list(calls) == ["finring.py"]
+
+
+def test_bitset_format_is_packed_and_unpacked_only_in_finring_py():
+    words = ("packbits", "unpackbits", "from_bytes", "to_bytes")
+    users = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                text = fh.read()
+            users += [f"{name}: {w}" for w in words if w in text]
+    assert {user.split(":")[0] for user in users} == {"finring.py"}, users
 
 
 def test_make_zn_4096_builds_int32_tables_without_wide_intermediates():

@@ -5,6 +5,7 @@ import pytest
 from radfact import finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
+from radfact.errors import DEFAULT_BOUNDS
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
 
 
@@ -211,3 +212,28 @@ def test_product_law():
     z4 = fr.make_zn(4)
     assert not ssp.decide_ssp(fr.make_product(b, fr.make_zn(3))).is_ssp
     assert ssp.decide_ssp(fr.make_product(z4, fr.make_zn(9))).is_ssp
+
+
+def brute_force_submodules(m):
+    """Oracle: filter every subset holding zero for closure under + and the action."""
+    out = set()
+    for mask in range(1 << m.size):
+        if not (mask >> m.zero) & 1:
+            continue
+        els = [x for x in range(m.size) if (mask >> x) & 1]
+        if any(not (mask >> int(m.add[x, y])) & 1 for x in els for y in els):
+            continue
+        if any(not (mask >> int(m.action[r, x])) & 1 for r in range(m.ring.order) for x in els):
+            continue
+        out.add(mask)
+    return out
+
+
+def test_submodules_match_the_subset_oracle():
+    modules = [fr.free_module(fr.make_zn(n), rank)
+               for n, top in ((2, 4), (3, 2), (4, 2)) for rank in range(top + 1)]
+    z12 = fr.make_zn(12)
+    modules += [fr.quotient_module(z12, i) for i in all_ideals(z12)]
+    for m in modules:
+        assert m.size <= 16
+        assert ssp._submodule_masks(m, DEFAULT_BOUNDS) == brute_force_submodules(m), m.label
