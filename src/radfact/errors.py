@@ -39,6 +39,9 @@ class Bounds:
     norm: int = 10 ** 12
 
     def __post_init__(self):
+        for field in ("order", "ideals", "norm"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"max-{field} {getattr(self, field)} is below 1")
         if self.order > MAX_ORDER:
             raise ValueError(f"max-order {self.order} exceeds the ceiling "
                              f"{MAX_ORDER} on ring orders")

@@ -16,6 +16,11 @@ always a genuine commutative unitary ring.  Constructors check the order
 they would build against `Bounds.order` (at most MAX_ORDER = 4096) before
 they allocate a table.
 
+Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
+x*w + y for a second part of order w, so a free-module vector or a residue of
+Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  Horner's rule fills the
+product of Z/n[x]/(f): a = a_0 + x*a' has index a_0 + n*a', with a' < a.
+
 All values are immutable after construction and every operation here is a
 pure function of its inputs, so sharing across threads is safe.
 """
@@ -27,6 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, exceeded
+
+# The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
+_HORNER_BLOCK = 1 << 18
 
 
 def _check_order(order, bounds, what):
@@ -314,41 +322,33 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
     f = [int(c) % n for c in f]
     if f[d] != 1 % n:
         raise ValueError("modulus must be monic")
-
-    # residues of x^j mod f for j < 2d-1, as coefficient rows
-    width = max(2 * d - 1, d)
-    red = np.zeros((width, d), dtype=np.int64)
-    red[:d] = np.eye(d, dtype=np.int64)
-    top = np.array([(-c) % n for c in f[:d]], dtype=np.int64)
-    for j in range(d, width):
-        prev = red[j - 1]
-        shifted = np.concatenate(([0], prev[:-1]))
-        red[j] = (shifted + prev[d - 1] * top) % n
-
-    pw = n ** np.arange(d, dtype=np.int64)
-    ee = np.arange(order, dtype=np.int64)
-    digits = (ee[:, None] // pw[None, :]) % n          # (order, d)
-
-    add = np.empty((order, order), dtype=np.int32)
-    mul = np.empty_like(add)
-    for a in range(order):
-        arow = digits[a]
-        add[a] = ((arow[None, :] + digits) % n) @ pw
-        conv = np.zeros((order, width), dtype=np.int64)
-        for i in range(d):
-            if arow[i]:
-                conv[:, i:i + d] += arow[i] * digits
-        res = (conv % n) @ red % n
-        mul[a] = res @ pw
+    vectors = free_module(base, d, bounds)   # residues as coefficient vectors
+    add, mul = vectors.add, vectors.action    # degree 1: all residues are constants
+    if d > 1:
+        # x*b moves b's coefficients up one place and folds the top one back
+        # in through x^d = -(f_0 + f_1 x + ... + f_{d-1} x^{d-1})
+        minus_f = sum((-c) % n * n ** i for i, c in enumerate(f[:d]))
+        scale, mul = mul, np.empty_like(add)
+        times_x = add[scale[:, minus_f, None], np.arange(0, order, n)].ravel()
+        mul[:n] = scale
+        p = 1   # rows n*a' + a_0 for p <= a' < q <= n*p: every row a' is filled already
+        while p < order // n:
+            q = min(order // n, n * p, p + max(1, _HORNER_BLOCK // (n * order)))
+            mul[n * p:n * q] = add[scale, mul[p:q, times_x][:, None]].reshape(-1, order)
+            p = q
     label = f"Z{n}[x]/({_format_int_poly(f)})"
     return FinRing._trusted(order, add, mul, zero=0, one=1 % order, label=label)
 
 
 def _pair_table(first, second):
-    """A table on pairs (x, y), indexed x*w + y: entry first[x1, x2] in the first
-    coordinate and second[x1, y1, x2, y2] (broadcast, last axis w) in the second."""
-    n, w = first.shape[0], second.shape[-1]
-    return (first.astype(np.int64)[:, None, :, None] * w + second).reshape(n * w, n * w)
+    """The int32 table on pairs (x, y), indexed x*w + y: entry first[i, j] in
+    the first coordinate, second[i, y1, j, y2] (broadcast; last axis w, axis 1
+    of length w or 1) in the second.  Filled in place in C order: no temporary."""
+    x = first[:, None, :, None]
+    table = np.empty(np.broadcast_shapes(x.shape, second.shape), dtype=np.int32)
+    np.multiply(x, second.shape[-1], out=table)
+    table += second
+    return table.reshape(table.shape[0] * table.shape[1], -1)
 
 
 def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
@@ -363,24 +363,20 @@ def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
 
 
 def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinModule:
-    """The free module ring^rank with componentwise action."""
+    """The free module ring^rank with componentwise action; coordinate i has
+    weight ring.order^i in the element index."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
     n = ring.order
-    size = _bounded_power(n, rank, bounds, "module size")
-    width = rank if n > 1 else 0    # over the zero ring every free module is zero
-    pw = n ** np.arange(width, dtype=np.int64)
-    ee = np.arange(size, dtype=np.int64)
-    digits = (ee[:, None] // pw[None, :]) % n
-    add = np.zeros((size, size), dtype=np.int64)
-    for x in range(size):
-        add[x] = ring.add[digits[x][None, :], digits].astype(np.int64) @ pw
-    action = np.zeros((n, size), dtype=np.int64)
-    for r in range(n):
-        action[r] = ring.mul[r][digits] @ pw
-    # the zero vector has every digit ring.zero, which need not be index 0
-    zero = int(ring.zero * pw.sum())
-    return FinModule._trusted(ring, size, add, zero, action, label=f"{ring.label}^{rank}")
+    _bounded_power(n, rank, bounds, "module size")
+    add, action, zero = np.zeros((1, 1), np.int32), np.zeros((n, 1), np.int32), 0
+    # ring^(k+1) = ring x ring^k with the new coordinate leading; over the
+    # zero ring every free module is zero
+    for _ in range(rank if n > 1 else 0):
+        zero += ring.zero * add.shape[0]
+        add = _pair_table(ring.add, add[None, :, None, :])
+        action = _pair_table(ring.mul, action[:, None, None, :])
+    return FinModule._trusted(ring, add.shape[0], add, zero, action, f"{ring.label}^{rank}")
 
 
 def module_from_ring(ring: FinRing) -> FinModule:
@@ -436,10 +432,9 @@ def make_idealization(a: FinRing, e: FinModule, bounds: Bounds = DEFAULT_BOUNDS)
     s = e.size
     _check_order(a.order * s, bounds, "idealization order")
     act = e.action
-    # cross[r1, m1, r2, m2] = e.add[act[r1, m2], act[r2, m1]]
-    cross = e.add[act[:, None, None, :], act.T[None, :, :, None]]
-    return FinRing._trusted(a.order * s, _pair_table(a.add, e.add[None, :, None, :]),
-                            _pair_table(a.mul, cross),
+    # module part e.add[act[r1, m2], act[r2, m1]], gathered inline to free it early
+    mul = _pair_table(a.mul, e.add[act[:, None, None, :], act.T[None, :, :, None]])
+    return FinRing._trusted(a.order * s, _pair_table(a.add, e.add[None, :, None, :]), mul,
                             zero=a.zero * s + e.zero, one=a.one * s + e.zero,
                             label=f"{a.label}(+){e.label}")
 

@@ -75,6 +75,59 @@ def relabelled(ring, perm):
                       int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}'")
 
 
+def reference_poly_quotient(base, f):
+    """Oracle: Z/n[x]/(f) filled one row at a time, each row an explicit
+    convolution of coefficient vectors reduced through the residues of x^j
+    mod f; built by the verifying constructor."""
+    n, d = base.order, len(f) - 1
+    order = n ** d
+    f = [int(c) % n for c in f]
+    # residues of x^j mod f for j < 2d-1, as coefficient rows
+    width = max(2 * d - 1, d)
+    red = np.zeros((width, d), dtype=np.int64)
+    red[:d] = np.eye(d, dtype=np.int64)
+    top = np.array([(-c) % n for c in f[:d]], dtype=np.int64)
+    for j in range(d, width):
+        prev = red[j - 1]
+        shifted = np.concatenate(([0], prev[:-1]))
+        red[j] = (shifted + prev[d - 1] * top) % n
+    pw = n ** np.arange(d, dtype=np.int64)
+    ee = np.arange(order, dtype=np.int64)
+    digits = (ee[:, None] // pw[None, :]) % n          # (order, d)
+    add = np.empty((order, order), dtype=np.int32)
+    mul = np.empty_like(add)
+    for a in range(order):
+        arow = digits[a]
+        add[a] = ((arow[None, :] + digits) % n) @ pw
+        conv = np.zeros((order, width), dtype=np.int64)
+        for i in range(d):
+            if arow[i]:
+                conv[:, i:i + d] += arow[i] * digits
+        res = (conv % n) @ red % n
+        mul[a] = res @ pw
+    return fr.FinRing(order, add, mul, 0, 1 % order, f"Z{n}[x]/({fr._format_int_poly(f)})")
+
+
+def reference_free_module(ring, rank):
+    """Oracle: ring^rank filled one element at a time from explicit digit
+    vectors (digit i of weight n^i); built by the verifying constructor."""
+    n = ring.order
+    size = n ** rank
+    width = rank if n > 1 else 0    # over the zero ring every free module is zero
+    pw = n ** np.arange(width, dtype=np.int64)
+    ee = np.arange(size, dtype=np.int64)
+    digits = (ee[:, None] // pw[None, :]) % n
+    add = np.zeros((size, size), dtype=np.int64)
+    for x in range(size):
+        add[x] = ring.add[digits[x][None, :], digits].astype(np.int64) @ pw
+    action = np.zeros((n, size), dtype=np.int64)
+    for r in range(n):
+        action[r] = ring.mul[r][digits] @ pw
+    # the zero vector has every digit ring.zero, which need not be index 0
+    zero = int(ring.zero * pw.sum())
+    return fr.FinModule(ring, size, add, zero, action, f"{ring.label}^{rank}")
+
+
 def reference_join_closure(cyclic, add, bounds=DEFAULT_BOUNDS):
     """Oracle: `finideal._join_closure` one (known sum, cyclic subgroup) pair
     at a time, each sum gathered and packed on its own through `mask_of`.

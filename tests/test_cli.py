@@ -290,6 +290,19 @@ def test_max_order_above_the_ceiling_exits_2(capsys, tmp_path):
     assert code == 3 and "limit 4096" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--max-order", "--max-ideals", "--max-norm"])
+def test_bound_flags_below_1_exit_2(capsys, tmp_path, flag, limit):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"zn": 4}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, limit, "--input", str(path), "decide-ssp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} {limit} is below 1" in captured.err
+
+
 def nested_product(depth):
     return '{"product": [' * depth + '{"zn": 2}' + ']}' * depth
 

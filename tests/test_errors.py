@@ -42,3 +42,11 @@ def test_bounds_defaults_and_ceiling():
     assert Bounds(order=MAX_ORDER).order == MAX_ORDER
     with pytest.raises(ValueError, match="max-order 4097 exceeds the ceiling 4096"):
         Bounds(order=MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("field, bound", [("order", "max-order"), ("ideals", "max-ideals"),
+                                          ("norm", "max-norm")])
+def test_bounds_below_1_are_refused(field, bound, limit):
+    with pytest.raises(ValueError, match=f"^{bound} {limit} is below 1$"):
+        Bounds(**{field: limit})

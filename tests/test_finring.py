@@ -1,6 +1,7 @@
 import ast
 import itertools
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import part_specs, reference_special_primary, relabelled, ring_specs
+from conftest import (part_specs, reference_free_module, reference_poly_quotient,
+                      reference_special_primary, relabelled, ring_specs)
 from radfact import cli
 from radfact import finring as fr
 from radfact.errors import Bounds, ResourceLimitError
@@ -596,14 +598,102 @@ def test_bitset_format_is_packed_and_unpacked_only_in_finring_py():
     assert {user.split(":")[0] for user in users} == {"finring.py"}, users
 
 
-def test_make_zn_4096_builds_int32_tables_without_wide_intermediates():
+@pytest.mark.parametrize("build, sums, squares", [
+    (lambda: fr.make_zn(4096), 1, 1),
+    (lambda: fr.make_product(Z64, Z64), 63 * 64 + 1, 65),
+    (lambda: fr.make_idealization(Z2, fr.free_module(Z2, 11)), 4093, 2048),
+    (lambda: fr.make_poly_quotient(Z2, [0] * 12 + [1]), 4093, 1365),
+], ids=["zn", "product", "idealization", "poly_quotient"])
+def test_make_zn_4096_builds_int32_tables_without_wide_intermediates(build, sums, squares):
     tracemalloc.start()
     try:
-        z = fr.make_zn(4096)
+        z = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert z.order == 4096
     assert z.add.dtype == np.int32 and z.mul.dtype == np.int32
     assert not z.add.flags.writeable and not z.mul.flags.writeable
-    assert (z.add_el(4095, 2), z.mul_el(4095, 4095)) == (1, 1)
+    assert (z.add_el(4095, 2), z.mul_el(4095, 4095)) == (sums, squares)
     assert peak < 256 * 2 ** 20
+
+
+def test_poly_quotient_of_order_4096_builds_in_under_4_s():
+    start = time.perf_counter()
+    fr.make_poly_quotient(fr.make_zn(2), [0] * 12 + [1])
+    assert time.perf_counter() - start < 4.0
+
+
+def assert_same_construction(got, want):
+    names = ("add", "mul", "zero", "one", "order", "label") if isinstance(want, fr.FinRing) \
+        else ("add", "action", "zero", "size", "label")
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def test_poly_quotient_matches_the_row_fill_for_every_modulus_up_to_order_64():
+    count = 0
+    for n in range(1, 65):
+        base = fr.make_zn(n)
+        for d in range(1, 7):
+            if n ** d > 64 or (n == 1 and d > 3):
+                break
+            for low in itertools.product(range(n), repeat=d):
+                f = list(low) + [1]
+                assert_same_construction(fr.make_poly_quotient(base, f),
+                                         reference_poly_quotient(base, f))
+                count += 1
+    assert count == 2496
+
+
+@st.composite
+def moduli_up_to_order_600(draw):
+    d = draw(st.integers(1, 9))
+    n = draw(st.integers(2, int(round(600 ** (1 / d))) + 1).filter(lambda n: n ** d <= 600))
+    return n, draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)) + [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli_up_to_order_600())
+@example((2, [1] + [0] * 8 + [1]))
+@example((24, [23, 0, 1]))
+@example((600, [599, 1]))
+def test_poly_quotient_matches_the_row_fill_up_to_order_600(modulus):
+    n, f = modulus
+    base = fr.make_zn(n)
+    assert_same_construction(fr.make_poly_quotient(base, f), reference_poly_quotient(base, f))
+
+
+def test_free_module_matches_the_digit_fill():
+    z4 = fr.make_zn(4)
+    moved = relabelled(z4, [2, 0, 3, 1])        # Z4 with zero at index 2
+    rings = [fr.make_zn(n) for n in range(1, 8)] + [moved]
+    for ring in rings:
+        for rank in range(5):
+            if ring.order ** rank <= 2401:
+                assert_same_construction(fr.free_module(ring, rank),
+                                         reference_free_module(ring, rank))
+    assert fr.free_module(moved, 3).zero == 2 * (1 + 4 + 16)
+
+
+def test_free_module_matches_the_digit_fill_over_catalog_rings(catalog_rings):
+    specs = cli.default_catalog_specs()
+    rings = [r for spec, r in zip(specs, catalog_rings)
+             if "poly_quotient" in spec or "product" in spec]
+    assert len(rings) > 100
+    for ring in rings:
+        for rank in (1, 2):
+            if ring.order ** rank <= 64:
+                assert_same_construction(fr.free_module(ring, rank),
+                                         reference_free_module(ring, rank))
+
+
+def test_free_module_over_the_zero_ring_returns_at_once():
+    start = time.perf_counter()
+    m = fr.free_module(fr.make_zn(1), 10 ** 9)
+    assert time.perf_counter() - start < 0.5
+    assert (m.size, m.zero, m.add.tolist(), m.action.tolist()) == (1, 0, [[0]], [[0]])
