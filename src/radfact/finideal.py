@@ -4,9 +4,12 @@ Ideals are bitsets over element indices, in the format that `finring`
 owns (`mask_of`, `elements_of`, `_pack`, `_bits`), compared and hashed by
 value; every list of ideals produced here comes back sorted by bitset value
 so output is deterministic.  Enumeration never touches the power set: every
-ideal is a sum of principal ideals, so the lattice is the join closure of
-the (few) distinct principal ideals, and each known ideal is summed with
-every principal ideal it lacks in one gather (`_sums`).
+ideal is a sum of principal ideals, so an ideal that is not the sum of the
+ideals below it (a join-irreducible one) is principal, and the lattice is
+the join closure of those.  `_join_closure` walks the distinct principal
+ideals by size and sums each one that is not yet a known sum with every
+known ideal incomparable with it, in batched gathers (`_sums`): |L| sums
+per generator for a lattice of |L| ideals.
 """
 
 from __future__ import annotations
@@ -192,29 +195,39 @@ def _join_closure(cyclic, add, bounds):
     """Every sum of the cyclic subgroups in `cyclic`, as {mask: generators}.
 
     `cyclic` holds (mask, generator) pairs with distinct masks, each mask a
-    subgroup of the group with addition table `add`.  Each known sum is
-    added in one `_sums` call to every cyclic subgroup it neither contains
-    nor lies in: a sum with a subgroup on either side is already known.
+    subgroup of the group with addition table `add`.  A sum that is not the
+    sum of the sums strictly below it is one of the cyclic subgroups, so
+    only those (the join-irreducible ones) need joining: walk them by size,
+    skip one that is already a known sum, and add each other one, as a new
+    generator, to every known sum it neither contains nor lies in, at most
+    _GATHER // n sums per `_sums` call.  That is |L| sums per generator for
+    a lattice of |L| sums.  A sum that is itself cyclic keeps its single
+    generator, so generator tuples stay short for `_lattice_product`.
     """
     limit = bounds.ideals
-    parts = [np.flatnonzero(_bits(m, add.shape[0])) for m, _ in cyclic]
-    known = {m: (els, (g,)) for (m, g), els in zip(cyclic, parts)}
-    if len(known) > limit:
-        exceeded("max-ideals", limit, len(known), "lattice size")
-    queue = list(known)
-    while queue:
-        mask = queue.pop()
-        els, gens = known[mask]
-        lack = [k for k, (m, _) in enumerate(cyclic) if m & ~mask and mask & ~m]
-        if not lack:
+    n = add.shape[0]
+    least = dict(cyclic)
+    known = {}
+
+    def admit(mask, els, gens):
+        known[mask] = (els, gens)
+        if len(known) > limit:
+            exceeded("max-ideals", limit, len(known), "lattice size")
+
+    step = max(1, _GATHER // n)
+    for mask, g in sorted(cyclic, key=lambda c: (c[0].bit_count(), c[0])):
+        if mask in known:
             continue
-        member = _sums(add, els, [parts[k] for k in lack])
-        for k, jmask, row in zip(lack, _pack(member), member):
-            if jmask not in known:
-                known[jmask] = (np.flatnonzero(row), gens + (cyclic[k][1],))
-                queue.append(jmask)
-                if len(known) > limit:
-                    exceeded("max-ideals", limit, len(known), "lattice size")
+        els = np.flatnonzero(_bits(mask, n))
+        apart = [m for m in known if m & ~mask and mask & ~m]
+        admit(mask, els, (g,))
+        for lo in range(0, len(apart), step):
+            batch = apart[lo:lo + step]
+            member = _sums(add, els, [known[m][0] for m in batch])
+            for m, jmask, row in zip(batch, _pack(member), member):
+                if jmask not in known:
+                    gens = (least[jmask],) if jmask in least else known[m][1] + (g,)
+                    admit(jmask, np.flatnonzero(row), gens)
     return {m: gens for m, (_, gens) in known.items()}
 
 

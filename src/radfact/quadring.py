@@ -251,6 +251,14 @@ class QuadIdeal:
             if not _member(a, b, c, w_row):
                 raise ValueError("lattice is not closed under multiplication by w")
 
+    @classmethod
+    def _unchecked(cls, ring, a, b, c):
+        """An ideal from an HNF the library derived itself (a product, a sum,
+        a prime above p), an ideal by construction: no check."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(ring=ring, a=a, b=b, c=c)
+        return ideal
+
     @property
     def hnf(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -267,7 +275,7 @@ class QuadIdeal:
         return ((self.a, 0), (self.b, self.c))
 
     def unit(self) -> "QuadIdeal":
-        return QuadIdeal(self.ring, 1, 0, 1)
+        return QuadIdeal._unchecked(self.ring, 1, 0, 1)
 
     def member(self, element) -> bool:
         return _member(self.a, self.b, self.c, element)
@@ -283,7 +291,7 @@ class QuadIdeal:
             raise ValueError("ideals of different rings")
         rows = [self.ring.mul_elements(u, v)
                 for u in self.basis() for v in other.basis()]
-        return QuadIdeal(self.ring, *_hnf_rows(rows))
+        return QuadIdeal._unchecked(self.ring, *_hnf_rows(rows))
 
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> "PrimeFactorization":
         return _factor_quad(self, bounds)
@@ -321,14 +329,14 @@ def principal_ideal(ring: QuadRing, element) -> QuadIdeal:
 
 
 def whole_ring_ideal(ring: QuadRing) -> QuadIdeal:
-    return QuadIdeal(ring, 1, 0, 1)
+    return QuadIdeal._unchecked(ring, 1, 0, 1)
 
 
 def ideal_sum(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
     """I + J via the HNF of the stacked bases."""
     if i.ring != j.ring:
         raise ValueError("ideals of different rings")
-    return QuadIdeal(i.ring, *_hnf_rows(list(i.basis()) + list(j.basis())))
+    return QuadIdeal._unchecked(i.ring, *_hnf_rows(list(i.basis()) + list(j.basis())))
 
 
 def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
@@ -348,20 +356,20 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
             split_roots = roots
         elif len(roots) == 1:
             # exactly one root of a monic quadratic over GF(2) means a double root
-            return [(QuadIdeal(ring, 2, (-roots[0]) % 2, 1), 2)]
+            return [(QuadIdeal._unchecked(ring, 2, (-roots[0]) % 2, 1), 2)]
         else:
-            return [(QuadIdeal(ring, 2, 0, 2), 1)]
+            return [(QuadIdeal._unchecked(ring, 2, 0, 2), 1)]
     else:
         disc = (c1 * c1 - 4 * c0) % p
         if disc == 0:
             r = (-c1 * pow(2, -1, p)) % p
-            return [(QuadIdeal(ring, p, (-r) % p, 1), 2)]
+            return [(QuadIdeal._unchecked(ring, p, (-r) % p, 1), 2)]
         s = _sqrt_mod(disc, p)
         if s is None:
-            return [(QuadIdeal(ring, p, 0, p), 1)]
+            return [(QuadIdeal._unchecked(ring, p, 0, p), 1)]
         inv2 = pow(2, -1, p)
         split_roots = [((-c1 + s) * inv2) % p, ((-c1 - s) * inv2) % p]
-    primes = sorted((QuadIdeal(ring, p, (-r) % p, 1) for r in split_roots),
+    primes = sorted((QuadIdeal._unchecked(ring, p, (-r) % p, 1) for r in split_roots),
                     key=lambda q: q.hnf)
     return [(q, 1) for q in primes]
 

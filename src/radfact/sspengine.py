@@ -74,16 +74,22 @@ def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalClosu
     radicals = [i.mask for i in ideals if radical(i).mask == i.mask]
     proper_radicals = [r for r in radicals if r != a.whole_mask]
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
-    frontier = radicals
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for r in proper_radicals:
-                p = product(m, r)
-                if p not in parent:
-                    parent[p] = (m, r)
-                    nxt.append(p)
-        frontier = sorted(nxt)
+
+    def grow(frontier):
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for r in proper_radicals:
+                    p = product(m, r)
+                    if p not in parent:
+                        parent[p] = (m, r)
+                        if len(parent) == len(ideals):
+                            return      # every ideal is reached: nothing more is inserted
+                        nxt.append(p)
+            frontier = sorted(nxt)
+
+    if len(parent) < len(ideals):
+        grow(radicals)
     members = [by_mask[m] for m in sorted(parent)]
     return RadicalClosure(a, members, parent, {m: by_mask[m] for m in parent})
 

@@ -132,8 +132,8 @@ def reference_join_closure(cyclic, add, bounds=DEFAULT_BOUNDS):
     """Oracle: `finideal._join_closure` one (known sum, cyclic subgroup) pair
     at a time, each sum gathered and packed on its own through `mask_of`.
 
-    The batched closure must give the same {mask: generators}, in the same
-    insertion order: it skips only sums that are already known.
+    The closure must give the same masks.  Its insertion order and generator
+    tuples may differ: each of its tuples need only generate its mask.
     """
     limit = bounds.ideals
     cyclic = [(m, g, np.array(fr.elements_of(m), dtype=np.intp)) for m, g in cyclic]

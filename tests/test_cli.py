@@ -408,6 +408,13 @@ def test_each_flag_governs_its_bound_and_shows_the_observed_size(
     assert all(size <= limit + 1 for size in lattices)
 
 
+def test_max_ideals_stops_the_lattice_of_z2_to_the_12_at_limit_plus_1(capsys, tmp_path):
+    payload = {"product": [{"zn": 2}] * 12}
+    code, out, err = run_cli(capsys, ["--max-ideals", "100", "ideals"], payload, tmp_path)
+    assert code == 3 and out == ""
+    assert "max-ideals" in err and "(limit 100, observed 101)" in err
+
+
 @pytest.mark.parametrize("payload", [[1], 5, "default", True])
 def test_census_payload_that_is_not_an_object_exits_2(capsys, tmp_path, payload):
     code, out, err = run_cli(capsys, ["census"], payload, tmp_path)

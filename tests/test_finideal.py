@@ -245,9 +245,15 @@ def test_principal_ideals_match_one_row_at_a_time():
 
 
 def assert_join_closure_matches_the_reference(ring):
+    """The closure has the oracle's masks, each under generators that
+    generate it, and `all_ideals` lists them in sorted order."""
     cyclic = _distinct(_principal_masks(ring))
-    assert list(_join_closure(cyclic, ring.add, DEFAULT_BOUNDS).items()) == \
-        list(reference_join_closure(cyclic, ring.add).items()), ring.label
+    known = _join_closure(cyclic, ring.add, DEFAULT_BOUNDS)
+    reference = reference_join_closure(cyclic, ring.add)
+    assert known.keys() == reference.keys(), ring.label
+    for mask, gens in known.items():
+        assert generated_ideal(ring, gens).mask == mask, (ring.label, gens)
+    assert [i.mask for i in all_ideals(ring)] == sorted(reference), ring.label
 
 
 def test_join_closure_matches_the_pair_at_a_time_reference(catalog_rings):
@@ -255,6 +261,15 @@ def test_join_closure_matches_the_pair_at_a_time_reference(catalog_rings):
     assert len(factors) == 2035
     for ring in catalog_rings + factors:
         assert_join_closure_matches_the_reference(ring)
+
+
+def test_a_principal_member_of_the_lattice_carries_its_least_generator(catalog_rings):
+    rings = catalog_rings + [fr.ring_from_dict({"idealization": {"zn": 2, "module_rank": 6}})]
+    for ring in rings:
+        cyclic = _distinct(_principal_masks(ring))
+        known = _join_closure(cyclic, ring.add, DEFAULT_BOUNDS)
+        for mask, g in cyclic:
+            assert known[mask] == (g,), (ring.label, mask)
 
 
 def test_join_closure_in_gathers_of_a_few_sums_each(catalog_rings, monkeypatch):

@@ -55,6 +55,34 @@ def test_hnf_invariants_rejected():
         q.QuadIdeal(zi, -2, 0, 2)
 
 
+@pytest.mark.parametrize("d", [-1, -5, 2, 5])
+def test_an_hnf_not_closed_under_w_is_still_refused(d):
+    ring = q.QuadRing(d)
+    refused = 0
+    for a in range(1, 13):
+        for c in (c for c in range(1, a + 1) if a % c == 0):
+            for b in range(0, a, c):
+                w_rows = [ring.mul_elements(row, (0, 1)) for row in ((a, 0), (b, c))]
+                if all(q._member(a, b, c, row) for row in w_rows):
+                    assert q.QuadIdeal(ring, a, b, c).hnf == (a, b, c)
+                else:
+                    refused += 1
+                    with pytest.raises(ValueError, match="not closed under multiplication by w"):
+                        q.QuadIdeal(ring, a, b, c)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("d", [-1, -5, 2, 3, 5])
+def test_ideals_the_library_builds_pass_the_public_check(d):
+    ring = q.QuadRing(d)
+    primes = [prime for p in (2, 3, 5, 7) for prime, _ in q.primes_above(ring, p)]
+    built = [q.whole_ring_ideal(ring), primes[0].unit()] + primes
+    built += [i * j for i in primes for j in primes]
+    built += [q.ideal_sum(i * i, j) for i in primes for j in primes]
+    for ideal in built:
+        assert q.QuadIdeal(ring, *ideal.hnf) == ideal
+
+
 def test_ramified_square():
     z5 = q.QuadRing(-5)
     p2 = q.ideal_from_gens(z5, [(2, 0), (1, 1)])

@@ -1,0 +1,52 @@
+"""The report bytes of `decide-ssp`, `ideals`, `spectrum` and the default
+`census`, pinned by sha256: a change to how the engine computes must not
+change what it reports."""
+
+import hashlib
+
+import pytest
+
+from test_cli import run_cli
+
+RINGS = {
+    "Z12": {"zn": 12},
+    "Z2xZ2^6": {"idealization": {"zn": 2, "module_rank": 6}},
+    "(Z8)^3": {"product": [{"zn": 8}] * 3},
+    "Z2^8": {"product": [{"zn": 2}] * 8},
+    "Z2[x]/(x^3)": {"poly_quotient": {"zn": 2, "f": [0, 0, 0, 1]}},
+}
+
+DIGESTS = [
+    ("decide-ssp", "Z12", "2b53851c8fc6611907402efabecc01a134f63211022e91c1db0ba5357c2e6382"),
+    ("ideals", "Z12", "cd8d62c2cc4e368dda14db8307631cd063f3dd9fd22389e808a256a902797575"),
+    ("spectrum", "Z12", "37de479c018e4181623024418879723c3b3b5889bb536d34fb9600da241fa836"),
+    ("decide-ssp", "Z2xZ2^6", "e8a95c791988a4ca9662b5acb3c4d4f2a2682ac32f9a746f09cbed242444f2ac"),
+    ("ideals", "Z2xZ2^6", "f803f4b4fc38de28679098462ffb3015094e2dadc8ce43912c73b75db574f707"),
+    ("spectrum", "Z2xZ2^6", "b1eafbd68e0d81a76535aa482b1a66d90971d47f14b989df8bafa236bebab5e7"),
+    ("decide-ssp", "(Z8)^3", "b26e744e1e742494723b64b296997e5bcbdedd0b767c411b5efd3b76ac4b1be0"),
+    ("ideals", "(Z8)^3", "71fe67726add7b731aad406755f2c8d27e6c3324ce33b64e1c87947ad4c1ccd0"),
+    ("spectrum", "(Z8)^3", "48adea7d197de73fe6ef28e9ce928ee643399ba46c526eb2d2a72abb01c11311"),
+    ("decide-ssp", "Z2^8", "51517404e7b7b9a450cf94555dd4bef01757256511525fcb912267d71a01ec6b"),
+    ("ideals", "Z2^8", "92e3cfe5925186d9745a26ed4e6760f38e5376c6a9b53f92a217662cf14cd2bf"),
+    ("spectrum", "Z2^8", "15147997cdb38290f7ca7e616cfe67580e914defe8b1d6be2390e7916f1e0554"),
+    ("decide-ssp", "Z2[x]/(x^3)", "3a58055718f52e745e0726336d0b5abc6fe483ab0872bd4a53f136f0b168c9e7"),
+    ("ideals", "Z2[x]/(x^3)", "0b7d25e1032291c7457c8e16d1df12c5d533ccbe909a4c0616c3ccdd3f88dda6"),
+    ("spectrum", "Z2[x]/(x^3)", "5b0f112dd9b2a651f4ebee51b7d3c417640223017bc2809f4abc439a2a0a7753"),
+]
+
+
+def sha256_of_report(capsys, tmp_path, command, payload):
+    code, out, err = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 0 and err == ""
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, ring, digest", DIGESTS,
+                         ids=[f"{c}-{r}" for c, r, _ in DIGESTS])
+def test_ring_report_bytes_are_pinned(capsys, tmp_path, command, ring, digest):
+    assert sha256_of_report(capsys, tmp_path, command, RINGS[ring]) == digest
+
+
+def test_default_census_report_bytes_are_pinned(capsys, tmp_path):
+    assert sha256_of_report(capsys, tmp_path, "census", {"catalog": "default"}) == \
+        "71f46c8d25ef2ae098e8670475ddcc565462c9b2b9346c29e296fe10b302cf33"

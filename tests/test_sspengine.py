@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -237,3 +238,16 @@ def test_submodules_match_the_subset_oracle():
     for m in modules:
         assert m.size <= 16
         assert ssp._submodule_masks(m, DEFAULT_BOUNDS) == brute_force_submodules(m), m.label
+
+
+@pytest.mark.parametrize("factor, count, ideals, budget", [
+    (2, 12, 4096, 8.0),      # order 4096: every ideal radical, each principal
+    (4, 5, 243, 1.0),        # order 1024: 3^5 ideals
+], ids=["Z2^12", "(Z4)^5"])
+def test_decide_ssp_on_a_large_product_lattice_within_budget(factor, count, ideals, budget):
+    start = time.perf_counter()
+    ring = fr.ring_from_dict({"product": [{"zn": factor}] * count})
+    verdict = ssp.decide_ssp(ring)
+    assert time.perf_counter() - start < budget
+    assert len(all_ideals(ring)) == ideals
+    assert verdict.is_ssp and verdict.witness_nonfactorable is None
