@@ -272,7 +272,7 @@ def census_rows(specs, bounds: Bounds = DEFAULT_BOUNDS):
         rows.append({
             "label": ring.label,
             "order": ring.order,
-            "local_profile": [f.order for f, _ in factors],
+            "local_profile": [order for order, _ in factors],
             "special_primary": [v.is_special_primary for _, v in factors],
             "decide_ssp": decided,
             "structural_ssp": structural,

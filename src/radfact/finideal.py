@@ -1,15 +1,17 @@
 """Ideal lattices of finite table rings: enumeration, radicals, spectrum.
 
 Ideals are bitsets over element indices, in the format that `finring`
-owns (`mask_of`, `elements_of`, `_pack`, `_bits`), compared and hashed by
-value; every list of ideals produced here comes back sorted by bitset value
-so output is deterministic.  Enumeration never touches the power set: every
-ideal is a sum of principal ideals, so an ideal that is not the sum of the
-ideals below it (a join-irreducible one) is principal, and the lattice is
-the join closure of those.  `_join_closure` walks the distinct principal
-ideals by size and sums each one that is not yet a known sum with every
-known ideal incomparable with it, in batched gathers (`_sums`): |L| sums
-per generator for a lattice of |L| ideals.
+owns (`mask_of`, `elements_of`, `_pack`, `_bits`, `_bit_rows`), compared
+and hashed by value; every list of ideals produced here comes back sorted
+by bitset value so output is deterministic.  Enumeration never touches the
+power set: every ideal is a sum of principal ideals, so an ideal that is
+not the sum of the ideals below it (a join-irreducible one) is principal,
+and the lattice is the join closure of those.  `_join_closure` walks the
+distinct principal ideals by size and sums each one that is not yet a
+known sum with every known ideal incomparable with it, in batched gathers
+(`_sums`): |L| sums per generator for a lattice of |L| ideals.  Radicals
+of many ideals come from one gather of their membership rows through the
+power map (`_radical_masks`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds, exceeded
-from .finring import FinRing, _bits, _pack, elements_of, mask_of
+from .finring import FinRing, _bit_rows, _bits, _pack, elements_of, mask_of
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.
@@ -314,6 +316,23 @@ def _power_map(a):
     return pw
 
 
+def _radical_masks(a, masks) -> list[int]:
+    """The radical of each ideal of a in `masks` (bitsets), as bitsets.
+
+    Row I of the membership matrix, gathered through the power map, is the
+    membership row of the radical: x is in it when x^N is in I.  At most
+    _GATHER // order rows are unpacked, gathered and packed at a time.
+    """
+    n = a.order
+    pw = _power_map(a)
+    step = max(1, _GATHER // n)
+    out = []
+    for lo in range(0, len(masks), step):
+        # np.take keeps the result C-ordered, which `_pack` reads fastest
+        out += _pack(np.take(_bit_rows(masks[lo:lo + step], n), pw, axis=1))
+    return out
+
+
 def radical(i: FinIdeal) -> FinIdeal:
     """All x with x^N in I, for the power N of `_power_map`.
 
@@ -322,8 +341,7 @@ def radical(i: FinIdeal) -> FinIdeal:
     at most log2|R/I| <= log2|R| < order.bit_length() <= N.  Hence x^k in I
     for some k exactly when x^N in I.
     """
-    a = i.ring
-    return FinIdeal._unchecked(a, _pack([_bits(i.mask, a.order)[_power_map(a)]])[0])
+    return FinIdeal._unchecked(i.ring, _radical_masks(i.ring, [i.mask])[0])
 
 
 def is_prime(i: FinIdeal) -> bool:

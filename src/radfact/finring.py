@@ -16,6 +16,12 @@ always a genuine commutative unitary ring.  Constructors check the order
 they would build against `Bounds.order` (at most MAX_ORDER = 4096) before
 they allocate a table.
 
+The local factors need no table of their own to be judged.  The primitive
+idempotents come from one walk over the principal masks that the ideal
+lattice caches (`_primitive_idempotents`), and the special-primary verdict
+of eA is read inside a (`_special_primary`): x in eA is a unit of eA exactly
+when xA = eA.  `decompose_local` builds eA only for a caller that wants it.
+
 Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
 x*w + y for a second part of order w, so a free-module vector or a residue of
 Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  Horner's rule fills the
@@ -63,10 +69,18 @@ def _pack(member) -> list[int]:
     return [ints[row] for row in rows]
 
 
+def _bit_rows(masks, n: int):
+    """The boolean (k, n) membership matrix of k bitsets below 2**n: bit x of
+    masks[i] is member[i, x].  The inverse of `_pack`."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
 def _bits(mask: int, n: int):
     """The boolean membership row of length n of a bitset `mask` below 2**n."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+    return _bit_rows([mask], n)[0]
 
 
 def mask_of(elements) -> int:
@@ -459,30 +473,49 @@ def idempotents(a: FinRing) -> tuple[int, ...]:
     return tuple(int(e) for e in idx[a.mul.diagonal() == idx])
 
 
+def _primitive_idempotents(a: FinRing) -> list[int]:
+    """The primitive idempotents of a, sorted by element index.
+
+    A ring whose only nonzero idempotent is 1 is local and needs no search.
+    Otherwise walk the nonzero idempotents e by the size of eA and keep e
+    when eA holds no idempotent kept before it: a non-primitive e has a
+    primitive f with fA strictly inside eA, met earlier, while eA for a
+    primitive e holds no idempotent but 0 and e.  That is one bit test per
+    (idempotent, kept idempotent) pair, on the cached principal masks.
+    """
+    nonzero = [e for e in idempotents(a) if e != a.zero]
+    if len(nonzero) <= 1:
+        prim = nonzero      # a local ring, the zero ring, or tables that are no ring
+    else:
+        from .finideal import _principal_masks
+
+        principal = _principal_masks(a)
+        prim = []
+        for e in sorted(nonzero, key=lambda e: principal[e].bit_count()):
+            if not any(principal[e] >> f & 1 for f in prim):
+                prim.append(e)
+        prim.sort()
+    products = a.mul[np.ix_(prim, prim)]
+    if (products[~np.eye(len(prim), dtype=bool)] != a.zero).any():
+        raise ArithmeticError("primitive idempotents not orthogonal")
+    acc = a.zero
+    for e in prim:
+        acc = a.add_el(acc, e)
+    if acc != a.one:
+        raise ArithmeticError("primitive idempotents do not sum to 1")
+    return prim
+
+
 def decompose_local(a: FinRing) -> list[FinRing]:
     """Split a into its local factors eA along the primitive idempotents.
 
     The zero ring decomposes into an empty product, and a local ring into
     itself.  Factors come back sorted by their idempotent's element index.
     """
-    idems = idempotents(a)
-    prim = []
-    for e in idems:
-        if e == a.zero:
-            continue
-        below = [f for f in idems if a.mul_el(e, f) == f]
-        if all(f in (a.zero, e) for f in below):
-            prim.append(e)
-    acc = a.zero
-    for i, e in enumerate(prim):
-        if any(a.mul_el(e, f) != a.zero for f in prim[i + 1:]):
-            raise ArithmeticError("primitive idempotents not orthogonal")
-        acc = a.add_el(acc, e)
-    if acc != a.one:
-        raise ArithmeticError("primitive idempotents do not sum to 1")
+    prim = _primitive_idempotents(a)
     if prim == [a.one]:
         return [a]      # a is local: its one factor is a itself
-    return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in sorted(prim)]
+    return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in prim]
 
 
 @dataclass
@@ -490,6 +523,48 @@ class SpecialPrimaryVerdict:
     is_special_primary: bool
     maximal_ideal: object | None      # FinIdeal when the ring is local
     nilpotency_index: int | None      # least t with M^t = 0
+
+
+def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
+    """The special-primary verdict of the factor ring eA, for an idempotent
+    e of a, read off a's own tables without building eA.
+
+    An element x of eA is a unit of eA exactly when xA = eA, so the
+    non-units M of eA are the members whose principal mask is not eA's.
+    When eA is local, M is an ideal of a too (with a's zero), and the
+    verdict carries it as one; M^t and the nilpotency index are the same
+    in a as in eA.  A principal M = mA is an ideal, so eA is local; only a
+    non-principal M needs the check that it is closed under addition.
+    """
+    from .finideal import FinIdeal, _principal_masks, ideal_product
+
+    principal = _principal_masks(a)
+    whole = principal[e]
+    members = np.flatnonzero(_bits(whole, a.order))
+    nonunits = members[np.array([principal[x] != whole for x in members.tolist()], dtype=bool)]
+    if nonunits.size == 0:
+        return SpecialPrimaryVerdict(False, None, None)    # eA is the zero ring
+    mask = mask_of(nonunits)
+    gen = next((x for x in nonunits.tolist() if principal[x] == mask), None)
+    if gen is not None:
+        # M = mA, so M^t = (m^t)A is zero exactly when m^t is
+        x, t = gen, 1
+        while x != a.zero:
+            x = int(a.mul[x, gen])
+            t += 1
+            if t > a.order:
+                raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
+        return SpecialPrimaryVerdict(True, FinIdeal._unchecked(a, mask, gens=(gen,)), t)
+    if not _bits(mask, a.order)[a.add[np.ix_(nonunits, nonunits)]].all():
+        return SpecialPrimaryVerdict(False, None, None)    # eA is not local
+    m = FinIdeal._unchecked(a, mask)
+    cur, t = m, 1
+    while cur.mask != 1 << a.zero:
+        cur = ideal_product(cur, m)
+        t += 1
+        if t > a.order:
+            raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
+    return SpecialPrimaryVerdict(False, m, t)
 
 
 def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
@@ -500,32 +575,7 @@ def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
     (Atiyah-Macdonald, Prop. 8.8; Zariski-Samuel, Vol. I, Ch. IV, §15).
     No ideal lattice is enumerated.
     """
-    from .finideal import FinIdeal, _principal_masks, ideal_product
-
-    unit = (a.mul == a.one).any(axis=1)
-    nonunits = np.flatnonzero(~unit)
-    if nonunits.size == 0 or unit[a.add[np.ix_(nonunits, nonunits)]].any():
-        return SpecialPrimaryVerdict(False, None, None)
-    mask = mask_of(nonunits)
-    principal = _principal_masks(a)
-    gen = next((x for x in nonunits.tolist() if principal[x] == mask), None)
-    if gen is not None:
-        # M = mR, so M^t = (m^t)R is zero exactly when m^t is
-        x, t = gen, 1
-        while x != a.zero:
-            x = int(a.mul[x, gen])
-            t += 1
-            if t > a.order:
-                raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
-        return SpecialPrimaryVerdict(True, FinIdeal._unchecked(a, mask, gens=(gen,)), t)
-    m = FinIdeal._unchecked(a, mask)
-    cur, t = m, 1
-    while cur.mask != 1 << a.zero:
-        cur = ideal_product(cur, m)
-        t += 1
-        if t > a.order:
-            raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
-    return SpecialPrimaryVerdict(False, m, t)
+    return _special_primary(a, a.one)
 
 
 def ring_to_dict(a: FinRing) -> dict:

@@ -1,9 +1,13 @@
 """Decide whether every ideal of a finite ring is a product of radical ideals.
 
 The decision is exhaustive: build the closure of the radical ideals under
-ideal products and compare against the full ideal lattice.  A structurally
-independent oracle (`structural_ssp`) answers the same question through the
-local decomposition instead, so the two routes can be cross-checked.
+ideal products and compare against the full ideal lattice.  The radicals of
+all lattice ideals come from one gather (`finideal._radical_masks`).  A
+structurally independent oracle (`structural_ssp`) answers the same question
+through the local decomposition instead, so the two routes can be
+cross-checked: `local_factors` reads the order and the special-primary
+verdict of each local factor eA inside the ring itself, through xA = eA,
+and builds no factor ring.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BOUNDS, Bounds
-from .finideal import (FinIdeal, _distinct, _join_closure, _lattice_product, _row_masks,
-                       _span, all_ideals, radical)
-from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, decompose_local,
-                      is_special_primary, mask_of)
+from .finideal import (FinIdeal, _distinct, _join_closure, _lattice_product, _principal_masks,
+                       _radical_masks, _row_masks, _span, all_ideals)
+from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
+                      _special_primary, mask_of)
 
 
 @dataclass
@@ -71,7 +75,8 @@ def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalClosu
     ideals = all_ideals(a, bounds)
     by_mask = {i.mask: i for i in ideals}
     product = _lattice_product(a, {i.mask: i.small_gens() for i in ideals})
-    radicals = [i.mask for i in ideals if radical(i).mask == i.mask]
+    masks = list(by_mask)
+    radicals = [m for m, r in zip(masks, _radical_masks(a, masks)) if r == m]
     proper_radicals = [r for r in radicals if r != a.whole_mask]
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
 
@@ -104,9 +109,16 @@ def decide_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     return SspVerdict(not missing, witness, factorizations)
 
 
-def local_factors(a: FinRing) -> list[tuple[FinRing, SpecialPrimaryVerdict]]:
-    """The local factors of a, each with its special-primary verdict."""
-    return [(f, is_special_primary(f)) for f in decompose_local(a)]
+def local_factors(a: FinRing) -> list[tuple[int, SpecialPrimaryVerdict]]:
+    """The order of each local factor eA of a, with its special-primary verdict.
+
+    Both are read inside a, one primitive idempotent e at a time (sorted by
+    element index): |eA| is the size of the principal ideal eA, and the
+    verdict is `is_special_primary(eA)` decided on a's tables and principal
+    masks, so no factor ring is built.
+    """
+    principal = _principal_masks(a)
+    return [(principal[e].bit_count(), _special_primary(a, e)) for e in _primitive_idempotents(a)]
 
 
 def structural_ssp(a: FinRing) -> bool:

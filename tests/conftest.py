@@ -66,6 +66,15 @@ def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
     return fr.SpecialPrimaryVerdict(ok, m, t)
 
 
+def reference_primitive_idempotents(a):
+    """Oracle: the primitive idempotents by a pairwise scan: a nonzero
+    idempotent e is primitive when the only idempotents f with ef = f are 0
+    and e.  |E|^2 products for a ring with |E| idempotents."""
+    idems = fr.idempotents(a)
+    return [e for e in idems if e != a.zero
+            and all(f in (a.zero, e) for f in idems if a.mul_el(e, f) == f)]
+
+
 def relabelled(ring, perm):
     """`ring` with element x renamed perm[x], built by the verifying constructor."""
     perm = np.asarray(perm)

@@ -10,7 +10,8 @@ from conftest import reference_join_closure, relabelled, ring_specs
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
-from radfact.finideal import (FinIdeal, _distinct, _join_closure, _principal_masks, all_ideals,
+from radfact.finideal import (FinIdeal, _distinct, _join_closure, _principal_masks,
+                              _radical_masks, all_ideals,
                               generated_ideal, ideal_power, ideal_product,
                               ideal_sum, is_prime, maximal_ideals,
                               prime_spectrum, radical, vn_set, whole_ideal,
@@ -332,3 +333,33 @@ def test_ideal_operations_match_their_set_definitions_on_relabelled_rings(spec, 
             {ring.add_el(x, y) for x in i.elements for y in j.elements}
         assert set(ideal_product(i, j).elements) == \
             additive_closure(ring, {ring.mul_el(x, y) for x in i.elements for y in j.elements})
+
+
+def assert_radical_masks_match_the_power_walk(ring):
+    ideals = all_ideals(ring)
+    assert _radical_masks(ring, [i.mask for i in ideals]) == \
+        [reference_radical(i) for i in ideals], ring.label
+
+
+def test_radical_masks_match_the_power_walk_on_the_catalog(catalog_rings):
+    for ring in catalog_rings:
+        if ring.order <= 64:
+            assert_radical_masks_match_the_power_walk(ring)
+
+
+def test_radical_masks_in_gathers_of_a_few_rows_each(catalog_rings, monkeypatch):
+    monkeypatch.setattr(finideal, "_GATHER", 64)
+    for ring in catalog_rings:
+        if ring.order <= 64:
+            assert_radical_masks_match_the_power_walk(ring)
+
+
+def test_radical_masks_of_no_ideals_is_empty():
+    assert _radical_masks(fr.make_zn(12), []) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_radical_masks_match_the_power_walk_on_relabelled_rings(spec, seed):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 64)
+    assert_radical_masks_match_the_power_walk(ring)

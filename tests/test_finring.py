@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (part_specs, reference_free_module, reference_poly_quotient,
-                      reference_special_primary, relabelled, ring_specs)
+                      reference_primitive_idempotents, reference_special_primary, relabelled,
+                      ring_specs)
 from radfact import cli
 from radfact import finring as fr
 from radfact.errors import Bounds, ResourceLimitError
@@ -224,6 +225,19 @@ def test_decompose_local_is_a_bijection():
             images.add(tuple(ring.mul_el(e, x) for e in idems))
         assert len(images) == ring.order
         assert np.prod([f.order for f in factors]) == ring.order
+
+
+def test_primitive_idempotents_match_the_pairwise_scan_beyond_the_catalog():
+    # the catalog and drawn rings are in test_sspengine's oracle-route tests
+    for ring in (fr.ring_from_dict({"product": [{"zn": 2}] * 10}), fr.make_zn(2 * 3 * 5 * 7 * 11)):
+        assert fr._primitive_idempotents(ring) == reference_primitive_idempotents(ring), ring.label
+
+
+def test_a_ring_with_no_idempotent_but_0_and_1_is_local_without_principal_masks():
+    ring = fr.make_zn(2048)
+    assert fr._primitive_idempotents(ring) == [ring.one]
+    assert fr.decompose_local(ring) == [ring]
+    assert "principal_masks" not in ring._cache
 
 
 def reference_subring_of_idempotent(a, e):

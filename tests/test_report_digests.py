@@ -1,6 +1,7 @@
-"""The report bytes of `decide-ssp`, `ideals`, `spectrum` and the default
-`census`, pinned by sha256: a change to how the engine computes must not
-change what it reports."""
+"""The report bytes of `decide-ssp`, `ideals`, `spectrum` and `census` (on the
+default catalog and on one-ring catalogs of rings larger than any in it),
+pinned by sha256: a change to how the engine computes must not change what
+it reports."""
 
 import hashlib
 
@@ -14,6 +15,9 @@ RINGS = {
     "(Z8)^3": {"product": [{"zn": 8}] * 3},
     "Z2^8": {"product": [{"zn": 2}] * 8},
     "Z2[x]/(x^3)": {"poly_quotient": {"zn": 2, "f": [0, 0, 0, 1]}},
+    "Z2^10": {"product": [{"zn": 2}] * 10},
+    "Z2^12": {"product": [{"zn": 2}] * 12},
+    "Z4096": {"zn": 4096},
 }
 
 DIGESTS = [
@@ -34,6 +38,15 @@ DIGESTS = [
     ("spectrum", "Z2[x]/(x^3)", "5b0f112dd9b2a651f4ebee51b7d3c417640223017bc2809f4abc439a2a0a7753"),
 ]
 
+# one-ring census catalogs, from order 128 to the order bound
+CENSUS_DIGESTS = [
+    ("Z2^10", "a51715b20467bb6bd833286099196279650090c0f3f16220d92fd24ec18ce09a"),
+    ("Z2^12", "498458451a73e168c0bceebf83259082074f5731b232d0b8ce26d3accdf1e80f"),
+    ("Z2xZ2^6", "c37c8d11409e64e7eed98a70505d653f57b81de8d38f4041e38d73b330dd35e7"),
+    ("(Z8)^3", "f7caac97a310821f8be91a94b0789b6094d7b75d7b0b5286341b8b9b318e2627"),
+    ("Z4096", "a5a6a381f46c56b93042e86a54a14e0353a4ab4aaa177481baef75d71a718dd1"),
+]
+
 
 def sha256_of_report(capsys, tmp_path, command, payload):
     code, out, err = run_cli(capsys, [command], payload, tmp_path)
@@ -50,3 +63,8 @@ def test_ring_report_bytes_are_pinned(capsys, tmp_path, command, ring, digest):
 def test_default_census_report_bytes_are_pinned(capsys, tmp_path):
     assert sha256_of_report(capsys, tmp_path, "census", {"catalog": "default"}) == \
         "71f46c8d25ef2ae098e8670475ddcc565462c9b2b9346c29e296fe10b302cf33"
+
+
+@pytest.mark.parametrize("ring, digest", CENSUS_DIGESTS, ids=[r for r, _ in CENSUS_DIGESTS])
+def test_census_report_bytes_on_large_rings_are_pinned(capsys, tmp_path, ring, digest):
+    assert sha256_of_report(capsys, tmp_path, "census", {"catalog": [RINGS[ring]]}) == digest

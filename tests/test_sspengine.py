@@ -2,12 +2,16 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radfact import finideal
+from conftest import reference_primitive_idempotents, ring_specs
+from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
 from radfact.errors import DEFAULT_BOUNDS
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
+from test_finideal import drawn_relabelled_ring
 
 
 def flagship():
@@ -88,8 +92,52 @@ def test_structural_oracle_enumerates_no_lattice(monkeypatch):
     monkeypatch.setattr(finideal, "_join_closure", refuse)
     assert not ssp.structural_ssp(idealization_2826())
     assert ssp.structural_ssp(fr.make_zn(256))
-    assert [(f.order, v.is_special_primary) for f, v in ssp.local_factors(fr.make_zn(12))] == [
+    assert [(order, v.is_special_primary) for order, v in ssp.local_factors(fr.make_zn(12))] == [
         (3, True), (4, True)]
+
+
+def factor_fields(order, v):
+    m = v.maximal_ideal
+    return order, v.is_special_primary, v.nilpotency_index, None if m is None else len(m)
+
+
+def assert_the_oracle_routes_agree(ring):
+    """The walk finds the primitive idempotents of the pairwise scan, and
+    reading each local factor inside the ring gives the verdict of the
+    factor ring that `decompose_local` builds."""
+    assert fr._primitive_idempotents(ring) == reference_primitive_idempotents(ring), ring.label
+    assert [factor_fields(order, v) for order, v in ssp.local_factors(ring)] == \
+        [factor_fields(f.order, fr.is_special_primary(f)) for f in fr.decompose_local(ring)], \
+        ring.label
+
+
+def test_the_oracle_routes_agree_on_the_catalog(catalog_rings):
+    for ring in catalog_rings:
+        assert_the_oracle_routes_agree(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_the_oracle_routes_agree_on_relabelled_rings(spec, seed):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 128)
+    assert_the_oracle_routes_agree(ring)
+
+
+def test_census_builds_no_factor_ring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factor ring built")
+
+    monkeypatch.setattr(fr, "_image_ring", refuse)
+    rows = cli.census_rows(cli.default_catalog_specs())
+    assert len(rows) == 827 and all(r["agree"] for r in rows)
+
+
+def test_census_of_z2_to_the_12_within_budget():
+    start = time.perf_counter()
+    [row] = cli.census_rows([{"product": [{"zn": 2}] * 12}])
+    assert time.perf_counter() - start < 4.0
+    assert row["local_profile"] == [2] * 12 and all(row["special_primary"])
+    assert row["decide_ssp"] and row["agree"]
 
 
 def test_radical_closure_of_flagship():
