@@ -1,5 +1,10 @@
 """Batch JSON command line: one job per invocation, deterministic reports.
 
+Each command's handler maps the parsed arguments to a report dict; `main`
+emits that report once, to stdout or atomically to --output, and maps the
+outcome to the exit status.  The table-ring commands (decide-ssp, ideals,
+spectrum) share one handler that heads each report with the ring.
+
 Exit status: 0 on success, 2 on invalid input (with a position-bearing
 diagnostic for malformed JSON), 3 when a resource bound aborts the run,
 4 when a census finds a disagreement between the SSP decision and the
@@ -47,13 +52,15 @@ def _emit(report, output_path):
         raise
 
 
-def _load_payload(args):
+def _read_input(args):
     if args.input:
         with open(args.input, "r") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return json.loads(text)
+            return fh.read()
+    return sys.stdin.read()
+
+
+def _load_payload(args):
+    return json.loads(_read_input(args))
 
 
 _GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
@@ -88,21 +95,7 @@ def parse_quad_element(item) -> tuple[int, int]:
 
 
 def _ideal_dict(ideal):
-    d = ideal.to_dict()
-    d["norm"] = ideal.norm
-    return d
-
-
-def _chain_report(chain, ideal, bounds):
-    checks = quadring.verify_chain(chain, ideal, bounds)
-    return {
-        "ideal": _ideal_dict(ideal),
-        "chain": [_ideal_dict(link) for link in chain],
-        "factorization": [
-            {"prime": _ideal_dict(p), "exponent": e}
-            for p, e in chain.factorization],
-        "checks": {k: bool(v) for k, v in checks.items()},
-    }
+    return {**ideal.to_dict(), "norm": ideal.norm}
 
 
 def _cmd_factor(args):
@@ -115,90 +108,70 @@ def _cmd_factor(args):
         raise ValueError(f"factor payload has unknown keys {unknown}")
     if "zint" in payload:
         ideal = quadring.IntIdeal(finring._strict_int(payload["zint"], "zint"))
-        ring_desc = {"ring": "Z"}
+        report = {"ring": "Z"}
     else:
         ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.bounds)
         gens = payload.get("gens", [])
         if not isinstance(gens, list):
             raise ValueError("factor payload: gens must be a JSON list")
         ideal = quadring.ideal_from_gens(ring, [parse_quad_element(g) for g in gens])
-        ring_desc = {"ring": ring.label, "d": ring.d}
+        report = {"ring": ring.label, "d": ring.d}
     chain = quadring.sp_factor(ideal, bounds=args.bounds)
-    report = dict(ring_desc)
-    report.update(_chain_report(chain, ideal, args.bounds))
-    _emit(report, args.output)
-    return EXIT_OK
+    checks = quadring.verify_chain(chain, ideal, args.bounds)
+    report.update(
+        ideal=_ideal_dict(ideal),
+        chain=[_ideal_dict(link) for link in chain],
+        factorization=[{"prime": _ideal_dict(p), "exponent": e}
+                       for p, e in chain.factorization],
+        checks={k: bool(v) for k, v in checks.items()})
+    return report
 
 
-def _serialize_verdict(verdict):
+def _decide_ssp_body(ring, bounds):
+    """The verdict, with every witness factorization serialized and re-multiplied
+    in one pass, so consumers need not re-check it."""
+    verdict = sspengine.decide_ssp(ring, bounds)
+    sp = sspengine.decide_sp(ring)
     fact = {}
+    ok_product = ok_radical = True
     for ideal, factors in verdict.factorizations.items():
         key = json.dumps(ideal.to_list())
-        fact[key] = None if factors is None else [f.to_list() for f in factors]
-    witness = verdict.witness_nonfactorable
-    return {
-        "is_ssp": verdict.is_ssp,
-        "witness": None if witness is None else witness.to_list(),
-        "factorizations": fact,
-    }
-
-
-def _verdict_checks(verdict):
-    """Re-multiply every witness factorization so consumers need not."""
-    ok_product = True
-    ok_radical = True
-    for ideal, factors in verdict.factorizations.items():
         if factors is None:
+            fact[key] = None
             continue
-        prod = finideal.whole_ideal(ideal.ring)
+        fact[key] = [f.to_list() for f in factors]
+        prod = finideal.whole_ideal(ring)
         for f in factors:
             ok_radical &= finideal.radical(f).mask == f.mask
             prod = finideal.ideal_product(prod, f)
         ok_product &= prod.mask == ideal.mask
-    return {"factors_radical": bool(ok_radical),
-            "products_match": bool(ok_product)}
-
-
-def _cmd_decide_ssp(args):
-    payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.bounds)
-    verdict = sspengine.decide_ssp(ring, args.bounds)
-    sp = sspengine.decide_sp(ring)
-    report = {
-        "ring": {"label": ring.label, "order": ring.order},
+    witness = verdict.witness_nonfactorable
+    return {
         "is_sp": sp.is_sp,
         "sp_note": sp.note,
-        "checks": _verdict_checks(verdict),
+        "is_ssp": verdict.is_ssp,
+        "witness": None if witness is None else witness.to_list(),
+        "factorizations": fact,
+        "checks": {"factors_radical": bool(ok_radical), "products_match": bool(ok_product)},
     }
-    report.update(_serialize_verdict(verdict))
-    _emit(report, args.output)
-    return EXIT_OK
 
 
-def _cmd_spectrum(args):
-    payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.bounds)
-    primes = finideal.prime_spectrum(ring, args.bounds)
-    report = {
-        "ring": {"label": ring.label, "order": ring.order},
-        "spectrum": [p.to_list() for p in primes],
-        "count": len(primes),
-    }
-    _emit(report, args.output)
-    return EXIT_OK
+def _listing(key, items):
+    return {key: [i.to_list() for i in items], "count": len(items)}
 
 
-def _cmd_ideals(args):
-    payload = _load_payload(args)
-    ring = finring.ring_from_dict(payload, args.bounds)
-    ideals = finideal.all_ideals(ring, args.bounds)
-    report = {
-        "ring": {"label": ring.label, "order": ring.order},
-        "ideals": [i.to_list() for i in ideals],
-        "count": len(ideals),
-    }
-    _emit(report, args.output)
-    return EXIT_OK
+# the body that each table-ring command adds under the ring's header
+_RING_BODIES = {
+    "decide-ssp": _decide_ssp_body,
+    "ideals": lambda ring, bounds: _listing("ideals", finideal.all_ideals(ring, bounds)),
+    "spectrum": lambda ring, bounds: _listing("spectrum", finideal.prime_spectrum(ring, bounds)),
+}
+
+
+def _cmd_table_ring(args):
+    ring = finring.ring_from_dict(_load_payload(args), args.bounds)
+    return {"ring": {"label": ring.label, "order": ring.order},
+            **_RING_BODIES[args.command](ring, args.bounds)}
 
 
 def _sf_chain_entry(text):
@@ -217,16 +190,11 @@ def _cmd_sf_chain(args):
         raise ValueError("give either a polynomial argument or --input, not both")
     if args.poly is not None:
         lines = [args.poly]
-    elif args.input:
-        with open(args.input, "r") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
     else:
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
+        lines = [ln.strip() for ln in _read_input(args).split("\n") if ln.strip()]
     if not lines:
         raise ValueError("no polynomials given")
-    report = {"results": [_sf_chain_entry(ln) for ln in lines]}
-    _emit(report, args.output)
-    return EXIT_OK
+    return {"results": [_sf_chain_entry(ln) for ln in lines]}
 
 
 def default_catalog_specs() -> list[dict]:
@@ -293,13 +261,7 @@ def _cmd_census(args):
         raise ValueError('census payload needs "catalog": [...] or "default"')
     rows = census_rows(specs, args.bounds)
     disagreements = sum(1 for r in rows if not r["agree"])
-    report = {
-        "rows": rows,
-        "total": len(rows),
-        "disagreements": disagreements,
-    }
-    _emit(report, args.output)
-    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
+    return {"rows": rows, "total": len(rows), "disagreements": disagreements}
 
 
 def build_parser():
@@ -330,11 +292,9 @@ def build_parser():
 
 _HANDLERS = {
     "factor": _cmd_factor,
-    "decide-ssp": _cmd_decide_ssp,
-    "spectrum": _cmd_spectrum,
-    "ideals": _cmd_ideals,
     "sf-chain": _cmd_sf_chain,
     "census": _cmd_census,
+    **dict.fromkeys(_RING_BODIES, _cmd_table_ring),
 }
 
 
@@ -352,7 +312,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(f"--{exc}")    # the message opens with the bound's name, the flag's
     try:
-        return _HANDLERS[args.command](args)
+        report = _HANDLERS[args.command](args)
+        _emit(report, args.output)
     except json.JSONDecodeError as exc:
         print(f"radfact: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
@@ -370,6 +331,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"radfact: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_DISAGREEMENT if report.get("disagreements") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -344,7 +344,11 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
 
     Returns (prime ideal, ramification exponent) pairs, sorted by HNF, with
     product of P^e over the list equal to (p).  Valid at every prime because
-    the order is maximal and monogenic.
+    the order is maximal and monogenic.  The distinct roots r of
+    x^2 + c1*x + c0 mod p (by trial for p = 2, from a square root of the
+    discriminant for odd p) classify p: no root, p is inert and (p) is
+    prime; one root is a double root, p ramifies as (p, -r, 1)^2; two roots,
+    p splits into the two primes (p, -r, 1).
     """
     p = int(p)
     if p < 2 or not _is_prime(p):
@@ -352,26 +356,16 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
     c0, c1 = ring.min_poly
     if p == 2:
         roots = [r for r in (0, 1) if (r * r + c1 * r + c0) % 2 == 0]
-        if len(roots) == 2:
-            split_roots = roots
-        elif len(roots) == 1:
-            # exactly one root of a monic quadratic over GF(2) means a double root
-            return [(QuadIdeal._unchecked(ring, 2, (-roots[0]) % 2, 1), 2)]
-        else:
-            return [(QuadIdeal._unchecked(ring, 2, 0, 2), 1)]
     else:
-        disc = (c1 * c1 - 4 * c0) % p
-        if disc == 0:
-            r = (-c1 * pow(2, -1, p)) % p
-            return [(QuadIdeal._unchecked(ring, p, (-r) % p, 1), 2)]
-        s = _sqrt_mod(disc, p)
-        if s is None:
-            return [(QuadIdeal._unchecked(ring, p, 0, p), 1)]
+        s = _sqrt_mod(c1 * c1 - 4 * c0, p)
         inv2 = pow(2, -1, p)
-        split_roots = [((-c1 + s) * inv2) % p, ((-c1 - s) * inv2) % p]
-    primes = sorted((QuadIdeal._unchecked(ring, p, (-r) % p, 1) for r in split_roots),
+        roots = [] if s is None else list({(-c1 + s) * inv2 % p, (-c1 - s) * inv2 % p})
+    if not roots:
+        return [(QuadIdeal._unchecked(ring, p, 0, p), 1)]
+    e = 2 if len(roots) == 1 else 1
+    primes = sorted((QuadIdeal._unchecked(ring, p, (-r) % p, 1) for r in roots),
                     key=lambda q: q.hnf)
-    return [(q, 1) for q in primes]
+    return [(q, e) for q in primes]
 
 
 @dataclass(frozen=True)
@@ -394,9 +388,6 @@ class PrimeFactorization:
     @property
     def max_exponent(self) -> int:
         return max((e for _, e in self.factors), default=0)
-
-    def distinct_primes(self):
-        return [p for p, _ in self.factors]
 
 
 @dataclass(frozen=True)
@@ -483,8 +474,7 @@ def _product_of(ideals, unit):
 
 def radical(i, bounds: Bounds = DEFAULT_BOUNDS):
     """Product of the distinct primes dividing the ideal."""
-    pf = i.factorization(bounds)
-    return _product_of(pf.distinct_primes(), i.unit())
+    return _radical_over(i, i.factorization(bounds).rational_primes)
 
 
 def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
@@ -494,18 +484,14 @@ def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
     return [p for p, e in i.factorization(bounds) if e >= n]
 
 
-def sp_factor(i, allow_unit: bool = False,
-              bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
+def sp_factor(i, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
     """The ascending radical chain J1 ⊆ ... ⊆ Jn with product equal to I.
 
     J_k multiplies the primes whose exponent is at least k, so the chain
-    re-multiplies to I exactly; the unit ideal is rejected unless
-    `allow_unit` asks for the explicit empty chain.
+    re-multiplies to I exactly; the unit ideal has no chain and is rejected.
     """
     if i.is_whole:
-        if allow_unit:
-            return RadicalChain((), PrimeFactorization(()))
-        raise ValueError("the unit ideal has no radical chain (pass allow_unit=True)")
+        raise ValueError("the unit ideal has no radical chain")
     pf = i.factorization(bounds)
     links = []
     for k in range(1, pf.max_exponent + 1):

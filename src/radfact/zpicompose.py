@@ -13,6 +13,7 @@ flagged with `canonical_extension=True` in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import DEFAULT_BOUNDS, Bounds
 from .quadring import (IntIdeal, IntRing, QuadIdeal, QuadRing, sp_factor,
@@ -164,20 +165,11 @@ def radical_chain(i: ZpiIdeal, bounds: Bounds = DEFAULT_BOUNDS) -> ZpiChain:
         elif entry.is_whole:
             comp_chains.append([])
         else:
-            comp_chains.append(list(sp_factor(entry, bounds=bounds).links))
-    n = max(len(c) for c in comp_chains)
-    links = []
-    for pos in range(n):
-        entries = []
-        for comp, chain in zip(i.ring.components, comp_chains):
-            if pos < len(chain):
-                entries.append(chain[pos])
-            elif isinstance(comp, SprComponent):
-                entries.append(0)
-            else:
-                entries.append(comp.unit_ideal())
-        links.append(ZpiIdeal(i.ring, tuple(entries)))
-    chain = ZpiChain(tuple(links), extension)
+            comp_chains.append(sp_factor(entry, bounds=bounds).links)
+    unit = i.ring.unit_ideal().entries
+    links = tuple(ZpiIdeal(i.ring, tuple(u if e is None else e for e, u in zip(column, unit)))
+                  for column in zip_longest(*comp_chains))
+    chain = ZpiChain(links, extension)
     if chain.product() != i:
         raise ArithmeticError("componentwise chain failed to re-multiply")
     return chain

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -462,6 +463,14 @@ def test_factor_payload_shape_is_validated(capsys, tmp_path, payload, message):
     assert "string indices" not in err
 
 
+@pytest.mark.parametrize("payload", [{"zint": 1}, {"d": -5, "gens": ["1"]}])
+def test_factor_of_the_unit_ideal_exits_2_naming_no_python_keyword(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert code == 2 and out == ""
+    assert err == "radfact: invalid input: the unit ideal has no radical chain\n"
+    assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
 def test_exponent_beyond_int_digit_limit_hits_the_degree_bound(capsys):
     code, out, err = run_cli(capsys, ["sf-chain", "x^" + "9" * 5000])
     assert code == 3 and out == ""
@@ -500,3 +509,13 @@ def test_shared_parser_matches_fresh_processes(capsys, tmp_path):
     in_process = [_in_process(capsys, argv) for argv in sequence]
     assert [code for code, _ in in_process] == [3, 0, 0, 0, 2, 0]
     assert in_process == [_fresh_process(argv) for argv in sequence]
+
+
+def test_reports_are_emitted_only_by_main():
+    # a handler returns its report; main writes it once and picks the exit status
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_emit"]
+    assert callers == ["main"]

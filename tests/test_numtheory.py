@@ -1,4 +1,5 @@
-"""The in-house primality test and modular square roots against sympy.
+"""The in-house primality test, modular square roots and splitting of primes
+in quadratic orders against sympy.
 
 sympy is only a test oracle here; the package itself does not import it.
 """
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import SUPPORTED_D
 from radfact import quadring as q
 from radfact.errors import Bounds, ResourceLimitError
 
@@ -99,6 +101,20 @@ def test_sqrt_mod_returns_a_root_or_none(p):
 def test_sqrt_mod_of_squares(p, x):
     r = q._sqrt_mod(x * x, p)
     assert r in (x % p, -x % p)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+def test_primes_above_follow_the_kronecker_symbol(d):
+    # (D/p) for the field discriminant D: 1 splits into two primes of norm p,
+    # -1 leaves (p) prime of norm p^2, 0 ramifies as P^2 with N(P) = p
+    from sympy.functions.combinatorial.numbers import kronecker_symbol
+
+    ring = q.QuadRing(d)
+    disc = d if d % 4 == 1 else 4 * d
+    for p in sympy.primerange(1001):
+        shape = sorted((prime.norm, e) for prime, e in q.primes_above(ring, p))
+        expected = {1: [(p, 1), (p, 1)], -1: [(p * p, 1)], 0: [(p, 2)]}
+        assert shape == expected[kronecker_symbol(disc, p)], (d, p)
 
 
 def test_cli_import_leaves_sympy_out():

@@ -1,9 +1,12 @@
-"""The report bytes of `decide-ssp`, `ideals`, `spectrum` and `census` (on the
-default catalog and on one-ring catalogs of rings larger than any in it),
-pinned by sha256: a change to how the engine computes must not change what
-it reports."""
+"""The report bytes of every command, pinned by sha256: `decide-ssp`, `ideals`,
+`spectrum` and `census` (on the default catalog and on one-ring catalogs of
+rings larger than any in it), `factor` over Z and two quadratic orders, and
+`sf-chain` from an argument and from a file.  A change to how the engines
+compute, or to how the CLI assembles a report, must not change what it
+reports."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -48,8 +51,19 @@ CENSUS_DIGESTS = [
 ]
 
 
+FACTOR_DIGESTS = [
+    ({"zint": 12}, "451ff2c73ae6aeab92d3b92eeb559bd2850669216579dcb80c8327ddaa60a99d"),
+    ({"d": -5, "gens": ["6"]}, "d536e5323ee2a142f1118a6c53a2fc1f951f675c25243805ef35d59ea761db2b"),
+    ({"d": -7, "gens": ["2", "1+w"]},
+     "34227da4194abae9734987eb0c2e9e527ff8f7f4209ae490cb99487d21e42ea5"),
+]
+
+SF_CHAIN_LINES = "x^2-1\n\nx^4-2*x^2+1\n3/2*x^5-x^3+1/7*x^2\n2*x^6+4*x^4-2*x^2-4\n"
+
+
 def sha256_of_report(capsys, tmp_path, command, payload):
-    code, out, err = run_cli(capsys, [command], payload, tmp_path)
+    argv = command if isinstance(command, list) else [command]
+    code, out, err = run_cli(capsys, argv, payload, tmp_path)
     assert code == 0 and err == ""
     return hashlib.sha256(out.encode()).hexdigest()
 
@@ -68,3 +82,18 @@ def test_default_census_report_bytes_are_pinned(capsys, tmp_path):
 @pytest.mark.parametrize("ring, digest", CENSUS_DIGESTS, ids=[r for r, _ in CENSUS_DIGESTS])
 def test_census_report_bytes_on_large_rings_are_pinned(capsys, tmp_path, ring, digest):
     assert sha256_of_report(capsys, tmp_path, "census", {"catalog": [RINGS[ring]]}) == digest
+
+
+@pytest.mark.parametrize("payload, digest", FACTOR_DIGESTS,
+                         ids=[json.dumps(p) for p, _ in FACTOR_DIGESTS])
+def test_factor_report_bytes_are_pinned(capsys, tmp_path, payload, digest):
+    assert sha256_of_report(capsys, tmp_path, "factor", payload) == digest
+
+
+def test_sf_chain_report_bytes_are_pinned(capsys, tmp_path):
+    assert sha256_of_report(capsys, tmp_path, ["sf-chain", "x^3-x^2-x+1"], None) == \
+        "9d98b80fdab07edfae166906458401665dc554cd35cc3273d612344357bd8c3b"
+    path = tmp_path / "polys.txt"
+    path.write_text(SF_CHAIN_LINES)
+    assert sha256_of_report(capsys, tmp_path, ["--input", str(path), "sf-chain"], None) == \
+        "0e27b919323021ce33598a04e334d0b01f61995d72df645c80a26550807c9a15"
