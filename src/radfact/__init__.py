@@ -23,7 +23,7 @@ from .finring import (FinModule, FinRing, decompose_local, free_module,
 from .finideal import (FinIdeal, all_ideals, generated_ideal, ideal_power,
                        ideal_product, ideal_sum, is_prime, prime_spectrum,
                        radical, vn_set, whole_ideal, zero_ideal)
-from .sspengine import (SspVerdict, decide_sp, decide_ssp, is_multiplication_module,
+from .sspengine import (SP_NOTE, SspVerdict, decide_ssp, is_multiplication_module,
                         is_vnr, radical_closure, structural_ssp)
 from .quadring import (IntIdeal, IntRing, PrimeFactorization, QuadIdeal,
                        QuadRing, RadicalChain, factor_ideal, ideal_from_gens,

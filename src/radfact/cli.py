@@ -25,7 +25,7 @@ import sys
 import tempfile
 
 from . import finideal, finring, polychain, quadring, sspengine
-from .errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
+from .errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError, _json_object, _strict_int
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -69,9 +69,9 @@ _GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
 def parse_quad_element(item) -> tuple[int, int]:
     """Accept an int, an [x, y] pair, or a string like "1+2*w" or "-w"."""
     if isinstance(item, int):
-        return (finring._strict_int(item, "generator"), 0)
+        return (_strict_int(item, "generator"), 0)
     if isinstance(item, (list, tuple)) and len(item) == 2:
-        return tuple(finring._strict_int(c, "generator coordinate") for c in item)
+        return tuple(_strict_int(c, "generator coordinate") for c in item)
     if not isinstance(item, str):
         raise ValueError(f"unrecognized element {item!r}")
     s = item.replace(" ", "")
@@ -103,14 +103,12 @@ def _cmd_factor(args):
     if not isinstance(payload, dict) or ("zint" in payload) == ("d" in payload):
         raise ValueError('factor payload needs an object with exactly one of '
                          '"zint" or "d" (with "gens")')
-    unknown = sorted(set(payload) - ({"zint"} if "zint" in payload else {"d", "gens"}))
-    if unknown:
-        raise ValueError(f"factor payload has unknown keys {unknown}")
+    _json_object(payload, "factor payload", {"zint"} if "zint" in payload else {"d", "gens"})
     if "zint" in payload:
-        ideal = quadring.IntIdeal(finring._strict_int(payload["zint"], "zint"))
+        ideal = quadring.IntIdeal(_strict_int(payload["zint"], "zint"))
         report = {"ring": "Z"}
     else:
-        ring = quadring.QuadRing(finring._strict_int(payload["d"], "d"), args.bounds)
+        ring = quadring.QuadRing(_strict_int(payload["d"], "d"), args.bounds)
         gens = payload.get("gens", [])
         if not isinstance(gens, list):
             raise ValueError("factor payload: gens must be a JSON list")
@@ -131,7 +129,6 @@ def _decide_ssp_body(ring, bounds):
     """The verdict, with every witness factorization serialized and re-multiplied
     in one pass, so consumers need not re-check it."""
     verdict = sspengine.decide_ssp(ring, bounds)
-    sp = sspengine.decide_sp(ring)
     fact = {}
     ok_product = ok_radical = True
     for ideal, factors in verdict.factorizations.items():
@@ -147,8 +144,8 @@ def _decide_ssp_body(ring, bounds):
         ok_product &= prod.mask == ideal.mask
     witness = verdict.witness_nonfactorable
     return {
-        "is_sp": sp.is_sp,
-        "sp_note": sp.note,
+        "is_sp": True,
+        "sp_note": sspengine.SP_NOTE,
         "is_ssp": verdict.is_ssp,
         "witness": None if witness is None else witness.to_list(),
         "factorizations": fact,
@@ -259,6 +256,7 @@ def _cmd_census(args):
         specs = catalog
     else:
         raise ValueError('census payload needs "catalog": [...] or "default"')
+    _json_object(payload, "census payload", {"catalog"})
     rows = census_rows(specs, args.bounds)
     disagreements = sum(1 for r in rows if not r["agree"])
     return {"rows": rows, "total": len(rows), "disagreements": disagreements}

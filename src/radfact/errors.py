@@ -1,4 +1,4 @@
-"""Shared exception types and the resource bounds every engine runs under."""
+"""Shared exception types, resource bounds and the JSON field checks (numpy-free)."""
 
 from dataclasses import dataclass
 from typing import NoReturn
@@ -28,11 +28,27 @@ def exceeded(bound: str, limit: int, observed, what: str) -> NoReturn:
         bound, limit, observed)
 
 
+def _strict_int(value, what):
+    # int() would turn JSON true and 2.7 into the integers 1 and 2
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_object(value, what, allowed):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(value.keys() - allowed)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return value
+
+
 @dataclass(frozen=True)
 class Bounds:
     """The limits a job runs under, one per CLI flag: `order` is max-order
     (ring orders and module sizes, at most MAX_ORDER), `ideals` is max-ideals
-    (ideal and submodule lattices), `norm` is max-norm (integers factored)."""
+    (ideal lattices), `norm` is max-norm (integers factored)."""
 
     order: int = MAX_ORDER
     ideals: int = 1 << 20

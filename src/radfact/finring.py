@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, exceeded
+from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _strict_int, exceeded
+from .polychain import RatPoly, format_poly
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18
@@ -309,21 +310,6 @@ def _is_canonical_zn(ring):
             and np.array_equal(ring.add[:, ring.one], (np.arange(n) + 1) % n))
 
 
-def _format_int_poly(coeffs):
-    # lowest degree first, integer coefficients
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0 and not (k == 0 and not terms):
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            terms.append(xs if c == 1 else f"{c}*{xs}")
-    return "+".join(terms) if terms else "0"
-
-
 def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """Quotient Z_n[x]/(f) for a monic f, given lowest-degree-first coefficients."""
     if not _is_canonical_zn(base):
@@ -350,7 +336,7 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
             q = min(order // n, n * p, p + max(1, _HORNER_BLOCK // (n * order)))
             mul[n * p:n * q] = add[scale, mul[p:q, times_x][:, None]].reshape(-1, order)
             p = q
-    label = f"Z{n}[x]/({_format_int_poly(f)})"
+    label = f"Z{n}[x]/({format_poly(RatPoly(f))})"
     return FinRing._trusted(order, add, mul, zero=0, one=1 % order, label=label)
 
 
@@ -587,22 +573,6 @@ def ring_to_dict(a: FinRing) -> dict:
         "add": a.add.tolist(),
         "mul": a.mul.tolist(),
     }
-
-
-def _strict_int(value, what):
-    # int() would turn JSON true and 2.7 into the integers 1 and 2
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _json_object(value, what, allowed):
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = sorted(value.keys() - allowed)
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}")
-    return value
 
 
 def _base_ring(spec, key, what, bounds):

@@ -556,19 +556,11 @@ def verify_chain(chain: RadicalChain, ideal=None,
     return checks
 
 
+@dataclass(frozen=True)
 class IntRing:
     """The rational integers, as the degenerate one-dimensional instance."""
 
-    label = "Z"
-
-    def __repr__(self):
-        return "IntRing()"
-
-    def __eq__(self, other):
-        return isinstance(other, IntRing)
-
-    def __hash__(self):
-        return hash("IntRing")
+    label: ClassVar[str] = "Z"
 
 
 INT_RING = IntRing()

@@ -10,6 +10,7 @@ from radfact import finring as fr
 from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS, exceeded
 from radfact.finideal import all_ideals, ideal_product, maximal_ideals
+from radfact.polychain import RatPoly, format_poly
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
 
@@ -114,7 +115,7 @@ def reference_poly_quotient(base, f):
                 conv[:, i:i + d] += arow[i] * digits
         res = (conv % n) @ red % n
         mul[a] = res @ pw
-    return fr.FinRing(order, add, mul, 0, 1 % order, f"Z{n}[x]/({fr._format_int_poly(f)})")
+    return fr.FinRing(order, add, mul, 0, 1 % order, f"Z{n}[x]/({format_poly(RatPoly(f))})")
 
 
 def reference_free_module(ring, rank):

@@ -424,6 +424,13 @@ def test_census_payload_that_is_not_an_object_exits_2(capsys, tmp_path, payload)
     assert "census payload needs" in err
 
 
+def test_census_payload_with_an_unknown_key_exits_2(capsys, tmp_path):
+    payload = {"catalog": [{"zn": 2}], "catalgo": "default"}
+    code, out, err = run_cli(capsys, ["census"], payload, tmp_path)
+    assert code == 2 and out == ""
+    assert "census payload has unknown keys ['catalgo']" in err
+
+
 def test_broken_invariant_exits_5_without_traceback(capsys, tmp_path, monkeypatch):
     # every "prime" above p is (p) itself, so the factorization cannot re-multiply
     monkeypatch.setattr(cli.quadring, "primes_above",

@@ -5,7 +5,8 @@ import pytest
 
 from radfact.errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "radfact")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "radfact")
 
 
 def test_resource_limit_error_is_built_only_in_errors_py():
@@ -35,6 +36,16 @@ def test_src_has_no_assert_statement():
             offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                           if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_sources_and_tests_parse_as_python_3_10():
+    # requires-python is >=3.10: no syntax from a later release
+    paths = [os.path.join(d, name) for d in (SRC, os.path.join(ROOT, "tests"))
+             for name in sorted(os.listdir(d)) if name.endswith(".py")]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path) as fh:
+            ast.parse(fh.read(), path, feature_version=(3, 10))
 
 
 def test_bounds_defaults_and_ceiling():

@@ -23,6 +23,12 @@ def test_ring_validation():
             == q.QuadRing(10 ** 12 + 39, Bounds(norm=10 ** 14)))
 
 
+def test_int_ring_is_one_value():
+    assert repr(q.IntRing()) == "IntRing()" and q.IntRing().label == "Z"
+    assert q.IntRing() == q.INT_RING and hash(q.IntRing()) == hash(q.INT_RING)
+    assert q.IntRing() != q.QuadRing(-1) and q.QuadRing(-1) != q.IntRing()
+
+
 def test_element_arithmetic():
     zi = q.QuadRing(-1)
     assert zi.mul_elements((2, 1), (2, -1)) == (5, 0)

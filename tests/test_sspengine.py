@@ -1,6 +1,8 @@
 import itertools
+import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from radfact import finring as fr
 from radfact import sspengine as ssp
 from radfact.errors import DEFAULT_BOUNDS
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
+from test_cli import run_cli
 from test_finideal import drawn_relabelled_ring
 
 
@@ -132,6 +135,15 @@ def test_census_builds_no_factor_ring(monkeypatch):
     assert len(rows) == 827 and all(r["agree"] for r in rows)
 
 
+def test_census_unwinds_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("witness unwound")
+
+    monkeypatch.setattr(ssp.SspVerdict, "factors_of", refuse)
+    rows = cli.census_rows(cli.default_catalog_specs())
+    assert len(rows) == 827 and all(r["agree"] for r in rows)
+
+
 def test_census_of_z2_to_the_12_within_budget():
     start = time.perf_counter()
     [row] = cli.census_rows([{"product": [{"zn": 2}] * 12}])
@@ -243,10 +255,12 @@ def test_proposition_16_instance():
     assert ssp.decide_ssp(fr.make_idealization(v, e)).is_ssp
 
 
-def test_decide_sp_is_trivially_true_with_note():
-    verdict = ssp.decide_sp(fr.make_zn(8))
-    assert verdict.is_sp
-    assert "unit" in verdict.note
+def test_sp_note_names_the_unit_ideal_and_is_the_reported_note(capsys, tmp_path):
+    assert "unit ideal" in ssp.SP_NOTE
+    code, out, _ = run_cli(capsys, ["decide-ssp"], {"zn": 8}, tmp_path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["is_sp"] is True and report["sp_note"] == ssp.SP_NOTE
 
 
 def test_quotients_of_ssp_rings_stay_ssp():
@@ -265,27 +279,40 @@ def test_product_law():
 
 def brute_force_submodules(m):
     """Oracle: filter every subset holding zero for closure under + and the action."""
-    out = set()
-    for mask in range(1 << m.size):
-        if not (mask >> m.zero) & 1:
-            continue
-        els = [x for x in range(m.size) if (mask >> x) & 1]
-        if any(not (mask >> int(m.add[x, y])) & 1 for x in els for y in els):
-            continue
-        if any(not (mask >> int(m.action[r, x])) & 1 for r in range(m.ring.order) for x in els):
-            continue
-        out.add(mask)
-    return out
+    masks = np.arange(1 << m.size)
+    member = (masks[:, None] >> np.arange(m.size)) & 1 == 1     # row k: the subset k
+    closed = member[:, m.zero].copy()
+    for x in range(m.size):
+        for y in range(m.size):
+            closed &= ~(member[:, x] & member[:, y]) | member[:, m.add[x, y]]
+        for r in range(m.ring.order):
+            closed &= ~member[:, x] | member[:, m.action[r, x]]
+    return set(masks[closed].tolist())
 
 
-def test_submodules_match_the_subset_oracle():
+def test_multiplication_modules_match_the_definition(catalog_rings):
+    """The cyclic-submodule rule against the definition: every submodule of
+    the subset oracle is IE for some ideal I."""
     modules = [fr.free_module(fr.make_zn(n), rank)
                for n, top in ((2, 4), (3, 2), (4, 2)) for rank in range(top + 1)]
     z12 = fr.make_zn(12)
     modules += [fr.quotient_module(z12, i) for i in all_ideals(z12)]
+    modules += [fr.module_from_ring(ring) for ring in catalog_rings if ring.order <= 16]
+    modules += [fr.free_module(ring, 2) for ring in catalog_rings if ring.order <= 4]
+    verdicts = []
     for m in modules:
         assert m.size <= 16
-        assert ssp._submodule_masks(m, DEFAULT_BOUNDS) == brute_force_submodules(m), m.label
+        images = ssp._ideal_image_masks(m, DEFAULT_BOUNDS)
+        verdicts.append(ssp.is_multiplication_module(m))
+        assert verdicts[-1] == (brute_force_submodules(m) <= images), m.label
+    assert True in verdicts and False in verdicts
+
+
+def test_multiplication_module_of_z2_to_the_8_within_budget():
+    # its submodule lattice, 417,199 subspaces of F2^8, is never enumerated
+    start = time.perf_counter()
+    assert not ssp.is_multiplication_module(fr.free_module(fr.make_zn(2), 8))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("factor, count, ideals, budget", [
