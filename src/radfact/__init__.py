@@ -26,7 +26,7 @@ from .finideal import (FinIdeal, all_ideals, generated_ideal, ideal_power,
 from .sspengine import (SP_NOTE, SspVerdict, decide_ssp, is_multiplication_module,
                         is_vnr, radical_closure, structural_ssp)
 from .quadring import (IntIdeal, IntRing, PrimeFactorization, QuadIdeal,
-                       QuadRing, RadicalChain, factor_ideal, ideal_from_gens,
+                       QuadRing, RadicalChain, ideal_from_gens,
                        normalize_factorization, primes_above, sp_factor)
 from .polychain import RatPoly, derivative_gcd, poly_gcd, sf_chain, vk_poly
 from .zpicompose import (DedComponent, SprComponent, ZpiChain, ZpiIdeal,

@@ -25,7 +25,8 @@ import sys
 import tempfile
 
 from . import finideal, finring, polychain, quadring, sspengine
-from .errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError, _json_object, _strict_int
+from .errors import (DEFAULT_BOUNDS, Bounds, ResourceLimitError, _int_of_digits,
+                     _json_object, _strict_int)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -60,7 +61,8 @@ def _read_input(args):
 
 
 def _load_payload(args):
-    return json.loads(_read_input(args))
+    return json.loads(_read_input(args),
+                      parse_int=lambda text: _int_of_digits(text, "JSON integer"))
 
 
 _GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
@@ -84,7 +86,7 @@ def parse_quad_element(item) -> tuple[int, int]:
         m = _GEN_TERM.match(part)
         if not m or (m.group("num") is None and m.group("w") is None):
             raise ValueError(f"could not parse element term {part!r}")
-        value = int(m.group("num")) if m.group("num") else 1
+        value = _int_of_digits(m.group("num"), "generator term") if m.group("num") else 1
         if m.group("sign") == "-":
             value = -value
         if m.group("w"):

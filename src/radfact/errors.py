@@ -4,6 +4,8 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 MAX_ORDER = 4096
+# CPython's default cap on int() of a decimal string
+MAX_INT_DIGITS = 4300
 
 
 class ResourceLimitError(Exception):
@@ -22,7 +24,10 @@ class ResourceLimitError(Exception):
 
 
 def exceeded(bound: str, limit: int, observed, what: str) -> NoReturn:
-    """Raise the ResourceLimitError for `what`, of size `observed`, over `limit`."""
+    """Raise the ResourceLimitError for `what`, of size `observed`, over `limit`;
+    an integer too long for str() is shown by its bit length."""
+    if isinstance(observed, int) and observed >= 10 ** MAX_INT_DIGITS:
+        observed = f"{observed.bit_length()} bits"
     raise ResourceLimitError(
         f"{what} exceeds the {bound} bound (limit {limit}, observed {observed})",
         bound, limit, observed)
@@ -33,6 +38,14 @@ def _strict_int(value, what):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _int_of_digits(text, what):
+    # checked first, since CPython's own refusal points at an interpreter setting
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_INT_DIGITS:
+        raise ValueError(f"{what} has {digits} digits, over the {MAX_INT_DIGITS}-digit limit")
+    return int(text)
 
 
 def _json_object(value, what, allowed):

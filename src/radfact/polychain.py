@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import exceeded
+from .errors import _int_of_digits, exceeded
 
 # the largest exponent parse_poly accepts: a dense degree-256 sf-chain job
 # takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
@@ -39,10 +39,6 @@ class RatPoly:
     @classmethod
     def const(cls, c):
         return cls([c])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -129,13 +125,6 @@ class RatPoly:
         if self.is_zero:
             return other.is_zero
         return (other % self).is_zero
-
-    def to_fraction_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_fraction_strings(cls, items) -> "RatPoly":
-        return cls([Fraction(s) for s in items])
 
     def __repr__(self):
         return f"RatPoly({format_poly(self)!r})"
@@ -356,7 +345,8 @@ def parse_poly(text: str) -> RatPoly:
         if m.group("exp") is not None and m.group("var") is None:
             raise ValueError(f"exponent without variable in term {part!r}")
         try:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = Fraction(*(_int_of_digits(t, "coefficient")
+                               for t in (m.group("coeff") or "1").split("/")))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {part!r}") from None
         if m.group("sign") == "-":

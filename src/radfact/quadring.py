@@ -6,10 +6,12 @@ is a rank-2 sublattice with basis rows (a, 0), (b, c) over (1, w), kept in
 Hermite normal form with a > 0, c > 0, c | a, c | b, 0 <= b < a; equality
 of ideals is therefore plain tuple equality and norm(I) = a*c.
 
-`IntIdeal` is the same machinery for ideals of the rational integers
-(an ideal is just its positive generator); it shares PrimeFactorization
-and RadicalChain with the quadratic case and is the cheapest oracle for
-the ascending-chain factorization.
+`IntIdeal` is the same machinery for ideals of the rational integers (an
+ideal is just its positive generator).  Both ideal classes answer
+`_prime_factors(primes)`, the (P, v_P(I)) for the primes P above `primes`
+dividing I, so Z shares the one factorization routine (re-multiplied to I),
+the one radical routine, PrimeFactorization and RadicalChain with the
+quadratic case; it is the cheapest oracle for the ascending radical chain.
 """
 
 from __future__ import annotations
@@ -294,7 +296,29 @@ class QuadIdeal:
         return QuadIdeal._unchecked(self.ring, *_hnf_rows(rows))
 
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> "PrimeFactorization":
-        return _factor_quad(self, bounds)
+        return _factorization(self, bounds)
+
+    def _prime_factors(self, primes):
+        """(P, v_P(I)) for each prime P above `primes` that divides I, read off the HNF.
+
+        Write I = c*J with J = (a/c, b/c, 1) primitive.  The content c gives a
+        prime P above p the exponent e(P/p)*v_p(c); a primitive ideal is divisible
+        above p only by the degree-1 prime (p, r, 1) with r = b/c (mod p), to the
+        power v_p(a/c) (Cohen, A Course in Computational Algebraic Number Theory,
+        Sec. 5.2).
+        """
+        a, b, c = self.hnf
+        a1, b1 = a // c, b // c
+        out = []
+        for p in primes:
+            vc, va = _valuation(c, p), _valuation(a1, p)
+            for prime, ram in primes_above(self.ring, p):
+                e = ram * vc
+                if va and prime.c == 1 and prime.b == b1 % p:
+                    e += va
+                if e:
+                    out.append((prime, e))
+        return out
 
     def to_dict(self):
         return {"d": self.ring.d, "hnf": [self.a, self.b, self.c]}
@@ -410,10 +434,7 @@ class RadicalChain:
     def product(self):
         if not self.links:
             raise ValueError("empty chain has no well-defined product here")
-        out = self.links[0]
-        for link in self.links[1:]:
-            out = out * link
-        return out
+        return prod(self.links[1:], start=self.links[0])
 
 
 def _valuation(n: int, p: int) -> int:
@@ -424,57 +445,19 @@ def _valuation(n: int, p: int) -> int:
     return k
 
 
-def _quad_factors(ideal, primes):
-    """(P, v_P(I)) for each prime P above `primes` that divides I, read off the HNF.
-
-    Write I = c*J with J = (a/c, b/c, 1) primitive.  The content c gives a
-    prime P above p the exponent e(P/p)*v_p(c); a primitive ideal is divisible
-    above p only by the degree-1 prime (p, r, 1) with r = b/c (mod p), to the
-    power v_p(a/c) (Cohen, A Course in Computational Algebraic Number Theory,
-    Sec. 5.2).
-    """
-    a, b, c = ideal.hnf
-    a1, b1 = a // c, b // c
-    out = []
-    for p in primes:
-        vc, va = _valuation(c, p), _valuation(a1, p)
-        for prime, ram in primes_above(ideal.ring, p):
-            e = ram * vc
-            if va and prime.c == 1 and prime.b == b1 % p:
-                e += va
-            if e:
-                out.append((prime, e))
-    return out
-
-
-def _factor_quad(ideal, bounds):
-    n = ideal.norm
-    if n == 1:
-        return PrimeFactorization(())
-    primes = tuple(sorted(factor_int(n, bounds)))
-    factors = _quad_factors(ideal, primes)
-    recomposed = _product_of((p for p, e in factors for _ in range(e)), ideal.unit())
-    if recomposed != ideal:
+def _factorization(ideal, bounds):
+    """Prime factorization with exponents from `_prime_factors`, re-multiplied to I."""
+    primes = tuple(sorted(factor_int(ideal.norm, bounds)))
+    factors = tuple(ideal._prime_factors(primes))
+    if prod((p for p, e in factors for _ in range(e)), start=ideal.unit()) != ideal:
         raise ArithmeticError(
             f"prime factorization of {ideal!r} failed to re-multiply")
-    return PrimeFactorization(tuple(factors), primes)
-
-
-def factor_ideal(i, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:
-    """Prime factorization with exponents read off the HNF, re-multiplied to I."""
-    return i.factorization(bounds)
-
-
-def _product_of(ideals, unit):
-    out = unit
-    for i in ideals:
-        out = out * i
-    return out
+    return PrimeFactorization(factors, primes)
 
 
 def radical(i, bounds: Bounds = DEFAULT_BOUNDS):
     """Product of the distinct primes dividing the ideal."""
-    return _radical_over(i, i.factorization(bounds).rational_primes)
+    return prod((p for p, _ in i.factorization(bounds)), start=i.unit())
 
 
 def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
@@ -496,7 +479,7 @@ def sp_factor(i, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
     links = []
     for k in range(1, pf.max_exponent + 1):
         primes = [p for p, e in pf if e >= k]
-        links.append(_product_of(primes, i.unit()))
+        links.append(prod(primes, start=i.unit()))
     chain = RadicalChain(tuple(links), pf)
     product = chain.product()
     if product != i:
@@ -521,14 +504,12 @@ def normalize_factorization(ring, factors,
             raise ValueError(f"factor {idx} is the unit ideal, not a proper radical")
         if radical(f, bounds) != f:
             raise ValueError(f"factor {idx} is not a radical ideal")
-    return sp_factor(_product_of(factors, unit), bounds=bounds)
+    return sp_factor(prod(factors, start=unit), bounds=bounds)
 
 
 def _radical_over(i, primes):
     """Product of the primes above `primes` that divide I: its radical if they cover N(I)."""
-    if isinstance(i, IntIdeal):
-        return IntIdeal(prod(p for p in primes if i.n % p == 0))
-    return _product_of((p for p, _ in _quad_factors(i, primes)), i.unit())
+    return prod((p for p, _ in i._prime_factors(primes)), start=i.unit())
 
 
 def verify_chain(chain: RadicalChain, ideal=None,
@@ -596,9 +577,10 @@ class IntIdeal:
         return IntIdeal(self.n * other.n)
 
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:
-        fac = sorted(factor_int(self.n, bounds).items())
-        return PrimeFactorization(tuple((IntIdeal(p), e) for p, e in fac),
-                                  tuple(p for p, _ in fac))
+        return _factorization(self, bounds)
+
+    def _prime_factors(self, primes):
+        return [(IntIdeal(p), _valuation(self.n, p)) for p in primes if self.n % p == 0]
 
     def to_dict(self):
         return {"zint": self.n}

@@ -13,6 +13,7 @@ flagged with `canonical_extension=True` in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 
 from .errors import DEFAULT_BOUNDS, Bounds
@@ -77,15 +78,10 @@ def _canonical_entry(comp, entry):
         if not isinstance(entry, int) or entry < 0:
             raise ValueError("special-primary entries are exponents >= 0")
         return min(entry, comp.t)
-    if entry is ZERO:
-        return ZERO
-    if isinstance(comp.ring, IntRing):
-        if not isinstance(entry, IntIdeal):
-            raise ValueError("expected an IntIdeal entry")
+    if entry is ZERO or (isinstance(entry, (IntIdeal, QuadIdeal))
+                         and entry.ring == comp.ring):
         return entry
-    if not isinstance(entry, QuadIdeal) or entry.ring != comp.ring:
-        raise ValueError("expected a QuadIdeal of the component's ring")
-    return entry
+    raise ValueError("expected an ideal of the component's ring")
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,7 @@ class ZpiChain:
         return len(self.links)
 
     def product(self):
-        out = self.links[0]
-        for link in self.links[1:]:
-            out = zpi_product(out, link)
-        return out
+        return reduce(zpi_product, self.links)
 
 
 def radical_chain(i: ZpiIdeal, bounds: Bounds = DEFAULT_BOUNDS) -> ZpiChain:

@@ -390,7 +390,9 @@ IDEALIZATION_2826 = {"idealization": {"zn": 2, "module_rank": 6}}   # 2,826 idea
     (["--max-norm", str(5 * 10 ** 12), "factor"], {"zint": 10 ** 13},
      "max-norm", 5 * 10 ** 12, 10 ** 13),
     (["sf-chain", "x^300+1"], None, "max-degree", 256, 300),
-], ids=["max-order", "max-ideals", "max-norm", "max-degree"])
+    (["factor"], {"d": -1, "gens": [[10 ** 4299, 0]]}, "max-norm", 10 ** 12,
+     f"{(10 ** 8598).bit_length()} bits"),
+], ids=["max-order", "max-ideals", "max-norm", "max-degree", "max-norm-of-8599-digits"])
 def test_each_flag_governs_its_bound_and_shows_the_observed_size(
         capsys, tmp_path, monkeypatch, argv, payload, bound, limit, observed):
     lattices = []
@@ -440,6 +442,15 @@ def test_broken_invariant_exits_5_without_traceback(capsys, tmp_path, monkeypatc
     assert out == ""
     assert err.count("\n") == 1 and "internal invariant failed" in err
     assert "Traceback" not in err
+
+
+def test_int_factorization_that_does_not_remultiply_exits_5(capsys, tmp_path, monkeypatch):
+    # one too many of every prime, so the factors multiply to more than (12)
+    valuation = cli.quadring._valuation
+    monkeypatch.setattr(cli.quadring, "_valuation", lambda n, p: valuation(n, p) + 1)
+    code, out, err = run_cli(capsys, ["factor"], {"zint": 12}, tmp_path)
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1 and "internal invariant failed" in err
 
 
 def test_broken_local_decomposition_exits_5_without_traceback(capsys, tmp_path, monkeypatch):
@@ -526,3 +537,23 @@ def test_reports_are_emitted_only_by_main():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "_emit"]
     assert callers == ["main"]
+
+
+_LONG = "7" * 4301
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["factor"], '{"zint": %s}' % _LONG),
+    (["census"], '{"catalog": [{"zn": %s}]}' % _LONG),
+    (["factor"], '{"d": -1, "gens": ["%s"]}' % ("1" * 4301)),
+    (["sf-chain", _LONG + "*x^2-1"], None),
+], ids=["json-integer", "catalog-integer", "string-generator", "poly-coefficient"])
+def test_oversized_integer_exits_2_naming_the_digit_limit(capsys, tmp_path, argv, payload):
+    if payload is not None:
+        path = tmp_path / "payload.json"
+        path.write_text(payload)
+        argv = ["--input", str(path)] + argv
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "4301 digits, over the 4300-digit limit" in err
+    assert not any(phrase in err for phrase in INTERNAL_PHRASES)

@@ -61,12 +61,6 @@ def test_parse_and_format_round_trip():
         parse_poly("")
 
 
-def test_fraction_string_serialization():
-    p = poly("3/2*x^2+1/2")
-    assert p.to_fraction_strings() == ["1/2", "0", "3/2"]
-    assert RatPoly.from_fraction_strings(["1/2", "0", "3/2"]) == p
-
-
 def test_arithmetic_basics():
     f = poly("x^2-1")
     g = poly("x-1")

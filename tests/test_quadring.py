@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -143,10 +145,10 @@ def test_splitting_soundness_small():
 
 def test_factor_ideal_examples():
     zi = q.QuadRing(-1)
-    f12 = q.factor_ideal(q.principal_ideal(zi, (12, 0)))
+    f12 = q.principal_ideal(zi, (12, 0)).factorization()
     assert [(p.hnf, e) for p, e in f12] == [((2, 1, 1), 4), ((3, 0, 3), 1)]
     z5 = q.QuadRing(-5)
-    f6 = q.factor_ideal(q.principal_ideal(z5, (6, 0)))
+    f6 = q.principal_ideal(z5, (6, 0)).factorization()
     assert [(p.norm, e) for p, e in f6] == [(2, 2), (3, 1), (3, 1)]
     # re-assembly oracle: multiply the factorization back together
     prod = q.whole_ring_ideal(z5)
@@ -154,7 +156,7 @@ def test_factor_ideal_examples():
         for _ in range(e):
             prod = prod * p
     assert prod == q.principal_ideal(z5, (6, 0))
-    assert len(q.factor_ideal(q.whole_ring_ideal(zi))) == 0
+    assert len(q.whole_ring_ideal(zi).factorization()) == 0
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -200,7 +202,7 @@ def test_closed_form_matches_containment_iteration(d, content, parts, gen):
 def test_factorization_rejects_unfactorable_norms():
     zi = q.QuadRing(-1)
     with pytest.raises(ResourceLimitError):
-        q.factor_ideal(q.principal_ideal(zi, (2, 0)), bounds=Bounds(norm=3))
+        q.principal_ideal(zi, (2, 0)).factorization(bounds=Bounds(norm=3))
     big = 1000003  # prime just over the trial-division bound
     with pytest.raises(ResourceLimitError):
         q.factor_int(big * (big + 30), Bounds(norm=10 ** 14))    # composite cofactor survives
@@ -304,7 +306,7 @@ def test_vn_nesting_and_vanishing(rng):
         ring = q.QuadRing(d)
         for _ in range(20):
             i = random_quad_ideal(rng, ring, 10 ** 4)
-            pf = q.factor_ideal(i)
+            pf = i.factorization()
             prev = None
             for n in range(1, pf.max_exponent + 2):
                 cur = {p.hnf for p in q.vn(i, n)}
@@ -335,3 +337,24 @@ def test_int_ideal_basics():
         q.IntIdeal(0)
     pf = q.IntIdeal(360).factorization()
     assert [(p.n, e) for p, e in pf] == [(2, 3), (3, 2), (5, 1)]
+
+
+def test_int_factorization_is_remultiplied(monkeypatch):
+    valuation = q._valuation
+    monkeypatch.setattr(q, "_valuation", lambda n, p: valuation(n, p) + 1)
+    with pytest.raises(ArithmeticError, match="failed to re-multiply"):
+        q.IntIdeal(12).factorization()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from(SUPPORTED_D))
+def test_radical_from_the_factorization_matches_the_recheck_route_quad(seed, d):
+    ideal = random_quad_ideal(random.Random(seed), q.QuadRing(d))
+    pf = ideal.factorization()
+    assert q.radical(ideal) == q._radical_over(ideal, pf.rational_primes)
+
+
+@given(n=st.integers(2, 10 ** 9))
+def test_radical_from_the_factorization_matches_the_recheck_route_int(n):
+    ideal = q.IntIdeal(n)
+    pf = ideal.factorization()
+    assert q.radical(ideal) == q._radical_over(ideal, pf.rational_primes)

@@ -121,3 +121,20 @@ def test_serialization_round_trip():
     zero = z.ZpiIdeal(ring, (0, z.ZERO, q.IntIdeal(1)))
     assert zero.has_zero_entry()
     assert z.ideal_to_list(zero) == [0, "zero", {"zint": 1}]
+
+
+@pytest.mark.parametrize("ded_ring, entry", [
+    (q.QuadRing(-1), q.IntIdeal(2)),
+    (q.QuadRing(-5), q.ideal_from_gens(q.QuadRing(-1), [(2, 0), (1, 1)])),
+    (q.IntRing(), q.ideal_from_gens(q.QuadRing(-1), [(2, 0), (1, 1)])),
+], ids=["int-ideal-in-quad", "z-i-ideal-in-z-sqrt-5", "quad-ideal-in-z"])
+def test_dedekind_entry_of_another_ring_is_rejected(ded_ring, entry):
+    ring = z.ZpiRing((z.SprComponent(2), z.DedComponent(ded_ring)))
+    with pytest.raises(ValueError, match="^expected an ideal of the component's ring$"):
+        z.ZpiIdeal(ring, (1, entry))
+
+
+@pytest.mark.parametrize("ded_ring", [q.QuadRing(-5), q.IntRing()], ids=["quad", "z"])
+def test_zero_entry_is_accepted_in_every_dedekind_component(ded_ring):
+    ring = z.ZpiRing((z.DedComponent(ded_ring),))
+    assert z.ZpiIdeal(ring, (z.ZERO,)).entries == (z.ZERO,)
