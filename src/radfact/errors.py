@@ -1,11 +1,16 @@
 """Shared exception types, resource bounds and the JSON field checks (numpy-free)."""
 
+import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
 MAX_ORDER = 4096
-# CPython's default cap on int() of a decimal string
+# CPython's default cap on int() of a decimal string, and the lowest nonzero
+# cap the interpreter can be set to
 MAX_INT_DIGITS = 4300
+_LOWEST_INT_DIGITS = 640
+# an observed size longer than this is shown by its length, not its digits
+SHOWN_DIGITS = 20
 
 
 class ResourceLimitError(Exception):
@@ -13,7 +18,7 @@ class ResourceLimitError(Exception):
 
     `bound` names the limit that was hit (e.g. "max-ideals"), `value` is the
     configured limit and `observed` the size that exceeded it (an int, or a
-    text such as "2^3000000").  The CLI maps this exception to exit status 3.
+    text such as "2^3000000" or "14284 bits").  The CLI maps this exception to exit status 3.
     """
 
     def __init__(self, message, bound, value, observed):
@@ -25,8 +30,8 @@ class ResourceLimitError(Exception):
 
 def exceeded(bound: str, limit: int, observed, what: str) -> NoReturn:
     """Raise the ResourceLimitError for `what`, of size `observed`, over `limit`;
-    an integer too long for str() is shown by its bit length."""
-    if isinstance(observed, int) and observed >= 10 ** MAX_INT_DIGITS:
+    an integer of more than SHOWN_DIGITS digits is shown by its bit length."""
+    if isinstance(observed, int) and abs(observed) >= 10 ** SHOWN_DIGITS:
         observed = f"{observed.bit_length()} bits"
     raise ResourceLimitError(
         f"{what} exceeds the {bound} bound (limit {limit}, observed {observed})",
@@ -41,10 +46,15 @@ def _strict_int(value, what):
 
 
 def _int_of_digits(text, what):
-    # checked first, since CPython's own refusal points at an interpreter setting
+    # checked first, since CPython's own refusal points at an interpreter setting;
+    # int() applies the interpreter's limit when it is set lower (0 is none, and
+    # Python 3.10 before 3.10.7 has no limit at all)
     digits = len(text.lstrip("+-"))
-    if digits > MAX_INT_DIGITS:
-        raise ValueError(f"{what} has {digits} digits, over the {MAX_INT_DIGITS}-digit limit")
+    if digits > _LOWEST_INT_DIGITS:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = limit if 0 < limit < MAX_INT_DIGITS else MAX_INT_DIGITS
+        if digits > limit:
+            raise ValueError(f"{what} has {digits} digits, over the {limit}-digit limit")
     return int(text)
 
 

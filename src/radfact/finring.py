@@ -28,17 +28,41 @@ Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  Horner's rule fills the
 product of Z/n[x]/(f): a = a_0 + x*a' has index a_0 + n*a', with a' < a.
 
 All values are immutable after construction and every operation here is a
-pure function of its inputs, so sharing across threads is safe.
+pure function of its inputs, so sharing across threads is safe once numpy
+is loaded.  numpy loads on the first table-ring call (`_lazy_module`), and
+on Python 3.10 and 3.11 importlib's LazyLoader takes no lock for that first
+load, so the first table-ring call should come from one thread.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _strict_int, exceeded
 from .polychain import RatPoly, format_poly
+
+
+def _lazy_module(name):
+    """The module `name`, executed on its first attribute access (importlib's
+    LazyLoader recipe), or the module itself when it is already imported.  A
+    module that is not installed still fails here, at import."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# every use of np is inside a function body, so `factor` and `sf-chain` jobs,
+# which build no table ring, never load numpy
+np = _lazy_module("numpy")
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import _int_of_digits, exceeded
+from .errors import SHOWN_DIGITS, _int_of_digits, exceeded
 
 # the largest exponent parse_poly accepts: a dense degree-256 sf-chain job
 # takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
@@ -357,7 +357,7 @@ def parse_poly(text: str) -> RatPoly:
             # checked before the dense coefficient list is allocated, and by
             # length first, since int() refuses strings beyond 4300 digits
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                shown = int(digits) if len(digits) <= 20 else f"{len(digits)} digits"
+                shown = int(digits) if len(digits) <= SHOWN_DIGITS else f"{len(digits)} digits"
                 exceeded("max-degree", MAX_DEGREE, shown, "polynomial degree")
             exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff

@@ -392,7 +392,10 @@ IDEALIZATION_2826 = {"idealization": {"zn": 2, "module_rank": 6}}   # 2,826 idea
     (["sf-chain", "x^300+1"], None, "max-degree", 256, 300),
     (["factor"], {"d": -1, "gens": [[10 ** 4299, 0]]}, "max-norm", 10 ** 12,
      f"{(10 ** 8598).bit_length()} bits"),
-], ids=["max-order", "max-ideals", "max-norm", "max-degree", "max-norm-of-8599-digits"])
+    (["factor"], {"zint": int("7" * 4300)}, "max-norm", 10 ** 12,
+     f"{int('7' * 4300).bit_length()} bits"),
+], ids=["max-order", "max-ideals", "max-norm", "max-degree", "max-norm-of-8599-digits",
+        "max-norm-of-4300-digits"])
 def test_each_flag_governs_its_bound_and_shows_the_observed_size(
         capsys, tmp_path, monkeypatch, argv, payload, bound, limit, observed):
     lattices = []
@@ -406,7 +409,7 @@ def test_each_flag_governs_its_bound_and_shows_the_observed_size(
     monkeypatch.setattr(finideal, "_join_closure", spy)
     code, out, err = run_cli(capsys, argv, payload, tmp_path)
     assert code == 3 and out == ""
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err) < 200
     assert bound in err and f"(limit {limit}, observed {observed})" in err
     assert all(size <= limit + 1 for size in lattices)
 
@@ -496,10 +499,14 @@ def test_exponent_beyond_int_digit_limit_hits_the_degree_bound(capsys):
     assert "int_max_str_digits" not in err
 
 
-def _fresh_process(argv):
+def _python(*args):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-m", "radfact.cli", *argv], env=env,
-                         capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL)
+
+
+def _fresh_process(argv):
+    out = _python("-m", "radfact.cli", *argv)
     return out.returncode, out.stdout
 
 
@@ -557,3 +564,89 @@ def test_oversized_integer_exits_2_naming_the_digit_limit(capsys, tmp_path, argv
     assert code == 2 and out == ""
     assert "4301 digits, over the 4300-digit limit" in err
     assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
+_LOWERED = "7" * 1000
+
+
+@pytest.fixture
+def int_digit_limit_640():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["factor"], '{"zint": %s}' % _LOWERED),
+    (["factor"], '{"d": -1, "gens": ["%s"]}' % _LOWERED),
+    (["sf-chain", _LOWERED + "*x^2-1"], None),
+], ids=["json-integer", "string-generator", "poly-coefficient"])
+def test_lowered_interpreter_digit_limit_exits_2_naming_it(
+        capsys, tmp_path, int_digit_limit_640, argv, payload):
+    if payload is not None:
+        path = tmp_path / "payload.json"
+        path.write_text(payload)
+        argv = ["--input", str(path)] + argv
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "1000 digits, over the 640-digit limit" in err
+    assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
+# Runs jobs through cli.main in a fresh interpreter; argv[1] says whether numpy
+# is imported before radfact, argv[2] and argv[3] are factor and decide-ssp payloads
+_COLD_JOBS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from radfact import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+jobs = {"factor": run(["--input", sys.argv[2], "factor"]),
+        "sf-chain": run(["sf-chain", "x^3-x^2-x+1"])}
+loaded = [m for m in sys.modules if m.startswith("numpy.")]
+jobs["decide-ssp"] = run(["--input", sys.argv[3], "decide-ssp"])
+print(json.dumps({"jobs": jobs, "numpy_submodules": loaded}))
+"""
+
+
+def test_factor_and_sf_chain_jobs_never_load_numpy(tmp_path):
+    factor = tmp_path / "factor.json"
+    factor.write_text(json.dumps({"d": -5, "gens": ["6"]}))
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"zn": 12}))
+    runs = {}
+    for order in ("radfact-first", "numpy-first"):
+        proc = _python("-c", _COLD_JOBS, order, str(factor), str(ring))
+        assert proc.returncode == 0, proc.stderr
+        runs[order] = json.loads(proc.stdout)
+    lazy = runs["radfact-first"]
+    # "numpy" itself is in sys.modules from the start, as a stub not yet executed
+    assert lazy["numpy_submodules"] == []
+    assert all(code == 0 for code, _ in lazy["jobs"].values())
+    assert lazy["jobs"] == runs["numpy-first"]["jobs"]
+
+
+def test_finring_uses_an_already_imported_numpy():
+    proc = _python("-c", "import numpy; import radfact.finring as f; print(f.np is numpy)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def test_missing_numpy_still_fails_at_import():
+    hide = ("import importlib.util, os, sys\n"
+            "site = os.path.dirname(os.path.dirname(importlib.util.find_spec('numpy').origin))\n"
+            "sys.path = [p for p in sys.path if os.path.abspath(p) != site]\n"
+            "try:\n"
+            "    import radfact\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name)\n")
+    proc = _python("-c", hide)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy"
