@@ -25,7 +25,7 @@ import sys
 import tempfile
 
 from . import finideal, finring, polychain, quadring, sspengine
-from .errors import (DEFAULT_BOUNDS, Bounds, ResourceLimitError, _int_of_digits,
+from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
                      _json_object, _strict_int)
 
 EXIT_OK = 0
@@ -60,9 +60,33 @@ def _read_input(args):
     return sys.stdin.read()
 
 
+# a JSON string (escapes included, possibly unterminated) or one bracket
+_JSON_NESTING_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[{]|[\]}]')
+
+
+def _check_nesting(text):
+    """Refuse text whose arrays and objects nest deeper than MAX_NESTING,
+    counting brackets outside JSON strings, before any parser recurses."""
+    # too few brackets to nest that deep: the per-token scan below would cost
+    # more than a small job's own parse
+    if text.count("[") + text.count("{") <= MAX_NESTING:
+        return
+    depth = 0
+    for token in _JSON_NESTING_TOKEN.finditer(text):
+        bracket = token.group()
+        if bracket in ("[", "{"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"input nested too deeply (over {MAX_NESTING} levels "
+                                 "of arrays and objects)")
+        elif bracket in ("]", "}"):
+            depth -= 1
+
+
 def _load_payload(args):
-    return json.loads(_read_input(args),
-                      parse_int=lambda text: _int_of_digits(text, "JSON integer"))
+    text = _read_input(args)
+    _check_nesting(text)
+    return json.loads(text, parse_int=lambda digits: _int_of_digits(digits, "JSON integer"))
 
 
 _GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
@@ -319,7 +343,8 @@ def main(argv=None) -> int:
               f"{exc.msg}", file=sys.stderr)
         return EXIT_INVALID
     except RecursionError:
-        # json.loads and ring_from_dict recurse once per level of the payload
+        # a fallback: _check_nesting bounds the levels json.loads and
+        # ring_from_dict recurse through
         print("radfact: invalid input: input nested too deeply", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as exc:

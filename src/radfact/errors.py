@@ -1,10 +1,12 @@
-"""Shared exception types, resource bounds and the JSON field checks (numpy-free)."""
+"""Shared exception types, resource bounds, the base of the immutable value
+classes and the JSON field checks (numpy-free)."""
 
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 MAX_ORDER = 4096
+# levels of JSON arrays and objects a payload may nest
+MAX_NESTING = 256
 # CPython's default cap on int() of a decimal string, and the lowest nonzero
 # cap the interpreter can be set to
 MAX_INT_DIGITS = 4300
@@ -67,23 +69,44 @@ def _json_object(value, what, allowed):
     return value
 
 
-@dataclass(frozen=True)
-class Bounds:
+class _Frozen:
+    """Base of the immutable value classes: each `__init__` writes its fields
+    into the instance `__dict__`, and any later assignment or deletion raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Bounds(_Frozen):
     """The limits a job runs under, one per CLI flag: `order` is max-order
     (ring orders and module sizes, at most MAX_ORDER), `ideals` is max-ideals
     (ideal lattices), `norm` is max-norm (integers factored)."""
 
-    order: int = MAX_ORDER
-    ideals: int = 1 << 20
-    norm: int = 10 ** 12
-
-    def __post_init__(self):
-        for field in ("order", "ideals", "norm"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"max-{field} {getattr(self, field)} is below 1")
-        if self.order > MAX_ORDER:
-            raise ValueError(f"max-order {self.order} exceeds the ceiling "
+    def __init__(self, order: int = MAX_ORDER, ideals: int = 1 << 20, norm: int = 10 ** 12):
+        self.__dict__.update(order=order, ideals=ideals, norm=norm)
+        for name, value in (("order", order), ("ideals", ideals), ("norm", norm)):
+            if value < 1:
+                raise ValueError(f"max-{name} {value} is below 1")
+        if order > MAX_ORDER:
+            raise ValueError(f"max-order {order} exceeds the ceiling "
                              f"{MAX_ORDER} on ring orders")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.ideals, self.norm) == (other.order, other.ideals, other.norm)
+
+    def __hash__(self):
+        return hash((self.order, self.ideals, self.norm))
+
+    def __repr__(self):
+        return f"Bounds(order={self.order!r}, ideals={self.ideals!r}, norm={self.norm!r})"
 
 
 DEFAULT_BOUNDS = Bounds()

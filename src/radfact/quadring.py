@@ -16,13 +16,10 @@ quadratic case; it is the cheapest oracle for the ascending radical chain.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import ClassVar
 
-from .errors import DEFAULT_BOUNDS, Bounds, exceeded
+from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, exceeded
 
 _TRIAL_LIMIT = 10 ** 6
 # Strong-probable-prime tests to the first 13 prime bases are exact below
@@ -153,29 +150,35 @@ def _xgcd(a, b):
     return g, x, y
 
 
-@dataclass(frozen=True)
-class QuadRing:
-    """The maximal order Z[w] of Q(sqrt(d)), d squarefree and not 0 or 1."""
+class QuadRing(_Frozen):
+    """The maximal order Z[w] of Q(sqrt(d)), d squarefree and not 0 or 1.
 
-    d: int
-    bounds: InitVar[Bounds] = DEFAULT_BOUNDS
+    `min_poly` is (c0, c1) with w^2 + c1*w + c0 = 0.
+    """
 
-    def __post_init__(self, bounds):
-        if self.d in (0, 1):
+    def __init__(self, d: int, bounds: Bounds = DEFAULT_BOUNDS):
+        self.__dict__.update(d=d, min_poly=(-(d - 1) // 4, -1) if d % 4 == 1 else (-d, 0))
+        if d in (0, 1):
             raise ValueError("d must not be 0 or 1")
-        if any(e > 1 for e in factor_int(abs(self.d), bounds).values()):
-            raise ValueError(f"d = {self.d} is not squarefree")
+        if abs(d) > bounds.norm:
+            exceeded("max-norm", bounds.norm, abs(d), "|d|")
+        if any(e > 1 for e in factor_int(abs(d), bounds).values()):
+            raise ValueError(f"d = {d} is not squarefree")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self):
+        return hash((self.d,))
+
+    def __repr__(self):
+        return f"QuadRing(d={self.d!r})"
 
     @property
     def omega_is_half(self) -> bool:
         return self.d % 4 == 1
-
-    @cached_property
-    def min_poly(self) -> tuple[int, int]:
-        """(c0, c1) with w^2 + c1*w + c0 = 0, computed once per ring."""
-        if self.omega_is_half:
-            return (-(self.d - 1) // 4, -1)
-        return (-self.d, 0)
 
     @property
     def label(self) -> str:
@@ -231,17 +234,11 @@ def _hnf_rows(rows):
     return a, px % a, py
 
 
-@dataclass(frozen=True)
-class QuadIdeal:
+class QuadIdeal(_Frozen):
     """A nonzero ideal of Z[w] in HNF: rows (a, 0) and (b, c) over (1, w)."""
 
-    ring: QuadRing
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, ring: QuadRing, a: int, b: int, c: int):
+        self.__dict__.update(ring=ring, a=a, b=b, c=c)
         if a <= 0 or c <= 0:
             raise ValueError("HNF requires a > 0 and c > 0")
         if not (0 <= b < a):
@@ -249,7 +246,7 @@ class QuadIdeal:
         if a % c or b % c:
             raise ValueError("HNF of an ideal requires c | a and c | b")
         for row in ((a, 0), (b, c)):
-            w_row = self.ring.mul_elements(row, (0, 1))
+            w_row = ring.mul_elements(row, (0, 1))
             if not _member(a, b, c, w_row):
                 raise ValueError("lattice is not closed under multiplication by w")
 
@@ -260,6 +257,14 @@ class QuadIdeal:
         ideal = object.__new__(cls)
         ideal.__dict__.update(ring=ring, a=a, b=b, c=c)
         return ideal
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.a, self.b, self.c) == (other.ring, other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.ring, self.a, self.b, self.c))
 
     @property
     def hnf(self) -> tuple[int, int, int]:
@@ -392,16 +397,27 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
     return [(q, e) for q in primes]
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(_Frozen):
     """(prime ideal, exponent) pairs sorted by (residue characteristic, HNF).
 
     `rational_primes` lists, sorted, the rational primes below the factors,
     which are the primes dividing the norm.
     """
 
-    factors: tuple
-    rational_primes: tuple = ()
+    def __init__(self, factors: tuple, rational_primes: tuple = ()):
+        self.__dict__.update(factors=factors, rational_primes=rational_primes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.rational_primes) == (other.factors, other.rational_primes)
+
+    def __hash__(self):
+        return hash((self.factors, self.rational_primes))
+
+    def __repr__(self):
+        return (f"PrimeFactorization(factors={self.factors!r}, "
+                f"rational_primes={self.rational_primes!r})")
 
     def __iter__(self):
         return iter(self.factors)
@@ -414,16 +430,26 @@ class PrimeFactorization:
         return max((e for _, e in self.factors), default=0)
 
 
-@dataclass(frozen=True)
-class RadicalChain:
+class RadicalChain(_Frozen):
     """Links J1 ⊆ J2 ⊆ ... ⊆ Jn of radical ideals whose product is a given ideal.
 
     `factorization` is the prime factorization the links were read off,
     when they were (`sp_factor`); it takes no part in equality.
     """
 
-    links: tuple
-    factorization: PrimeFactorization | None = field(default=None, compare=False)
+    def __init__(self, links: tuple, factorization: PrimeFactorization | None = None):
+        self.__dict__.update(links=links, factorization=factorization)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.links == other.links
+
+    def __hash__(self):
+        return hash((self.links,))
+
+    def __repr__(self):
+        return f"RadicalChain(links={self.links!r}, factorization={self.factorization!r})"
 
     def __iter__(self):
         return iter(self.links)
@@ -537,27 +563,41 @@ def verify_chain(chain: RadicalChain, ideal=None,
     return checks
 
 
-@dataclass(frozen=True)
-class IntRing:
+class IntRing(_Frozen):
     """The rational integers, as the degenerate one-dimensional instance."""
 
-    label: ClassVar[str] = "Z"
+    label = "Z"
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "IntRing()"
 
 
 INT_RING = IntRing()
 
 
-@dataclass(frozen=True)
-class IntIdeal:
+class IntIdeal(_Frozen):
     """The ideal nZ, identified with its positive generator n."""
 
-    n: int
+    ring = INT_RING
 
-    ring: ClassVar[IntRing] = INT_RING
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        self.__dict__.update(n=n)
+        if n < 1:
             raise ValueError("generator must be a positive integer")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
     @property
     def norm(self) -> int:

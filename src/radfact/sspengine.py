@@ -14,7 +14,6 @@ the ring itself, through xA = eA, and builds no factor ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DEFAULT_BOUNDS, Bounds
@@ -30,7 +29,6 @@ SP_NOTE = ("in a finite commutative ring every regular element is a unit, so the
            "about the SSP property")
 
 
-@dataclass
 class SspVerdict:
     """The closure of the radical ideals of `ring` under products.
 
@@ -40,9 +38,19 @@ class SspVerdict:
     shortest factorization because the closure is built breadth-first.
     """
 
-    ring: FinRing
-    parent: dict[int, tuple[int, int] | None]
-    lattice: dict[int, FinIdeal]
+    def __init__(self, ring: FinRing, parent: dict[int, tuple[int, int] | None],
+                 lattice: dict[int, FinIdeal]):
+        self.ring = ring
+        self.parent = parent
+        self.lattice = lattice
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.parent, self.lattice) == (other.ring, other.parent, other.lattice)
+
+    def __repr__(self):
+        return f"SspVerdict(ring={self.ring!r}, parent={self.parent!r}, lattice={self.lattice!r})"
 
     @property
     def is_ssp(self) -> bool:

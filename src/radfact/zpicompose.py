@@ -12,11 +12,10 @@ flagged with `canonical_extension=True` in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
 
-from .errors import DEFAULT_BOUNDS, Bounds
+from .errors import DEFAULT_BOUNDS, Bounds, _Frozen
 from .quadring import (IntIdeal, IntRing, QuadIdeal, QuadRing, sp_factor,
                        whole_ring_ideal)
 
@@ -29,26 +28,44 @@ class _ZeroEntry:
 ZERO = _ZeroEntry()
 
 
-@dataclass(frozen=True)
-class SprComponent:
+class SprComponent(_Frozen):
     """Abstract special primary ring with nilpotency index t >= 1."""
 
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1:
+    def __init__(self, t: int):
+        self.__dict__.update(t=t)
+        if t < 1:
             raise ValueError("nilpotency index must be >= 1")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.t == other.t
 
-@dataclass(frozen=True)
-class DedComponent:
+    def __hash__(self):
+        return hash((self.t,))
+
+    def __repr__(self):
+        return f"SprComponent(t={self.t!r})"
+
+
+class DedComponent(_Frozen):
     """A Dedekind component: a quadratic maximal order or the rational integers."""
 
-    ring: object
-
-    def __post_init__(self):
-        if not isinstance(self.ring, (QuadRing, IntRing)):
+    def __init__(self, ring: object):
+        self.__dict__.update(ring=ring)
+        if not isinstance(ring, (QuadRing, IntRing)):
             raise ValueError("Dedekind component must be a QuadRing or IntRing")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring
+
+    def __hash__(self):
+        return hash((self.ring,))
+
+    def __repr__(self):
+        return f"DedComponent(ring={self.ring!r})"
 
     def unit_ideal(self):
         if isinstance(self.ring, IntRing):
@@ -56,16 +73,25 @@ class DedComponent:
         return whole_ring_ideal(self.ring)
 
 
-@dataclass(frozen=True)
-class ZpiRing:
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
+class ZpiRing(_Frozen):
+    def __init__(self, components: tuple):
+        self.__dict__.update(components=components)
+        if not components:
             raise ValueError("a ZPI ring needs at least one component")
-        for comp in self.components:
+        for comp in components:
             if not isinstance(comp, (SprComponent, DedComponent)):
                 raise ValueError(f"unrecognized component {comp!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
+
+    def __repr__(self):
+        return f"ZpiRing(components={self.components!r})"
 
     def unit_ideal(self) -> "ZpiIdeal":
         return ZpiIdeal(self, tuple(
@@ -84,19 +110,25 @@ def _canonical_entry(comp, entry):
     raise ValueError("expected an ideal of the component's ring")
 
 
-@dataclass(frozen=True)
-class ZpiIdeal:
+class ZpiIdeal(_Frozen):
     """Componentwise ideal: exponents for SPR parts, ideals (or ZERO) for DED parts."""
 
-    ring: ZpiRing
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.ring.components):
+    def __init__(self, ring: ZpiRing, entries: tuple):
+        if len(entries) != len(ring.components):
             raise ValueError("entry count does not match component count")
-        canon = tuple(_canonical_entry(c, e)
-                      for c, e in zip(self.ring.components, self.entries))
-        object.__setattr__(self, "entries", canon)
+        self.__dict__.update(ring=ring, entries=tuple(
+            _canonical_entry(c, e) for c, e in zip(ring.components, entries)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.entries) == (other.ring, other.entries)
+
+    def __hash__(self):
+        return hash((self.ring, self.entries))
+
+    def __repr__(self):
+        return f"ZpiIdeal(ring={self.ring!r}, entries={self.entries!r})"
 
     @property
     def is_unit(self) -> bool:
@@ -121,16 +153,27 @@ def zpi_product(i: ZpiIdeal, j: ZpiIdeal) -> ZpiIdeal:
     return ZpiIdeal(i.ring, tuple(out))
 
 
-@dataclass(frozen=True)
-class ZpiChain:
+class ZpiChain(_Frozen):
     """An ascending chain of ZpiIdeals whose product is a given ideal.
 
     `canonical_extension` is True when an SPR entry hit its zero power M^t;
     there the ascending form is a canonicalization, not a unique chain.
     """
 
-    links: tuple
-    canonical_extension: bool
+    def __init__(self, links: tuple, canonical_extension: bool):
+        self.__dict__.update(links=links, canonical_extension=canonical_extension)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.links, self.canonical_extension) == (other.links, other.canonical_extension)
+
+    def __hash__(self):
+        return hash((self.links, self.canonical_extension))
+
+    def __repr__(self):
+        return (f"ZpiChain(links={self.links!r}, "
+                f"canonical_extension={self.canonical_extension!r})")
 
     def __iter__(self):
         return iter(self.links)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from conftest import INTERNAL_PHRASES
 from radfact import cli, finideal
+from radfact import quadring as q
+from radfact.errors import MAX_NESTING
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -331,6 +334,47 @@ def test_deeply_nested_payload_exits_2(capsys, tmp_path, depth):
     assert "input nested too deeply" in captured.err
 
 
+def levels(payload):
+    return max(itertools.accumulate((c in "[{") - (c in "]}") for c in payload))
+
+
+# a ring of two levels: one object inside another
+_IDEALIZATION = '{"idealization": {"zn": 2, "module_rank": 1}}'
+
+
+def test_payload_at_the_nesting_limit_is_accepted(capsys, tmp_path):
+    # the sibling Z2 adds a bracket but no level, so the text is scanned
+    payload = '{"product": [' * 127 + _IDEALIZATION + ']}' * 126 + ', {"zn": 2}]}'
+    assert levels(payload) == MAX_NESTING < payload.count("[") + payload.count("{")
+    path = tmp_path / "payload.json"
+    path.write_text(payload)
+    code, out = cli.main(["--input", str(path), "decide-ssp"]), capsys.readouterr().out
+    assert code == 0 and json.loads(out)["ring"]["order"] == 8
+
+
+def test_payload_one_level_past_the_nesting_limit_exits_2(capsys, tmp_path):
+    payload = nested_product(128)
+    assert levels(payload) == MAX_NESTING + 1
+    path = tmp_path / "payload.json"
+    path.write_text(payload)
+    code = cli.main(["--input", str(path), "decide-ssp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input nested too deeply (over {MAX_NESTING} levels of arrays and objects)" \
+        in captured.err
+
+
+def test_brackets_inside_a_string_do_not_count_toward_nesting(capsys, tmp_path):
+    # json.dumps writes each quote as \", which must not end the string either
+    table = dict(_TABLE, label='[{"' * MAX_NESTING)
+    payload = '{"product": [' * 126 + json.dumps(table) + ']}' * 126
+    assert levels(payload) > MAX_NESTING
+    path = tmp_path / "payload.json"
+    path.write_text(payload)
+    code, out = cli.main(["--input", str(path), "decide-ssp"]), capsys.readouterr().out
+    assert code == 0 and json.loads(out)["ring"]["label"] == table["label"]
+
+
 def test_sf_chain_degree_bound_exits_3(capsys):
     code, out, err = run_cli(capsys, ["sf-chain", "x^100000000"])
     assert code == 3 and out == ""
@@ -394,8 +438,9 @@ IDEALIZATION_2826 = {"idealization": {"zn": 2, "module_rank": 6}}   # 2,826 idea
      f"{(10 ** 8598).bit_length()} bits"),
     (["factor"], {"zint": int("7" * 4300)}, "max-norm", 10 ** 12,
      f"{int('7' * 4300).bit_length()} bits"),
+    (["factor"], {"d": 10 ** 13, "gens": ["2"]}, "max-norm", 10 ** 12, 10 ** 13),
 ], ids=["max-order", "max-ideals", "max-norm", "max-degree", "max-norm-of-8599-digits",
-        "max-norm-of-4300-digits"])
+        "max-norm-of-4300-digits", "max-norm-of-d"])
 def test_each_flag_governs_its_bound_and_shows_the_observed_size(
         capsys, tmp_path, monkeypatch, argv, payload, bound, limit, observed):
     lattices = []
@@ -412,6 +457,16 @@ def test_each_flag_governs_its_bound_and_shows_the_observed_size(
     assert err.count("\n") == 1 and len(err) < 200
     assert bound in err and f"(limit {limit}, observed {observed})" in err
     assert all(size <= limit + 1 for size in lattices)
+
+
+def test_oversized_d_is_reported_as_d_before_it_is_factored(capsys, tmp_path, monkeypatch):
+    def no_factoring(n, bounds):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(q, "factor_int", no_factoring)
+    code, out, err = run_cli(capsys, ["factor"], {"d": -(10 ** 13), "gens": ["2"]}, tmp_path)
+    assert code == 3 and out == ""
+    assert "|d| exceeds the max-norm bound (limit 1000000000000, observed 10000000000000)" in err
 
 
 def test_max_ideals_stops_the_lattice_of_z2_to_the_12_at_limit_plus_1(capsys, tmp_path):
@@ -631,6 +686,16 @@ def test_factor_and_sf_chain_jobs_never_load_numpy(tmp_path):
     assert lazy["numpy_submodules"] == []
     assert all(code == 0 for code, _ in lazy["jobs"].values())
     assert lazy["jobs"] == runs["numpy-first"]["jobs"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # diffed across the import, so what site loads beforehand does not count
+    proc = _python("-c", "import sys\n"
+                         "before = set(sys.modules)\n"
+                         "import radfact.cli\n"
+                         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_finring_uses_an_already_imported_numpy():
