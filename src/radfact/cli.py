@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 from . import finideal, finring, polychain, quadring, sspengine
 from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
@@ -40,9 +39,14 @@ def _emit(report, output_path):
     if output_path is None:
         sys.stdout.write(text)
         return
-    # write once, atomically
+    # write once, atomically; tempfile (about 8 ms of a cold start) only here
+    import tempfile
     directory = os.path.dirname(os.path.abspath(output_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radfact-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radfact-")
+    except OSError as exc:
+        # name the path the user gave, not the hidden temporary file
+        raise OSError(exc.errno, exc.strerror, output_path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

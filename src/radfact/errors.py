@@ -1,8 +1,15 @@
 """Shared exception types, resource bounds, the base of the immutable value
-classes and the JSON field checks (numpy-free)."""
+classes, the JSON field checks and the lazy module loader (stdlib only)."""
 
+from __future__ import annotations
+
+import importlib.util
 import sys
-from typing import NoReturn
+
+# typing costs a cold start about 10 ms; only type checkers read the annotation
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 MAX_ORDER = 4096
 # levels of JSON arrays and objects a payload may nest
@@ -13,6 +20,22 @@ MAX_INT_DIGITS = 4300
 _LOWEST_INT_DIGITS = 640
 # an observed size longer than this is shown by its length, not its digits
 SHOWN_DIGITS = 20
+
+
+def _lazy_module(name):
+    """The module `name`, executed on its first attribute access (importlib's
+    LazyLoader recipe), or the module itself when it is already imported.  A
+    module that is not installed still fails here, at import."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class ResourceLimitError(Exception):

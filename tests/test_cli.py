@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import itertools
 import json
 import os
@@ -221,6 +222,14 @@ def test_output_file_written_atomically(capsys, tmp_path):
     assert report["count"] == 2
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".radfact-")]
     assert not leftovers
+
+
+def test_output_into_a_missing_directory_names_the_given_path(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["--output", str(out_path), "sf-chain", "x^2"])
+    assert code == 2 and out == ""
+    assert str(out_path) in err
+    assert ".radfact-" not in err
 
 
 def test_parse_quad_element():
@@ -696,6 +705,55 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                          "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_typing_nor_tempfile():
+    # -S skips site and the .pth files that may load both beforehand, so numpy's
+    # directory goes on PYTHONPATH for the import-time check that it exists
+    numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + numpy_dir)
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys\n"
+                           "before = set(sys.modules)\n"
+                           "import radfact.cli\n"
+                           "print(sorted({'typing', 'tempfile'} & (set(sys.modules) - before)))"],
+                          env=env, capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Runs one job through cli.main in a fresh interpreter (argv[1:] is its argv) and
+# prints the radfact modules whose code has run: a module registered lazily
+# stays a LazyLoader module, not a plain one, until its first attribute access
+_RAN_MODULES = """
+import contextlib, io, json, sys, types
+from radfact import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "ran": sorted(
+    name for name, mod in sys.modules.items()
+    if name.startswith("radfact") and type(mod) is types.ModuleType)}))
+"""
+
+_CORE = ["radfact", "radfact.cli", "radfact.errors"]
+_TABLE_RING = ["radfact.finideal", "radfact.finring", "radfact.polychain", "radfact.sspengine"]
+
+
+@pytest.mark.parametrize("argv, payload, engines", [
+    (["factor"], {"d": -5, "gens": ["6"]}, ["radfact.quadring"]),
+    (["sf-chain", "x^3-x^2-x+1"], None, ["radfact.polychain"]),
+    (["decide-ssp"], {"zn": 12}, _TABLE_RING),
+    (["census"], {"catalog": [{"zn": 12}, {"product": [{"zn": 2}, {"zn": 3}]}]}, _TABLE_RING),
+], ids=["factor", "sf-chain", "decide-ssp", "census"])
+def test_each_command_runs_only_the_engines_it_calls(tmp_path, argv, payload, engines):
+    if payload is not None:
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        argv = ["--input", str(path)] + argv
+    proc = _python("-c", _RAN_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["ran"] == sorted(_CORE + engines)
 
 
 def test_finring_uses_an_already_imported_numpy():
