@@ -6,12 +6,12 @@ outcome to the exit status.  The table-ring commands (decide-ssp, ideals,
 spectrum) share one handler that heads each report with the ring.
 
 Exit status: 0 on success, 2 on invalid input (with a position-bearing
-diagnostic for malformed JSON), 3 when a resource bound aborts the run,
-4 when a census finds a disagreement between the SSP decision and the
-structural oracle, 5 when an internal arithmetic invariant fails (a
-re-multiplication or exact-division check: a bug, not a property of the
-input).  Verdicts themselves live in the report payload, never in the exit
-code.
+diagnostic for malformed JSON) or a report that cannot be written, 3 when a
+resource bound aborts the run, 4 when a census finds a disagreement between
+the SSP decision and the structural oracle, 5 when an internal arithmetic
+invariant fails (a re-multiplication or exact-division check: a bug, not a
+property of the input).  Verdicts themselves live in the report payload,
+never in the exit code.
 """
 
 from __future__ import annotations
@@ -34,19 +34,14 @@ EXIT_DISAGREEMENT = 4
 EXIT_INVARIANT = 5
 
 
-def _emit(report, output_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _emit(text, output_path):
     if output_path is None:
         sys.stdout.write(text)
         return
     # write once, atomically; tempfile (about 8 ms of a cold start) only here
     import tempfile
     directory = os.path.dirname(os.path.abspath(output_path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radfact-")
-    except OSError as exc:
-        # name the path the user gave, not the hidden temporary file
-        raise OSError(exc.errno, exc.strerror, output_path) from None
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radfact-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -341,7 +336,7 @@ def main(argv=None) -> int:
         parser.error(f"--{exc}")    # the message opens with the bound's name, the flag's
     try:
         report = _HANDLERS[args.command](args)
-        _emit(report, args.output)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     except json.JSONDecodeError as exc:
         print(f"radfact: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
@@ -359,6 +354,13 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"radfact: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        # the reason alone: the exception's text may name the hidden temporary file
+        print(f"radfact: cannot write report to '{args.output or '<stdout>'}': "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_DISAGREEMENT if report.get("disagreements") else EXIT_OK
 

@@ -1,5 +1,9 @@
-"""Shared exception types, resource bounds, the base of the immutable value
-classes, the JSON field checks and the lazy module loader (stdlib only)."""
+"""Shared exception types, resource bounds, the two bases of the value
+classes, the JSON field checks and the lazy module loader (stdlib only).
+
+`_Value` gives a class equality and a repr from the fields its `__init__`
+stores in the instance `__dict__`; `_Frozen` adds hashing and refuses any
+later assignment or deletion."""
 
 from __future__ import annotations
 
@@ -92,12 +96,33 @@ def _json_object(value, what, allowed):
     return value
 
 
-class _Frozen:
-    """Base of the immutable value classes: each `__init__` writes its fields
-    into the instance `__dict__`, and any later assignment or deletion raises
-    AttributeError."""
+class _Value:
+    """Base of the value classes: two values are equal when they have the same
+    class and the same fields, and the repr lists the fields in the order
+    `__init__` stored them in the instance `__dict__`."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _Frozen(_Value):
+    """Base of the immutable value classes: each `__init__` writes its fields
+    into the instance `__dict__`, and any later assignment or deletion raises
+    AttributeError.  The hash follows the fields in their stored order, so
+    every constructor stores them in the same order."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,17 +144,6 @@ class Bounds(_Frozen):
         if order > MAX_ORDER:
             raise ValueError(f"max-order {order} exceeds the ceiling "
                              f"{MAX_ORDER} on ring orders")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.ideals, self.norm) == (other.order, other.ideals, other.norm)
-
-    def __hash__(self):
-        return hash((self.order, self.ideals, self.norm))
-
-    def __repr__(self):
-        return f"Bounds(order={self.order!r}, ideals={self.ideals!r}, norm={self.norm!r})"
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -35,7 +35,7 @@ pure function of its inputs.  numpy loads on the first table-ring call
 from __future__ import annotations
 
 from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _lazy_module, _strict_int,
-                     exceeded)
+                     _Value, exceeded)
 from .polychain import RatPoly, format_poly
 
 
@@ -507,24 +507,13 @@ def decompose_local(a: FinRing) -> list[FinRing]:
     return [_image_ring(a, a.mul[e], f"{a.label}|e={e}") for e in prim]
 
 
-class SpecialPrimaryVerdict:
+class SpecialPrimaryVerdict(_Value):
     def __init__(self, is_special_primary: bool,
                  maximal_ideal: object | None,      # FinIdeal when the ring is local
                  nilpotency_index: int | None):     # least t with M^t = 0
         self.is_special_primary = is_special_primary
         self.maximal_ideal = maximal_ideal
         self.nilpotency_index = nilpotency_index
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.is_special_primary, self.maximal_ideal, self.nilpotency_index)
-                == (other.is_special_primary, other.maximal_ideal, other.nilpotency_index))
-
-    def __repr__(self):
-        return (f"SpecialPrimaryVerdict(is_special_primary={self.is_special_primary!r}, "
-                f"maximal_ideal={self.maximal_ideal!r}, "
-                f"nilpotency_index={self.nilpotency_index!r})")
 
 
 def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:

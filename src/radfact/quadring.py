@@ -165,15 +165,8 @@ class QuadRing(_Frozen):
         if any(e > 1 for e in factor_int(abs(d), bounds).values()):
             raise ValueError(f"d = {d} is not squarefree")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.d == other.d
-
-    def __hash__(self):
-        return hash((self.d,))
-
     def __repr__(self):
+        # min_poly follows from d, so the repr leaves it out
         return f"QuadRing(d={self.d!r})"
 
     @property
@@ -257,14 +250,6 @@ class QuadIdeal(_Frozen):
         ideal = object.__new__(cls)
         ideal.__dict__.update(ring=ring, a=a, b=b, c=c)
         return ideal
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.a, self.b, self.c) == (other.ring, other.a, other.b, other.c)
-
-    def __hash__(self):
-        return hash((self.ring, self.a, self.b, self.c))
 
     @property
     def hnf(self) -> tuple[int, int, int]:
@@ -407,18 +392,6 @@ class PrimeFactorization(_Frozen):
     def __init__(self, factors: tuple, rational_primes: tuple = ()):
         self.__dict__.update(factors=factors, rational_primes=rational_primes)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.factors, self.rational_primes) == (other.factors, other.rational_primes)
-
-    def __hash__(self):
-        return hash((self.factors, self.rational_primes))
-
-    def __repr__(self):
-        return (f"PrimeFactorization(factors={self.factors!r}, "
-                f"rational_primes={self.rational_primes!r})")
-
     def __iter__(self):
         return iter(self.factors)
 
@@ -447,9 +420,6 @@ class RadicalChain(_Frozen):
 
     def __hash__(self):
         return hash((self.links,))
-
-    def __repr__(self):
-        return f"RadicalChain(links={self.links!r}, factorization={self.factorization!r})"
 
     def __iter__(self):
         return iter(self.links)
@@ -568,15 +538,6 @@ class IntRing(_Frozen):
 
     label = "Z"
 
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "IntRing()"
-
 
 INT_RING = IntRing()
 
@@ -590,14 +551,6 @@ class IntIdeal(_Frozen):
         self.__dict__.update(n=n)
         if n < 1:
             raise ValueError("generator must be a positive integer")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
 
     @property
     def norm(self) -> int:

@@ -14,9 +14,7 @@ the ring itself, through xA = eA, and builds no factor ring.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .errors import DEFAULT_BOUNDS, Bounds
+from .errors import DEFAULT_BOUNDS, Bounds, _Value
 from .finideal import (FinIdeal, _lattice_product, _principal_masks, _radical_masks, _row_masks,
                        _span, all_ideals)
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
@@ -29,7 +27,7 @@ SP_NOTE = ("in a finite commutative ring every regular element is a unit, so the
            "about the SSP property")
 
 
-class SspVerdict:
+class SspVerdict(_Value):
     """The closure of the radical ideals of `ring` under products.
 
     `lattice` is every ideal, as {mask: FinIdeal} in `all_ideals` order.
@@ -43,14 +41,6 @@ class SspVerdict:
         self.ring = ring
         self.parent = parent
         self.lattice = lattice
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.parent, self.lattice) == (other.ring, other.parent, other.lattice)
-
-    def __repr__(self):
-        return f"SspVerdict(ring={self.ring!r}, parent={self.parent!r}, lattice={self.lattice!r})"
 
     @property
     def is_ssp(self) -> bool:
@@ -79,7 +69,7 @@ class SspVerdict:
         out.reverse()
         return out
 
-    @cached_property
+    @property
     def factorizations(self) -> dict[FinIdeal, list[FinIdeal] | None]:
         """`factors_of` every ideal, None for those outside the closure."""
         return {i: self.factors_of(i) for i in self.lattice.values()}

@@ -36,17 +36,6 @@ class SprComponent(_Frozen):
         if t < 1:
             raise ValueError("nilpotency index must be >= 1")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.t == other.t
-
-    def __hash__(self):
-        return hash((self.t,))
-
-    def __repr__(self):
-        return f"SprComponent(t={self.t!r})"
-
 
 class DedComponent(_Frozen):
     """A Dedekind component: a quadratic maximal order or the rational integers."""
@@ -55,17 +44,6 @@ class DedComponent(_Frozen):
         self.__dict__.update(ring=ring)
         if not isinstance(ring, (QuadRing, IntRing)):
             raise ValueError("Dedekind component must be a QuadRing or IntRing")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ring == other.ring
-
-    def __hash__(self):
-        return hash((self.ring,))
-
-    def __repr__(self):
-        return f"DedComponent(ring={self.ring!r})"
 
     def unit_ideal(self):
         if isinstance(self.ring, IntRing):
@@ -81,17 +59,6 @@ class ZpiRing(_Frozen):
         for comp in components:
             if not isinstance(comp, (SprComponent, DedComponent)):
                 raise ValueError(f"unrecognized component {comp!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash((self.components,))
-
-    def __repr__(self):
-        return f"ZpiRing(components={self.components!r})"
 
     def unit_ideal(self) -> "ZpiIdeal":
         return ZpiIdeal(self, tuple(
@@ -118,17 +85,6 @@ class ZpiIdeal(_Frozen):
             raise ValueError("entry count does not match component count")
         self.__dict__.update(ring=ring, entries=tuple(
             _canonical_entry(c, e) for c, e in zip(ring.components, entries)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.entries) == (other.ring, other.entries)
-
-    def __hash__(self):
-        return hash((self.ring, self.entries))
-
-    def __repr__(self):
-        return f"ZpiIdeal(ring={self.ring!r}, entries={self.entries!r})"
 
     @property
     def is_unit(self) -> bool:
@@ -162,18 +118,6 @@ class ZpiChain(_Frozen):
 
     def __init__(self, links: tuple, canonical_extension: bool):
         self.__dict__.update(links=links, canonical_extension=canonical_extension)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.links, self.canonical_extension) == (other.links, other.canonical_extension)
-
-    def __hash__(self):
-        return hash((self.links, self.canonical_extension))
-
-    def __repr__(self):
-        return (f"ZpiChain(links={self.links!r}, "
-                f"canonical_extension={self.canonical_extension!r})")
 
     def __iter__(self):
         return iter(self.links)

@@ -224,12 +224,16 @@ def test_output_file_written_atomically(capsys, tmp_path):
     assert not leftovers
 
 
-def test_output_into_a_missing_directory_names_the_given_path(capsys, tmp_path):
-    out_path = tmp_path / "missing" / "report.json"
+@pytest.mark.parametrize("target", ["missing/report.json", "existing"],
+                         ids=["missing-directory", "existing-directory"])
+def test_unwritable_output_names_the_given_path(capsys, tmp_path, target):
+    (tmp_path / "existing").mkdir()
+    out_path = tmp_path / target
     code, out, err = run_cli(capsys, ["--output", str(out_path), "sf-chain", "x^2"])
     assert code == 2 and out == ""
-    assert str(out_path) in err
+    assert err.startswith(f"radfact: cannot write report to '{out_path}': ")
     assert ".radfact-" not in err
+    assert not list(tmp_path.rglob(".radfact-*"))
 
 
 def test_parse_quad_element():

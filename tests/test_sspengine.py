@@ -180,6 +180,14 @@ def test_decide_ssp_flagship_negative():
     assert verdict.factorizations[witness] is None
 
 
+def test_reading_factorizations_leaves_the_verdict_unchanged():
+    z8 = fr.make_zn(8)
+    read, fresh = ssp.decide_ssp(z8), ssp.decide_ssp(z8)
+    text = repr(read)
+    assert read.factorizations == fresh.factorizations
+    assert read == fresh and repr(read) == text == repr(fresh)
+
+
 def test_decide_ssp_prime_powers():
     for n in (2, 3, 4, 8, 9, 25, 27):
         assert ssp.decide_ssp(fr.make_zn(n)).is_ssp

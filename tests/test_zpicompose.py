@@ -51,6 +51,25 @@ def test_mixed_componentwise_product():
     assert prod.entries[1] == i6
 
 
+def test_equal_values_hash_equal_whatever_built_them():
+    # the hash reads the fields in their stored order, which every constructor keeps
+    r5 = q.QuadRing(-5)
+    p2 = q.primes_above(r5, 2)[0][0]
+    zpi = mixed_ring()
+    pairs = [
+        (q.QuadIdeal(q.QuadRing(-5), 2, 0, 2), p2 * p2),
+        (q.QuadIdeal(r5, 2, 1, 1), p2),
+        (q.QuadIdeal(r5, 1, 0, 1), q.whole_ring_ideal(r5)),
+        (q.QuadIdeal(r5, 6, 0, 6), q.ideal_from_gens(r5, [(6, 0)])),
+        (q.IntIdeal(6), q.IntIdeal(2) * q.IntIdeal(3)),
+        (z.ZpiIdeal(zpi, (3, q.IntIdeal(6))),
+         z.zpi_product(z.ZpiIdeal(zpi, (1, q.IntIdeal(2))), z.ZpiIdeal(zpi, (2, q.IntIdeal(3))))),
+    ]
+    for built, derived in pairs:
+        assert built == derived and hash(built) == hash(derived), built
+        assert len({built, derived}) == 1, built
+
+
 def test_radical_chain_spr_only():
     ring = z.ZpiRing((z.SprComponent(3),))
     chain = z.radical_chain(z.ZpiIdeal(ring, (2,)))
