@@ -13,19 +13,36 @@ Three instance families share the ascending-chain machinery:
 `zpicompose` glues abstract special-primary components to the Dedekind
 instances, and `cli` exposes everything as batch JSON jobs.
 
-Each engine module, and numpy under the table rings, runs on its first
-attribute access (`errors._lazy_module`), so a `factor` job runs only
-`quadring` and an `sf-chain` job only `polychain`.  The names below resolve
-the same way, on first use.  Every value is immutable and every operation a
-pure function, so sharing across threads is safe once a module has run; but
-on Python 3.10 and 3.11 importlib's LazyLoader takes no lock for that first
-run, so the first call into each engine should come from one thread.
+Only radfact's own engines load lazily: each runs on its first attribute
+access (`_lazy_module`), so a `factor` job runs only `quadring` and an
+`sf-chain` job only `polychain`; numpy, a plain import of `finring`, loads
+with the first table-ring call.  The names below resolve on first use too.
+Every value is immutable and every operation a pure function, so sharing
+across threads is safe once an engine has run.  Before that, the first call
+into each engine must come from one thread, or the threads that lose the
+race get `AttributeError`: LazyLoader takes no lock on Python 3.10, 3.11
+and 3.12.1 (3.13.0 takes one).
 """
 
-from .errors import _lazy_module
+import importlib.util
+import sys
 
-# numpy loads on the first table-ring call, but a missing numpy fails here
-_lazy_module("numpy")
+from . import errors  # `__getattr__` resolves three public names from it
+
+# numpy loads with the first table-ring call, but a missing numpy fails here
+if importlib.util.find_spec("numpy") is None:
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+
+
+def _lazy_module(name):
+    # importlib's LazyLoader recipe: the module runs on its first attribute access
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 finring, finideal, sspengine, quadring, polychain, zpicompose = (
     _lazy_module(f"{__name__}.{name}")

@@ -1,5 +1,5 @@
 """Shared exception types, resource bounds, the two bases of the value
-classes, the JSON field checks and the lazy module loader (stdlib only).
+classes and the JSON field checks (stdlib only).
 
 `_Value` gives a class equality and a repr from the fields its `__init__`
 stores in the instance `__dict__`; `_Frozen` adds hashing and refuses any
@@ -7,7 +7,6 @@ later assignment or deletion."""
 
 from __future__ import annotations
 
-import importlib.util
 import sys
 
 # typing costs a cold start about 10 ms; only type checkers read the annotation
@@ -24,22 +23,6 @@ MAX_INT_DIGITS = 4300
 _LOWEST_INT_DIGITS = 640
 # an observed size longer than this is shown by its length, not its digits
 SHOWN_DIGITS = 20
-
-
-def _lazy_module(name):
-    """The module `name`, executed on its first attribute access (importlib's
-    LazyLoader recipe), or the module itself when it is already imported.  A
-    module that is not installed still fails here, at import."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 class ResourceLimitError(Exception):

@@ -16,8 +16,10 @@ power map (`_radical_masks`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DEFAULT_BOUNDS, Bounds, exceeded
-from .finring import FinRing, _bit_rows, _bits, _pack, elements_of, mask_of, np
+from .finring import FinRing, _bit_rows, _bits, _pack, elements_of, mask_of
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.

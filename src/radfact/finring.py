@@ -28,20 +28,16 @@ Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  Horner's rule fills the
 product of Z/n[x]/(f): a = a_0 + x*a' has index a_0 + n*a', with a' < a.
 
 All values are immutable after construction and every operation here is a
-pure function of its inputs.  numpy loads on the first table-ring call
-(`_lazy_module`; the package docstring says what that means for threads).
+pure function of its inputs.  This module, and numpy with it, runs on the
+first table-ring call (the package docstring says what that means for threads).
 """
 
 from __future__ import annotations
 
-from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _lazy_module, _strict_int,
-                     _Value, exceeded)
+import numpy as np
+
+from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _strict_int, _Value, exceeded
 from .polychain import RatPoly, format_poly
-
-
-# every use of np is inside a function body, so `factor` and `sf-chain` jobs,
-# which build no table ring, never load numpy
-np = _lazy_module("numpy")
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18
@@ -326,19 +322,17 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
     if f[d] != 1 % n:
         raise ValueError("modulus must be monic")
     vectors = free_module(base, d, bounds)   # residues as coefficient vectors
-    add, mul = vectors.add, vectors.action    # degree 1: all residues are constants
-    if d > 1:
-        # x*b moves b's coefficients up one place and folds the top one back
-        # in through x^d = -(f_0 + f_1 x + ... + f_{d-1} x^{d-1})
-        minus_f = sum((-c) % n * n ** i for i, c in enumerate(f[:d]))
-        scale, mul = mul, np.empty_like(add)
-        times_x = add[scale[:, minus_f, None], np.arange(0, order, n)].ravel()
-        mul[:n] = scale
-        p = 1   # rows n*a' + a_0 for p <= a' < q <= n*p: every row a' is filled already
-        while p < order // n:
-            q = min(order // n, n * p, p + max(1, _HORNER_BLOCK // (n * order)))
-            mul[n * p:n * q] = add[scale, mul[p:q, times_x][:, None]].reshape(-1, order)
-            p = q
+    add, scale, mul = vectors.add, vectors.action, np.empty_like(vectors.add)
+    # x*b moves b's coefficients up one place and folds the top one back
+    # in through x^d = -(f_0 + f_1 x + ... + f_{d-1} x^{d-1})
+    minus_f = sum((-c) % n * n ** i for i, c in enumerate(f[:d]))
+    times_x = add[scale[:, minus_f, None], np.arange(0, order, n)].ravel()
+    mul[:n] = scale   # the constants; for d = 1 that is every row
+    p = 1   # rows n*a' + a_0 for p <= a' < q <= n*p: every row a' is filled already
+    while p < order // n:
+        q = min(order // n, n * p, p + max(1, _HORNER_BLOCK // (n * order)))
+        mul[n * p:n * q] = add[scale, mul[p:q, times_x][:, None]].reshape(-1, order)
+        p = q
     label = f"Z{n}[x]/({format_poly(RatPoly(f))})"
     return FinRing._trusted(order, add, mul, zero=0, one=1 % order, label=label)
 

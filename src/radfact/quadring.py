@@ -35,7 +35,9 @@ def _primes_below(limit):
     """The sieved primes, covering at least every prime below min(limit, 10^6).
 
     The sieve grows geometrically with the largest request, capped at the
-    trial-division bound, so a small norm never pays for a 10^6 sieve.
+    trial-division bound, so a small norm never pays for a 10^6 sieve.  Sieve
+    and primes are published in one assignment once built; a thread may still
+    read the new sieve beside the old list, so callers trust only the list.
     """
     global _sieve, _small_primes
     limit = min(limit, _TRIAL_LIMIT)
@@ -46,8 +48,7 @@ def _primes_below(limit):
         for p in range(2, isqrt(size - 1) + 1):
             if sieve[p]:
                 sieve[p * p::p] = bytes(len(range(p * p, size, p)))
-        _sieve = sieve
-        _small_primes = list(compress(range(size), sieve))
+        _sieve, _small_primes = sieve, list(compress(range(size), sieve))
     return _small_primes
 
 
@@ -113,9 +114,9 @@ def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
     """Factor a positive integer by trial division, refusing to guess.
 
     Trial-divides by primes up to min(sqrt(n), 10^6); a remaining cofactor
-    beyond the square of the sieve must pass the deterministic primality
-    test or the whole factorization is rejected with a resource error
-    (never silently mis-factored).
+    at or beyond (largest listed prime + 1)^2 must pass the deterministic
+    primality test or the whole factorization is rejected with a resource
+    error (never silently mis-factored).
     """
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -123,7 +124,8 @@ def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
         exceeded("max-norm", bounds.norm, n, "integer to factor")
     out: dict[int, int] = {}
     rem = n
-    for p in _primes_below(isqrt(n) + 1):
+    primes = _primes_below(isqrt(n) + 1)
+    for p in primes:
         if p * p > rem:
             break
         while rem % p == 0:
@@ -133,7 +135,7 @@ def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
         if rem >= _MR_EXACT_BELOW:
             exceeded("max-norm", bounds.norm, rem,
                      "cofactor beyond the exact primality range")
-        if rem >= len(_sieve) ** 2 and not _is_prime(rem):
+        if rem >= (primes[-1] + 1 if primes else 2) ** 2 and not _is_prime(rem):
             exceeded("max-norm", bounds.norm, rem,
                      "cofactor composite beyond the trial-division bound")
         out[rem] = out.get(rem, 0) + 1

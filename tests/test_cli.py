@@ -678,9 +678,9 @@ def run(argv):
 
 jobs = {"factor": run(["--input", sys.argv[2], "factor"]),
         "sf-chain": run(["sf-chain", "x^3-x^2-x+1"])}
-loaded = [m for m in sys.modules if m.startswith("numpy.")]
+loaded = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
 jobs["decide-ssp"] = run(["--input", sys.argv[3], "decide-ssp"])
-print(json.dumps({"jobs": jobs, "numpy_submodules": loaded}))
+print(json.dumps({"jobs": jobs, "numpy_modules": loaded}))
 """
 
 
@@ -695,8 +695,8 @@ def test_factor_and_sf_chain_jobs_never_load_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs[order] = json.loads(proc.stdout)
     lazy = runs["radfact-first"]
-    # "numpy" itself is in sys.modules from the start, as a stub not yet executed
-    assert lazy["numpy_submodules"] == []
+    # neither numpy nor any of its submodules is in sys.modules
+    assert lazy["numpy_modules"] == []
     assert all(code == 0 for code, _ in lazy["jobs"].values())
     assert lazy["jobs"] == runs["numpy-first"]["jobs"]
 
@@ -758,6 +758,58 @@ def test_each_command_runs_only_the_engines_it_calls(tmp_path, argv, payload, en
     result = json.loads(proc.stdout)
     assert result["code"] == 0
     assert result["ran"] == sorted(_CORE + engines)
+
+
+# Prints whether numpy is in sys.modules after `import radfact`, and whether it is
+# a plain module after a decide-ssp job (argv[1] is its payload)
+_NUMPY_STATE = """
+import contextlib, io, json, sys, types
+import radfact
+imported = "numpy" in sys.modules
+from radfact import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--input", sys.argv[1], "decide-ssp"])
+print(json.dumps({"after_import": imported, "code": code,
+                  "plain_after_job": type(sys.modules.get("numpy")) is types.ModuleType}))
+"""
+
+
+def test_import_leaves_numpy_to_the_first_table_ring_job(tmp_path):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"zn": 12}))
+    proc = _python("-c", _NUMPY_STATE, str(ring))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"after_import": False, "code": 0, "plain_after_job": True}
+
+
+# Four threads import numpy at once in a host that imported radfact first
+_THREADED_NUMPY = """
+import json, threading
+import radfact
+barrier, failures = threading.Barrier(4, timeout=30), []
+
+def work():
+    try:
+        barrier.wait()
+        import numpy
+        numpy.zeros(3)
+    except Exception as exc:
+        failures.append(repr(exc))
+
+threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+failures += ["still running"] * sum(thread.is_alive() for thread in threads)
+print(json.dumps(failures))
+"""
+
+
+def test_host_threads_import_numpy_after_radfact():
+    proc = _python("-c", _THREADED_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_finring_uses_an_already_imported_numpy():

@@ -7,7 +7,8 @@ sympy is only a test oracle here; the package itself does not import it.
 import os
 import subprocess
 import sys
-from math import isqrt
+import threading
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given
@@ -82,6 +83,43 @@ def test_sieve_is_sized_to_the_job(empty_sieve):
     assert len(q._sieve) == isqrt(1000003 * 999983) + 1
     assert q.factor_int(6 * 1000000000039, Bounds(norm=10 ** 14)) == {2: 1, 3: 1, 1000000000039: 1}
     assert len(q._sieve) == 10 ** 6      # the trial-division cap
+
+
+def test_factor_int_trusts_only_the_primes_it_tried(empty_sieve, monkeypatch):
+    # a grown sieve beside the shorter prime list it replaced: what another
+    # thread can read while _primes_below publishes the two
+    q._primes_below(10 ** 4)
+    monkeypatch.setattr(q, "_small_primes", [p for p in q._small_primes if p < 100])
+    with pytest.raises(ResourceLimitError):
+        q.factor_int(101 * 103)
+    for n in range(9000, 11000):
+        try:
+            factors = q.factor_int(n)
+        except ResourceLimitError:
+            continue
+        assert all(sympy.isprime(p) for p in factors), (n, factors)
+        assert prod(p ** e for p, e in factors.items()) == n
+
+
+def test_factor_int_beside_a_growing_sieve_on_another_thread(empty_sieve):
+    # each round one thread grows the sieve from 2000 to 4000 while another
+    # factors 2027 * 2029, which needs the sieve to reach 2029
+    results, before = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            q._sieve, q._small_primes = bytearray(), []
+            q._primes_below(2000)
+            threads = [threading.Thread(target=q._primes_below, args=(4000,)),
+                       threading.Thread(target=lambda: results.append(q.factor_int(2027 * 2029)))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(before)
+    assert results == [{2027: 1, 2029: 1}] * 200
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 40961, 65537, 998244353])
