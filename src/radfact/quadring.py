@@ -12,61 +12,42 @@ ideal is just its positive generator).  Both ideal classes answer
 dividing I, so Z shares the one factorization routine (re-multiplied to I),
 the one radical routine, PrimeFactorization and RadicalChain with the
 quadratic case; it is the cheapest oracle for the ascending radical chain.
+
+Every factorization starts from the rational primes of a norm, found by
+`factor_int`: trial division with an early exit once deterministic
+Miller-Rabin, the module's one primality test, proves the cofactor prime.
+The module keeps no mutable state.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, prod
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, exceeded
 
 _TRIAL_LIMIT = 10 ** 6
+# past this trial divisor a prime cofactor ends trial division early
+_EARLY_EXIT = 1000
+# gaps between consecutive integers prime to 30, from 7 on
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # Strong-probable-prime tests to the first 13 prime bases are exact below
 # psi_13 = 3317044064679887385961981 (Sorenson and Webster 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
-_sieve = bytearray()
-_small_primes: list[int] = []
-
-
-def _primes_below(limit):
-    """The sieved primes, covering at least every prime below min(limit, 10^6).
-
-    The sieve grows geometrically with the largest request, capped at the
-    trial-division bound, so a small norm never pays for a 10^6 sieve.  Sieve
-    and primes are published in one assignment once built; a thread may still
-    read the new sieve beside the old list, so callers trust only the list.
-    """
-    global _sieve, _small_primes
-    limit = min(limit, _TRIAL_LIMIT)
-    if len(_sieve) < limit:
-        size = min(max(limit, 2 * len(_sieve)), _TRIAL_LIMIT)
-        sieve = bytearray([1]) * size
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(size - 1) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
-        _sieve, _small_primes = sieve, list(compress(range(size), sieve))
-    return _small_primes
-
 
 def _is_prime(n: int) -> bool:
-    """Exact primality for n < _MR_EXACT_BELOW.
-
-    A lookup in the sieve below its bound, deterministic Miller-Rabin to
-    the first 13 prime bases above it.
-    """
-    if n < 2:
-        return False
-    if n < len(_sieve):
-        return bool(_sieve[n])
+    """Exact primality for n < _MR_EXACT_BELOW: deterministic Miller-Rabin
+    to the first 13 prime bases."""
     if n >= _MR_EXACT_BELOW:
         raise ValueError(f"{n} is beyond the exact primality range")
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    # a composite below 41^2 has a prime factor below 41, which is a base
+    if n < 41 * 41:
+        return n > 1
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for b in _MR_BASES:
@@ -113,10 +94,13 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
     """Factor a positive integer by trial division, refusing to guess.
 
-    Trial-divides by primes up to min(sqrt(n), 10^6); a remaining cofactor
-    at or beyond (largest listed prime + 1)^2 must pass the deterministic
-    primality test or the whole factorization is rejected with a resource
-    error (never silently mis-factored).
+    Trial-divides by 2, 3, 5 and the integers prime to 30 up to
+    min(sqrt(cofactor), 10^6).  Past the divisor _EARLY_EXIT, a cofactor
+    that Miller-Rabin proves prime ends the division; it is tested when the
+    divisor crosses _EARLY_EXIT and again after each later division.  A
+    cofactor with no factor up to 10^6 that is not proved prime is refused
+    with a resource error, never mis-factored: the trial-division bound for
+    a composite, the exact-primality bound from psi_13 on.
     """
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -124,21 +108,31 @@ def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
         exceeded("max-norm", bounds.norm, n, "integer to factor")
     out: dict[int, int] = {}
     rem = n
-    primes = _primes_below(isqrt(n) + 1)
-    for p in primes:
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            out[p] = out.get(p, 0) + 1
+    # the first divisor past `stop` looks at rem: past sqrt(rem) it is 1 or
+    # prime, past _EARLY_EXIT and after each later division it is tested,
+    # past 10^6 it is refused
+    stop = min(isqrt(rem), _EARLY_EXIT)
+    for p in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
+        if p > stop:
+            if p * p > rem or (rem < _MR_EXACT_BELOW and _is_prime(rem)):
+                break
+            if p > _TRIAL_LIMIT:
+                if rem >= _MR_EXACT_BELOW:
+                    exceeded("exact-primality", _MR_EXACT_BELOW - 1, rem,
+                             "cofactor to test for primality")
+                exceeded("trial-division", _TRIAL_LIMIT ** 2, rem,
+                         "composite cofactor")
+            stop = min(isqrt(rem), _TRIAL_LIMIT)
+        if rem % p == 0:
             rem //= p
+            e = 1
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            out[p] = e
+            stop = min(isqrt(rem), max(p, _EARLY_EXIT))
     if rem > 1:
-        if rem >= _MR_EXACT_BELOW:
-            exceeded("max-norm", bounds.norm, rem,
-                     "cofactor beyond the exact primality range")
-        if rem >= (primes[-1] + 1 if primes else 2) ** 2 and not _is_prime(rem):
-            exceeded("max-norm", bounds.norm, rem,
-                     "cofactor composite beyond the trial-division bound")
-        out[rem] = out.get(rem, 0) + 1
+        out[rem] = 1
     return out
 
 

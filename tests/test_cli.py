@@ -2,7 +2,9 @@ import ast
 import importlib.util
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -470,6 +472,57 @@ def test_each_flag_governs_its_bound_and_shows_the_observed_size(
     assert err.count("\n") == 1 and len(err) < 200
     assert bound in err and f"(limit {limit}, observed {observed})" in err
     assert all(size <= limit + 1 for size in lattices)
+
+
+PSI_13 = 3317044064679887385961981
+
+
+def _shown_over(limit, observed):
+    """Whether a resource message's observed size lies above its limit, as far
+    as the text shows it: an integer, "N bits", "N digits" or "base^exp"."""
+    if observed.isdigit():
+        return int(observed) > limit
+    if observed.endswith(" bits"):
+        return int(observed.split()[0]) >= limit.bit_length()
+    if observed.endswith(" digits"):
+        return int(observed.split()[0]) > len(str(limit))
+    base, exp = map(int, observed.split("^"))
+    return exp * math.log(base) > math.log(limit)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["--max-order", "10", "decide-ssp"], {"zn": 100}),
+    (["decide-ssp"], {"idealization": {"zn": 2, "module_rank": 3000000}}),
+    (["decide-ssp"], {"idealization": {"zn": 3, "module": {"rank": 10 ** 9}}}),
+    (["decide-ssp"], {"poly_quotient": {"zn": 2, "f": [0] * 100000 + [1]}}),
+    (["--max-order", "4096", "decide-ssp"], {"zn": 4500}),
+    (["--max-order", "64", "decide-ssp"], {"zn": 100}),
+    (["--max-ideals", "100", "census"], {"catalog": [IDEALIZATION_2826]}),
+    (["--max-ideals", "100", "ideals"], {"product": [{"zn": 2}] * 12}),
+    (["factor"], {"d": 1000000000001, "gens": ["2"]}),
+    (["factor"], {"d": 1000000000039, "gens": ["2"]}),
+    (["factor"], {"d": 10 ** 13, "gens": ["2"]}),
+    (["factor"], {"d": -(10 ** 13), "gens": ["2"]}),
+    (["--max-norm", str(5 * 10 ** 12), "factor"], {"zint": 10 ** 13}),
+    (["factor"], {"d": -1, "gens": [[10 ** 4299, 0]]}),
+    (["factor"], {"zint": int("7" * 4300)}),
+    (["sf-chain", "x^300+1"], None),
+    (["sf-chain", "x^100000000"], None),
+    (["sf-chain", "x^" + "9" * 5000], None),
+    # a composite cofactor past the trial division, and a cofactor from psi_13 on
+    (["--max-norm", str(10 ** 16), "factor"], {"zint": 100000980001501}),
+    (["--max-norm", str(10 ** 25), "factor"], {"zint": PSI_13}),
+], ids=["max-order", "module-of-2-to-the-3000000", "module-of-3-to-the-10-to-the-9",
+        "quotient-of-degree-100000", "order-over-the-ceiling", "max-order-64", "max-ideals",
+        "max-ideals-of-z2-to-the-12", "d-composite", "d-prime", "d", "negative-d", "max-norm",
+        "norm-of-8599-digits", "norm-of-4300-digits", "max-degree", "degree-of-9-digits",
+        "degree-of-5000-digits", "trial-division", "exact-primality"])
+def test_no_refusal_shows_an_observed_size_within_its_limit(capsys, tmp_path, argv, payload):
+    code, out, err = run_cli(capsys, argv, payload, tmp_path)
+    assert code == 3 and out == ""
+    match = re.search(r"\(limit (\d+), observed ([^)]+)\)$", err.strip())
+    assert match, err
+    assert _shown_over(int(match.group(1)), match.group(2)), err
 
 
 def test_oversized_d_is_reported_as_d_before_it_is_factored(capsys, tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ sympy is only a test oracle here; the package itself does not import it.
 import os
 import subprocess
 import sys
-import threading
-from math import isqrt, prod
+import time
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -27,21 +27,7 @@ PSI_13 = 3317044064679887385961981   # least strong pseudoprime to the first 13 
 PSEUDOPRIMES = (561, 3215031751, 3825123056546413051)
 
 
-@pytest.fixture
-def empty_sieve(monkeypatch):
-    """Start from an empty sieve, so every _is_prime call runs Miller-Rabin."""
-    monkeypatch.setattr(q, "_sieve", bytearray())
-    monkeypatch.setattr(q, "_small_primes", [])
-
-
-def test_is_prime_by_lookup_below_a_million():
-    q._primes_below(10 ** 6)
-    assert len(q._sieve) == 10 ** 6
-    primes = set(sympy.primerange(10 ** 6))
-    assert [n for n in range(10 ** 6) if q._is_prime(n)] == sorted(primes)
-
-
-def test_is_prime_by_miller_rabin_below_a_million(empty_sieve):
+def test_is_prime_by_miller_rabin_below_a_million():
     primes = set(sympy.primerange(10 ** 6))
     assert [n for n in range(10 ** 6) if q._is_prime(n)] == sorted(primes)
 
@@ -61,7 +47,7 @@ def test_is_prime_rejects_semiprimes(a, b):
     assert not q._is_prime(p * r)
 
 
-def test_is_prime_rejects_pseudoprimes(empty_sieve):
+def test_is_prime_rejects_pseudoprimes():
     for n in PSEUDOPRIMES:
         assert not sympy.isprime(n)
         assert not q._is_prime(n), n
@@ -73,25 +59,11 @@ def test_factor_int_refuses_cofactors_beyond_the_exact_range():
     # psi_13 fools all 13 bases, and both its factors exceed the trial bound
     with pytest.raises(ResourceLimitError) as exc:
         q.factor_int(PSI_13, Bounds(norm=10 ** 30))
-    assert exc.value.bound == "max-norm"
+    assert exc.value.bound == "exact-primality"
+    assert exc.value.value == PSI_13 - 1
 
 
-def test_sieve_is_sized_to_the_job(empty_sieve):
-    assert q.factor_int(36) == {2: 2, 3: 2}
-    assert len(q._sieve) < 100
-    assert q.factor_int(1000003 * 999983, Bounds(norm=10 ** 14)) == {999983: 1, 1000003: 1}
-    assert len(q._sieve) == isqrt(1000003 * 999983) + 1
-    assert q.factor_int(6 * 1000000000039, Bounds(norm=10 ** 14)) == {2: 1, 3: 1, 1000000000039: 1}
-    assert len(q._sieve) == 10 ** 6      # the trial-division cap
-
-
-def test_factor_int_trusts_only_the_primes_it_tried(empty_sieve, monkeypatch):
-    # a grown sieve beside the shorter prime list it replaced: what another
-    # thread can read while _primes_below publishes the two
-    q._primes_below(10 ** 4)
-    monkeypatch.setattr(q, "_small_primes", [p for p in q._small_primes if p < 100])
-    with pytest.raises(ResourceLimitError):
-        q.factor_int(101 * 103)
+def test_factor_int_trusts_only_the_primes_it_tried():
     for n in range(9000, 11000):
         try:
             factors = q.factor_int(n)
@@ -101,25 +73,39 @@ def test_factor_int_trusts_only_the_primes_it_tried(empty_sieve, monkeypatch):
         assert prod(p ** e for p, e in factors.items()) == n
 
 
-def test_factor_int_beside_a_growing_sieve_on_another_thread(empty_sieve):
-    # each round one thread grows the sieve from 2000 to 4000 while another
-    # factors 2027 * 2029, which needs the sieve to reach 2029
-    results, before = [], sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(200):
-            q._sieve, q._small_primes = bytearray(), []
-            q._primes_below(2000)
-            threads = [threading.Thread(target=q._primes_below, args=(4000,)),
-                       threading.Thread(target=lambda: results.append(q.factor_int(2027 * 2029)))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(before)
-    assert results == [{2027: 1, 2029: 1}] * 200
+def _prime_between(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(sympy.prevprime)
+
+
+SMOOTH = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=8).map(prod)
+
+
+@given(st.one_of(
+    # a smooth part times a prime past the early exit: Miller-Rabin ends the loop
+    st.tuples(SMOOTH, _prime_between(1010, 10 ** 10)).map(prod),
+    # both factors past the early exit: the cofactor is proved composite first
+    st.tuples(_prime_between(1010, 10 ** 6), _prime_between(1010, 10 ** 6)).map(prod),
+    # prime powers on either side of the early exit and below the trial bound
+    st.tuples(st.sampled_from([991, 997, 1009, 1013, 999983]),
+              st.integers(1, 3)).map(lambda t: t[0] ** t[1]),
+    # strong pseudoprimes inside the cofactor, which must be found composite
+    st.tuples(st.sampled_from(PSEUDOPRIMES), st.integers(1, 1000)).map(prod),
+))
+@example(561 * 1009)
+@example(3215031751 * 1009)
+@example(1009 ** 2 * 999983)
+@example(999983 * 1000003)
+@example(6 * 1000000000039)
+def test_factor_int_matches_sympy(n):
+    assert q.factor_int(n, Bounds(norm=10 ** 24)) == sympy.factorint(n)
+
+
+def test_worst_case_of_the_default_bound_factors_quickly():
+    # the two largest primes below 10^6: trial division runs nearly to its bound
+    n = 999983 * 999979
+    start = time.perf_counter()
+    assert q.factor_int(n) == {999979: 1, 999983: 1}
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 40961, 65537, 998244353])
