@@ -5,16 +5,18 @@ numpy int32 tables, and a table entry that the int32 cast would change is
 refused.  The axioms are verified at the boundary and hold by construction
 inside: the public `FinRing` and `FinModule` constructors, and through them
 the table form of `ring_from_dict`, take tables from outside and run the
-full axiom verification.  The internal constructors skip it through the
-private `_trusted` constructors, because each output is a ring or module by
-construction: `make_zn` (Z/n), `make_poly_quotient` (Z/n[x] modulo a monic
-f, over a canonical Z/n base), `make_product` and `make_idealization` (of
-verified parts), `quotient` (a/I, the image of a under x -> x + I) and
-`decompose_local` (eA for an idempotent e, the image of x -> ex), and the
-modules `free_module` and `quotient_module`.  So a `FinRing` in hand is
-always a genuine commutative unitary ring.  Constructors check the order
-they would build against `Bounds.order` (at most MAX_ORDER = 4096) before
-they allocate a table.
+full axiom verification: each table is checked against the declared order
+or size before anything indexes with it, and the axioms are certified on
+an additive generating set (a module's on the ring's).  The internal
+constructors skip it through the private `_trusted` constructors, because
+each output is a ring or module by construction: `make_zn` (Z/n),
+`make_poly_quotient` (Z/n[x] modulo a monic f, over a canonical Z/n base),
+`make_product` and `make_idealization` (of verified parts), `quotient` (a/I,
+the image of a under x -> x + I) and `decompose_local` (eA for an idempotent
+e, the image of x -> ex), and the modules `free_module` and
+`quotient_module`.  So a `FinRing` in hand is always a genuine commutative
+unitary ring.  Constructors check the order they would build against
+`Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
 
 The local factors need no table of their own to be judged.  The primitive
 idempotents come from one walk over the principal masks that the ideal
@@ -121,17 +123,26 @@ def _additive_generators(add, zero):
     return gens
 
 
-def _verify_group(add, zero, what):
-    n = add.shape[0]
-    idx = np.arange(n)
-    if add.shape != (n, n):
-        raise ValueError(f"{what}: addition table is not square")
-    if int(add.min()) < 0 or int(add.max()) >= n:
-        raise ValueError(f"{what}: addition table entry out of range")
-    if not np.array_equal(add, add.T):
-        raise ValueError(f"{what}: addition is not commutative")
-    if not np.array_equal(add[zero], idx):
-        raise ValueError(f"{what}: zero is not an additive identity")
+def _check_table(table, shape, identity, what, name, symmetric=True):
+    """Refuse an operation table before anything indexes with it: it must have
+    the declared `shape` (rows, size) and entries in 0..size-1, `identity`
+    must be an integer row index whose row is the identity map, and a
+    `symmetric` table must equal its transpose."""
+    rows, size = shape
+    if table.shape != shape:
+        raise ValueError(f"{what} table has shape {table.shape}, not {shape}")
+    if table.size and (int(table.min()) < 0 or int(table.max()) >= size):
+        raise ValueError(f"{what} table has an entry outside 0..{size - 1}")
+    if not 0 <= _strict_int(identity, name) < rows:
+        raise ValueError(f"{name} index {identity} is outside the {rows} rows of the {what} table")
+    if symmetric and not np.array_equal(table, table.T):
+        raise ValueError(f"{what} is not commutative")
+    if not np.array_equal(table[identity], np.arange(size)):
+        raise ValueError(f"{name} is not an identity for {what}")
+
+
+def _verify_group(add, n, zero, what):
+    _check_table(add, (n, n), zero, f"{what} addition", f"{what} zero")
     if not (add == zero).any(axis=1).all():
         raise ValueError(f"{what}: an element has no additive inverse")
     gens = _additive_generators(add, zero)
@@ -144,22 +155,12 @@ def _verify_group(add, zero, what):
 
 
 def _verify_ring_tables(order, add, mul, zero, one):
-    if order < 1:
+    if _strict_int(order, "ring order") < 1:
         raise ValueError("ring order must be positive")
-    if not (0 <= zero < order and 0 <= one < order):
-        raise ValueError("zero/one indices out of range")
+    gens = _verify_group(add, order, zero, "ring")
+    _check_table(mul, (order, order), one, "ring multiplication", "ring one")
     if zero == one and order != 1:
         raise ValueError("zero and one coincide in a ring of order > 1")
-    gens = _verify_group(add, zero, "ring")
-    idx = np.arange(order)
-    if mul.shape != (order, order):
-        raise ValueError("multiplication table is not square")
-    if int(mul.min()) < 0 or int(mul.max()) >= order:
-        raise ValueError("multiplication table entry out of range")
-    if not np.array_equal(mul, mul.T):
-        raise ValueError("multiplication is not commutative")
-    if not np.array_equal(mul[one], idx):
-        raise ValueError("one is not a multiplicative identity")
     if not (mul[:, zero] == zero).all():
         raise ValueError("zero is not multiplicatively absorbing")
     # Distributivity over an additive generating set extends to all elements
@@ -177,16 +178,13 @@ def _verify_ring_tables(order, add, mul, zero, one):
 
 
 def _verify_module_tables(ring, size, add, zero, action):
-    _verify_group(add, zero, "module")
-    n, s = ring.order, size
-    if action.shape != (n, s):
-        raise ValueError("action table has wrong shape")
-    if s and (int(action.min()) < 0 or int(action.max()) >= s):
-        raise ValueError("action table entry out of range")
-    sx = np.arange(s)
-    if not np.array_equal(action[ring.one], sx):
-        raise ValueError("1 does not act as the identity")
-    for r in range(n):
+    _verify_group(add, _strict_int(size, "module size"), zero, "module")
+    _check_table(action, (ring.order, size), ring.one, "action", "ring one", symmetric=False)
+    # With the ring and the module's group verified, the r with (r + s)x =
+    # rx + sx for all s, x are closed under addition; once that holds for
+    # every r, so are the r with r(x + y) = rx + ry and those with (rs)x =
+    # r(sx).  So the ring's additive generators certify all three axioms.
+    for r in _additive_generators(ring.add, ring.zero):
         row = action[r]
         if not np.array_equal(row[add], add[np.ix_(row, row)]):
             raise ValueError("action is not additive in the module argument")
@@ -197,12 +195,12 @@ def _verify_module_tables(ring, size, add, zero, action):
 
 
 def _freeze(table):
-    """An immutable int32 copy of `table`; an entry that the cast would
-    change (wrap around, truncate) is refused with a ValueError."""
-    table = np.asarray(table)
+    """An immutable int32 copy of `table`; a ragged table, or an entry that
+    the cast would change (wrap around, truncate), is refused with a ValueError."""
     try:
+        table = np.asarray(table)
         t = np.ascontiguousarray(table, dtype=np.int32)
-    except (OverflowError, TypeError):
+    except (OverflowError, TypeError, ValueError):
         raise ValueError("table entry is not an int32 integer") from None
     if table.dtype != np.int32 and not np.array_equal(t, table):
         raise ValueError("table entry is not an int32 integer")

@@ -139,6 +139,30 @@ def reference_free_module(ring, rank):
     return fr.FinModule(ring, size, add, zero, action, f"{ring.label}^{rank}")
 
 
+def reference_is_module(ring, size, add, zero, action):
+    """Oracle: whether the tables make an R-module of `size` elements, with
+    every axiom checked on every element: the group axioms on all triples,
+    and the action axioms for every ring element r, one r at a time.
+    Independent of the generator certificate in `finring._verify_module_tables`."""
+    add, action, idx = np.asarray(add), np.asarray(action), np.arange(size)
+    if add.shape != (size, size) or action.shape != (ring.order, size) or not 0 <= zero < size:
+        return False
+    if min(add.min(), action.min()) < 0 or max(add.max(), action.max()) >= size:
+        return False
+    if not (np.array_equal(add, add.T) and np.array_equal(add[zero], idx)
+            and (add == zero).any(axis=1).all()
+            and np.array_equal(add[add], add[:, add])        # (a+b)+c == a+(b+c)
+            and np.array_equal(action[ring.one], idx)):
+        return False
+    for r in range(ring.order):
+        row = action[r]
+        if not (np.array_equal(row[add], add[np.ix_(row, row)])
+                and np.array_equal(action[ring.add[r]], add[row[None, :], action])
+                and np.array_equal(action[ring.mul[r]], row[action])):
+            return False
+    return True
+
+
 def reference_join_closure(cyclic, add, bounds=DEFAULT_BOUNDS):
     """Oracle: `finideal._join_closure` one (known sum, cyclic subgroup) pair
     at a time, each sum gathered and packed on its own through `mask_of`.

@@ -93,6 +93,15 @@ def test_sf_chain_file_lines(capsys, tmp_path):
     assert [r["chain"] for r in report["results"]] == [["x^2-1"], ["x^2-1", "x^2-1"]]
 
 
+def test_sf_chain_refuses_a_polynomial_argument_together_with_input(capsys, tmp_path):
+    path = tmp_path / "polys.txt"
+    path.write_text("x^2-1\n")
+    code, out, err = run_cli(capsys, ["--input", str(path), "sf-chain", "x^3-x"])
+    assert (code, out) == (2, "")
+    assert err == ("radfact: invalid input: give either a polynomial argument or --input, "
+                   "not both\n")
+
+
 def test_malformed_json_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"zn": ')

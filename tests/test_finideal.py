@@ -103,6 +103,14 @@ def test_all_ideals_resource_bound():
     assert exc.value.bound == "max-ideals"
 
 
+def test_all_ideals_refuses_a_lattice_cached_under_a_larger_bound():
+    ring = fr.make_zn(12)
+    assert len(all_ideals(ring)) == 6
+    with pytest.raises(ResourceLimitError) as exc:
+        all_ideals(ring, bounds=Bounds(ideals=5))
+    assert (exc.value.bound, exc.value.value, exc.value.observed) == ("max-ideals", 5, 6)
+
+
 def test_ideal_product_examples():
     z12 = fr.make_zn(12)
     i2 = generated_ideal(z12, [2])

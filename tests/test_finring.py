@@ -1,5 +1,7 @@
 import ast
+import functools
 import itertools
+import operator
 import os
 import time
 import tracemalloc
@@ -9,9 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (part_specs, reference_free_module, reference_poly_quotient,
-                      reference_primitive_idempotents, reference_special_primary, relabelled,
-                      ring_specs)
+from conftest import (INTERNAL_PHRASES, part_specs, reference_free_module, reference_is_module,
+                      reference_poly_quotient, reference_primitive_idempotents,
+                      reference_special_primary, relabelled, ring_specs)
 from radfact import cli
 from radfact import finring as fr
 from radfact.errors import Bounds, ResourceLimitError
@@ -405,15 +407,212 @@ def test_table_entries_that_the_int32_cast_would_change_are_refused(entry):
     assert fr.FinRing(2, np.array([[0, 1], [1, 0]]), np.array([[0, 0], [0, 1]]), 0, 1).order == 2
 
 
-def test_verification_names_broken_axiom():
-    n = 3
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    ok_mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    bad_mul = [row[:] for row in ok_mul]
-    bad_mul[1][2] = 0
-    bad_mul[2][1] = 0
-    with pytest.raises(ValueError):
-        fr.FinRing(n, add, bad_mul, 0, 1)
+@pytest.mark.parametrize("add", [[[0, 1], [1]], [["a", "b"], ["b", "a"]]], ids=["ragged", "text"])
+def test_tables_that_are_not_integer_arrays_are_refused(add):
+    with pytest.raises(ValueError, match="^table entry is not an int32 integer$"):
+        fr.FinRing(2, add, [[0, 0], [0, 1]], 0, 1)
+
+
+def op_table(op, n):
+    return [[op(a, b) % n for b in range(n)] for a in range(n)]
+
+
+def edited(table, *entries):
+    """A copy of `table` with entry [i][j] set to v for each (i, j, v)."""
+    out = [row[:] for row in table]
+    for i, j, v in entries:
+        out[i][j] = v
+    return out
+
+
+Z2_ADD, Z3_ADD, Z4_ADD = (op_table(operator.add, n) for n in (2, 3, 4))
+Z2_MUL, Z3_MUL, Z4_MUL = (op_table(operator.mul, n) for n in (2, 3, 4))
+Z2, Z3 = fr.make_zn(2), fr.make_zn(3)
+Z2_DUAL = fr.make_poly_quotient(Z2, [0, 0, 1])     # Z2[x]/(x^2): 1 is index 1, x is index 2
+# order 3 with identity 0: row 1 has no 0
+NO_INVERSE = [[0, 1, 2], [1, 1, 1], [2, 1, 2]]
+# order 3 with identity 0, 1+1 = 2+2 = 0 and 1+2 = 1: commutative, every row
+# holds 0, but (1+1)+2 = 2 and 1+(1+2) = 0
+NOT_ASSOCIATIVE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+# F2^3 on the basis 1, a, b (bits 0, 1, 2), multiplied bilinearly with aa = b,
+# ab = 0 and bb = 1: a commutative unital distributive product, but
+# (aa)b = 1 and a(ab) = 0
+BASIS_PRODUCTS = [[1, 2, 4], [2, 4, 0], [4, 0, 1]]
+XOR_ADD = [[x ^ y for y in range(8)] for x in range(8)]
+NONASSOCIATIVE_MUL = [[functools.reduce(operator.xor, (
+    BASIS_PRODUCTS[i][j] for i in range(3) for j in range(3) if x >> i & 1 and y >> j & 1), 0)
+    for y in range(8)] for x in range(8)]
+
+# Actions on Z2 that pass every check before one action axiom and break it:
+# over Z2[x]/(x^2), x*0 = 1; over Z2, 0 acts as 1; over Z2[x]/(x^2), x acts
+# as 1, so x*(x*m) = m but (x*x)*m = 0
+ACTION_AXIOM_CASES = [
+    pytest.param(Z2_DUAL, [[0, 0], [0, 1], [1, 1], [1, 0]],
+                 "action is not additive in the module argument", id="module-argument"),
+    pytest.param(Z2, [[0, 1], [0, 1]],
+                 "action is not additive in the ring argument", id="ring-argument"),
+    pytest.param(Z2_DUAL, [[0, 0], [0, 1], [0, 1], [0, 0]],
+                 "action does not respect ring multiplication", id="multiplication"),
+]
+
+
+def ring_case(order, add, mul, zero, one, message, id):
+    return pytest.param(lambda: fr.FinRing(order, add, mul, zero, one), message, id=id)
+
+
+def module_case(ring, size, add, zero, action, message, id):
+    return pytest.param(lambda: fr.FinModule(ring, size, add, zero, action), message, id=id)
+
+
+# One case per refusal in the table verifiers, in the order they check: each
+# table passes every earlier check and is refused by its own.
+@pytest.mark.parametrize("build, message", [
+    ring_case(3.0, Z3_ADD, Z3_MUL, 0, 1, "ring order must be an integer, got 3.0",
+              "ring-order-float"),
+    ring_case(0, np.zeros((0, 0)), np.zeros((0, 0)), 0, 0, "ring order must be positive",
+              "ring-order-0"),
+    ring_case(3, Z2_ADD, Z3_MUL, 0, 1, r"ring addition table has shape \(2, 2\), not \(3, 3\)",
+              "ring-addition-too-small"),
+    ring_case(2, Z3_ADD, Z2_MUL, 0, 1, r"ring addition table has shape \(3, 3\), not \(2, 2\)",
+              "ring-addition-too-large"),
+    ring_case(3, edited(Z3_ADD, (1, 1, 3)), Z3_MUL, 0, 1,
+              r"ring addition table has an entry outside 0\.\.2", "ring-addition-entry-3"),
+    ring_case(3, edited(Z3_ADD, (1, 1, -1)), Z3_MUL, 0, 1,
+              r"ring addition table has an entry outside 0\.\.2", "ring-addition-entry-negative"),
+    ring_case(2, Z2_ADD, Z2_MUL, 0.0, 1, "ring zero must be an integer, got 0.0",
+              "ring-zero-float"),
+    ring_case(2, Z2_ADD, Z2_MUL, False, 1, "ring zero must be an integer, got False",
+              "ring-zero-bool"),
+    ring_case(3, Z3_ADD, Z3_MUL, 3, 1,
+              "ring zero index 3 is outside the 3 rows of the ring addition table",
+              "ring-zero-3"),
+    ring_case(3, Z3_ADD, Z3_MUL, -1, 1,
+              "ring zero index -1 is outside the 3 rows of the ring addition table",
+              "ring-zero-negative"),
+    ring_case(3, edited(Z3_ADD, (1, 2, 1)), Z3_MUL, 0, 1, "ring addition is not commutative",
+              "ring-addition-not-commutative"),
+    ring_case(3, Z3_ADD, Z3_MUL, 1, 1, "ring zero is not an identity for ring addition",
+              "ring-zero-not-identity"),
+    ring_case(3, NO_INVERSE, Z3_MUL, 0, 1, "ring: an element has no additive inverse",
+              "ring-no-inverse"),
+    ring_case(3, NOT_ASSOCIATIVE, Z3_MUL, 0, 1, "ring: addition is not associative",
+              "ring-addition-not-associative"),
+    ring_case(3, Z3_ADD, Z2_MUL, 0, 1,
+              r"ring multiplication table has shape \(2, 2\), not \(3, 3\)",
+              "ring-multiplication-shape"),
+    ring_case(3, Z3_ADD, edited(Z3_MUL, (2, 2, 5)), 0, 1,
+              r"ring multiplication table has an entry outside 0\.\.2",
+              "ring-multiplication-entry"),
+    ring_case(3, Z3_ADD, Z3_MUL, 0, 1.0, "ring one must be an integer, got 1.0",
+              "ring-one-float"),
+    ring_case(3, Z3_ADD, Z3_MUL, 0, 3,
+              "ring one index 3 is outside the 3 rows of the ring multiplication table",
+              "ring-one-3"),
+    ring_case(3, Z3_ADD, edited(Z3_MUL, (2, 0, 1)), 0, 1,
+              "ring multiplication is not commutative", "ring-multiplication-not-commutative"),
+    ring_case(3, Z3_ADD, edited(Z3_MUL, (1, 2, 0), (2, 1, 0)), 0, 1,
+              "ring one is not an identity for ring multiplication", "ring-one-not-identity"),
+    ring_case(2, Z2_ADD, [[0, 1], [1, 0]], 0, 0,
+              "zero and one coincide in a ring of order > 1", "ring-zero-is-one"),
+    ring_case(3, Z3_ADD, [[1, 0, 0], [0, 1, 2], [0, 2, 1]], 0, 1,
+              "zero is not multiplicatively absorbing", "ring-zero-not-absorbing"),
+    ring_case(4, Z4_ADD, edited(Z4_MUL, (2, 2, 2)), 0, 1,
+              "multiplication does not distribute over addition", "ring-not-distributive"),
+    ring_case(8, XOR_ADD, NONASSOCIATIVE_MUL, 0, 1, "multiplication is not associative",
+              "ring-multiplication-not-associative"),
+    module_case(Z2, 2.0, Z2_ADD, 0, Z2_MUL, "module size must be an integer, got 2.0",
+                "module-size-float"),
+    module_case(Z2, 2, Z3_ADD, 0, Z2_MUL,
+                r"module addition table has shape \(3, 3\), not \(2, 2\)",
+                "module-addition-shape"),
+    module_case(Z2, 2, edited(Z2_ADD, (1, 1, 2)), 0, Z2_MUL,
+                r"module addition table has an entry outside 0\.\.1", "module-addition-entry"),
+    module_case(Z2, 2, Z2_ADD, 0.0, Z2_MUL, "module zero must be an integer, got 0.0",
+                "module-zero-float"),
+    module_case(Z2, 2, Z2_ADD, 5, Z2_MUL,
+                "module zero index 5 is outside the 2 rows of the module addition table",
+                "module-zero-5"),
+    module_case(Z2, 0, np.zeros((0, 0)), 0, np.zeros((2, 0)),
+                "module zero index 0 is outside the 0 rows of the module addition table",
+                "module-size-0"),
+    module_case(Z3, 3, edited(Z3_ADD, (1, 2, 1)), 0, Z3_MUL,
+                "module addition is not commutative", "module-addition-not-commutative"),
+    module_case(Z2, 2, Z2_ADD, 1, Z2_MUL, "module zero is not an identity for module addition",
+                "module-zero-not-identity"),
+    module_case(Z3, 3, NO_INVERSE, 0, Z3_MUL, "module: an element has no additive inverse",
+                "module-no-inverse"),
+    module_case(Z3, 3, NOT_ASSOCIATIVE, 0, Z3_MUL, "module: addition is not associative",
+                "module-addition-not-associative"),
+    module_case(Z2, 2, Z2_ADD, 0, [[0, 0, 0], [0, 1, 0]],
+                r"action table has shape \(2, 3\), not \(2, 2\)", "action-shape"),
+    module_case(Z2, 2, Z2_ADD, 0, [[0, 0], [0, 2]],
+                r"action table has an entry outside 0\.\.1", "action-entry"),
+    module_case(Z2, 2, Z2_ADD, 0, [[0, 0], [0, 0]], "ring one is not an identity for action",
+                "action-one-not-identity"),
+    *[module_case(ring, 2, Z2_ADD, 0, action, message, f"action-{case.id}")
+      for case in ACTION_AXIOM_CASES for ring, action, message in [case.values]],
+])
+def test_each_verifier_check_refuses_its_table(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        build()
+    assert not any(phrase in str(exc.value) for phrase in INTERNAL_PHRASES)
+
+
+@pytest.mark.parametrize("ring, action, message", ACTION_AXIOM_CASES)
+def test_hand_built_actions_are_not_modules(ring, action, message):
+    assert not reference_is_module(ring, 2, np.array(Z2_ADD), 0, np.array(action))
+
+
+@st.composite
+def mutated_module(draw):
+    """A free module, a ring as a module over itself, or a quotient module, of
+    a drawn (and relabelled) ring, with one entry of its action table or of
+    its addition table (and the mirrored entry) changed."""
+    try:
+        base = fr.ring_from_dict(draw(ring_specs), Bounds(order=32))
+    except ResourceLimitError:
+        assume(False)
+    ring = relabelled(base, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+                      .permutation(base.order))
+    kind = draw(st.sampled_from(["free", "self", "quotient"]))
+    if kind == "free":
+        m = fr.free_module(ring, draw(st.integers(1, 2 if ring.order <= 8 else 1)))
+    elif kind == "self":
+        m = fr.module_from_ring(ring)
+    else:
+        units = fr.units(ring)
+        non_units = [x for x in range(ring.order) if x not in units] or [ring.zero]
+        m = fr.quotient_module(ring, generated_ideal(
+            ring, draw(st.lists(st.sampled_from(non_units), max_size=2))))
+    assume(m.size > 1)
+    add, action = np.array(m.add), np.array(m.action)
+    table, rows = (add, m.size) if draw(st.booleans()) else (action, ring.order)
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, m.size - 1))
+    table[i, j] = (table[i, j] + draw(st.integers(1, m.size - 1))) % m.size
+    if table is add:
+        add[j, i] = add[i, j]
+    return ring, m.size, add, m.zero, action
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_module())
+def test_generator_certificate_agrees_with_the_every_element_check(module):
+    try:
+        fr._verify_module_tables(*module)
+        certified = True
+    except ValueError:
+        certified = False
+    assert certified == reference_is_module(*module)
+
+
+def test_module_on_256_elements_verifies_in_well_under_50_ms():
+    m = fr.free_module(fr.make_zn(256), 1)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fr.FinModule(m.ring, m.size, m.add, m.zero, m.action)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
 
 
 def test_max_order_bound():
@@ -422,7 +621,7 @@ def test_max_order_bound():
     assert exc.value.bound == "max-order"
 
 
-Z2, Z64, Z65 = fr.make_zn(2), fr.make_zn(64), fr.make_zn(65)
+Z64, Z65 = fr.make_zn(64), fr.make_zn(65)
 
 
 @pytest.mark.parametrize("build, observed", [
