@@ -155,12 +155,12 @@ def _verify_group(add, n, zero, what):
 
 
 def _verify_ring_tables(order, add, mul, zero, one):
-    if _strict_int(order, "ring order") < 1:
+    if order < 1:
         raise ValueError("ring order must be positive")
     gens = _verify_group(add, order, zero, "ring")
     _check_table(mul, (order, order), one, "ring multiplication", "ring one")
-    if zero == one and order != 1:
-        raise ValueError("zero and one coincide in a ring of order > 1")
+    # this also refuses zero == one in a ring of order > 1, where one times
+    # every x is x
     if not (mul[:, zero] == zero).all():
         raise ValueError("zero is not multiplicatively absorbing")
     # Distributivity over an additive generating set extends to all elements
@@ -178,13 +178,15 @@ def _verify_ring_tables(order, add, mul, zero, one):
 
 
 def _verify_module_tables(ring, size, add, zero, action):
-    _verify_group(add, _strict_int(size, "module size"), zero, "module")
+    _verify_group(add, size, zero, "module")
     _check_table(action, (ring.order, size), ring.one, "action", "ring one", symmetric=False)
     # With the ring and the module's group verified, the r with (r + s)x =
     # rx + sx for all s, x are closed under addition; once that holds for
     # every r, so are the r with r(x + y) = rx + ry and those with (rs)x =
-    # r(sx).  So the ring's additive generators certify all three axioms.
-    for r in _additive_generators(ring.add, ring.zero):
+    # r(sx).  A nonempty set that generates the finite group R generates it
+    # under addition alone, so the ring's additive generators certify all
+    # three axioms; the zero ring has none, and its zero stands in.
+    for r in _additive_generators(ring.add, ring.zero) or [ring.zero]:
         row = action[r]
         if not np.array_equal(row[add], add[np.ix_(row, row)]):
             raise ValueError("action is not additive in the module argument")
