@@ -9,9 +9,10 @@ not the sum of the ideals below it (a join-irreducible one) is principal,
 and the lattice is the join closure of those.  `_join_closure` walks the
 distinct principal ideals by size and sums each one that is not yet a
 known sum with every known ideal incomparable with it, in batched gathers
-(`_sums`): |L| sums per generator for a lattice of |L| ideals.  Radicals
-of many ideals come from one gather of their membership rows through the
-power map (`_radical_masks`).
+(`_sums`): |L| sums per generator for a lattice of |L| ideals, keeping one
+bitset and one generator tuple per ideal.  Radicals of many ideals come
+from one gather of their membership rows through the power map
+(`_radical_masks`).
 """
 
 from __future__ import annotations
@@ -27,27 +28,29 @@ _GATHER = 1 << 22
 
 
 def _sums(add, els, parts):
-    """Row k is the membership row of els + parts[k], for index arrays of
-    subgroups of the group with addition table `add` (a sum of subgroups is
-    a subgroup): one gather and one scatter, batched to _GATHER sums."""
+    """Row k is the membership row of els + parts[k], for the elements `els`
+    of a subgroup and bitsets `parts` of subgroups of the group with addition
+    table `add`: one gather and one scatter, batched to _GATHER sums."""
     n = add.shape[0]
-    cols = np.concatenate(parts)
-    row = np.repeat(np.arange(len(parts)) * n, [p.size for p in parts])   # flat offsets
+    offsets = np.flatnonzero(_bit_rows(parts, n))   # k*n + x for x in parts[k]
+    cols = offsets % n
+    offsets -= cols
     member = np.zeros(len(parts) * n, dtype=bool)
     step = _GATHER // els.size
     for lo in range(0, cols.size, step):
-        member[add[els[:, None], cols[lo:lo + step]] + row[lo:lo + step]] = True
+        member[add[els[:, None], cols[lo:lo + step]] + offsets[lo:lo + step]] = True
     return member.reshape(len(parts), n)
 
 
-def _span(add, start, parts):
-    """The sorted elements of start + parts[0] + parts[1] + ..., folded through
-    `_sums`; `start` holds the zero element, or the elements of a subgroup to
-    extend, and each part the elements of a subgroup, repeats allowed."""
-    els = np.asarray(start, dtype=np.intp)
+def _span(add, mask, parts):
+    """The bitset of mask + parts[0] + parts[1] + ..., folded through `_sums`;
+    `mask` holds the zero element, or is a subgroup to extend, and each part
+    is the bitset of a subgroup.  A part already inside the sum adds nothing."""
+    n = add.shape[0]
     for part in parts:
-        els = np.flatnonzero(_sums(add, els, [np.unique(part)])[0])
-    return els
+        if part & ~mask:
+            mask = _pack(_sums(add, np.flatnonzero(_bits(mask, n)), [part]))[0]
+    return mask
 
 
 def _validate_ideal_mask(ring, mask):
@@ -92,7 +95,7 @@ class FinIdeal:
         return self._els
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, x):
         return bool((self.mask >> int(x)) & 1)
@@ -126,8 +129,8 @@ class FinIdeal:
         """A generating set of size at most log2(|I|), computed greedily."""
         if self._gens is None:
             ring = self.ring
+            principal = _principal_masks(ring)
             span = 1 << ring.zero
-            span_els = [ring.zero]
             gens = []
             while span != self.mask:
                 # for an ideal the span stays inside the mask and grows each
@@ -138,8 +141,7 @@ class FinIdeal:
                 g = (self.mask & ~span)
                 g = (g & -g).bit_length() - 1
                 gens.append(g)
-                span_els = _span(ring.add, span_els, [ring.mul[g]])
-                span = mask_of(span_els)
+                span = _span(ring.add, span, [principal[g]])
                 if not span >> g & 1:
                     raise ArithmeticError("small_gens: the span does not grow; not a ring")
             self._gens = tuple(gens)
@@ -160,8 +162,9 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
     for g in gens:
         if not 0 <= g < a.order:
             raise ValueError(f"generator {g} out of range")
-    span = _span(a.add, [a.zero], [a.mul[g] for g in gens])   # the sum of the principal ideals
-    return FinIdeal._unchecked(a, mask_of(span), gens=tuple(sorted(set(gens))))
+    principal = _principal_masks(a)   # the ideal is the sum of the principal ideals gR
+    span = _span(a.add, 1 << a.zero, [principal[g] for g in gens])
+    return FinIdeal._unchecked(a, span, gens=tuple(sorted(set(gens))))
 
 
 def _row_masks(table) -> list[int]:
@@ -203,7 +206,8 @@ def _join_closure(cyclic, add, bounds):
     skip one that is already a known sum, and add each other one, as a new
     generator, to every known sum it neither contains nor lies in, at most
     _GATHER // n sums per `_sums` call.  That is |L| sums per generator for
-    a lattice of |L| sums.  A sum that is itself cyclic keeps its single
+    a lattice of |L| sums.  Sums stay bitsets; only the generator being added
+    is unpacked to its elements.  A sum that is itself cyclic keeps its single
     generator, so generator tuples stay short for `_lattice_product`.
     """
     limit = bounds.ideals
@@ -211,8 +215,8 @@ def _join_closure(cyclic, add, bounds):
     least = dict(cyclic)
     known = {}
 
-    def admit(mask, els, gens):
-        known[mask] = (els, gens)
+    def admit(mask, gens):
+        known[mask] = gens
         if len(known) > limit:
             exceeded("max-ideals", limit, len(known), "lattice size")
 
@@ -222,15 +226,13 @@ def _join_closure(cyclic, add, bounds):
             continue
         els = np.flatnonzero(_bits(mask, n))
         apart = [m for m in known if m & ~mask and mask & ~m]
-        admit(mask, els, (g,))
+        admit(mask, (g,))
         for lo in range(0, len(apart), step):
             batch = apart[lo:lo + step]
-            member = _sums(add, els, [known[m][0] for m in batch])
-            for m, jmask, row in zip(batch, _pack(member), member):
+            for m, jmask in zip(batch, _pack(_sums(add, els, batch))):
                 if jmask not in known:
-                    gens = (least[jmask],) if jmask in least else known[m][1] + (g,)
-                    admit(jmask, np.flatnonzero(row), gens)
-    return {m: gens for m, (_, gens) in known.items()}
+                    admit(jmask, (least[jmask],) if jmask in least else known[m] + (g,))
+    return known
 
 
 def all_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
@@ -250,17 +252,17 @@ def ideal_sum(i: FinIdeal, j: FinIdeal) -> FinIdeal:
     if i.ring is not j.ring:
         raise ValueError("ideals of different rings")
     a = i.ring
-    return FinIdeal._unchecked(a, mask_of(_span(a.add, i.elements, [j.elements])), gens=None)
+    return FinIdeal._unchecked(a, _span(a.add, i.mask, [j.mask]))
 
 
 def ideal_product(i: FinIdeal, j: FinIdeal) -> FinIdeal:
-    """The ideal generated by all pairwise products."""
+    """IJ: the sum of the principal ideals (gh)R, for g and h generators of I and J."""
     if i.ring is not j.ring:
         raise ValueError("ideals of different rings")
     a = i.ring
-    jels = np.array(j.elements, dtype=np.intp)
-    span = _span(a.add, [a.zero], [a.mul[jels, g] for g in i.small_gens()])
-    return FinIdeal._unchecked(a, mask_of(span), gens=None)
+    principal = _principal_masks(a)
+    parts = [principal[a.mul[g, h]] for g in i.small_gens() for h in j.small_gens()]
+    return FinIdeal._unchecked(a, _span(a.add, 1 << a.zero, parts))
 
 
 def _lattice_product(a, lattice):
@@ -297,11 +299,13 @@ def _lattice_product(a, lattice):
 
 
 def ideal_power(i: FinIdeal, n: int) -> FinIdeal:
+    """I^n.  The powers descend, at least halving at each strict step, and stop
+    at the first repeat, so at most order.bit_length() products are taken."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
     out = whole_ideal(i.ring)
-    for _ in range(n):
-        out = ideal_product(out, i)
+    while n and (nxt := ideal_product(out, i)) != out:
+        out, n = nxt, n - 1
     return out
 
 
@@ -360,9 +364,7 @@ def prime_spectrum(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal
 
 
 def maximal_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
-    ideals = all_ideals(a, bounds)
-    whole = a.whole_mask
-    proper = [i for i in ideals if i.mask != whole]
+    proper = [i for i in all_ideals(a, bounds) if not i.is_whole]
     return [i for i in proper
             if not any(j.mask != i.mask and j.contains(i) for j in proper)]
 
@@ -371,8 +373,4 @@ def vn_set(i: FinIdeal, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdea
     """All primes P with I ⊆ P^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for p in prime_spectrum(i.ring, bounds):
-        if ideal_power(p, n).contains(i):
-            out.append(p)
-    return out
+    return [p for p in prime_spectrum(i.ring, bounds) if ideal_power(p, n).contains(i)]

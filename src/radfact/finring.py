@@ -178,6 +178,8 @@ def _verify_ring_tables(order, add, mul, zero, one):
 
 
 def _verify_module_tables(ring, size, add, zero, action):
+    if not isinstance(ring, FinRing):
+        raise ValueError(f"ring must be a FinRing, got {ring!r}")
     _verify_group(add, size, zero, "module")
     _check_table(action, (ring.order, size), ring.one, "action", "ring one", symmetric=False)
     # With the ring and the module's group verified, the r with (r + s)x =
@@ -378,9 +380,8 @@ def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> Fi
 
 def module_from_ring(ring: FinRing) -> FinModule:
     """The ring viewed as a module over itself."""
-    m = free_module(ring, 1)
-    m.label = f"{ring.label} (self)"
-    return m
+    return FinModule._trusted(ring, ring.order, ring.add, ring.zero, ring.mul,
+                              f"{ring.label} (self)")
 
 
 def zero_module(ring: FinRing) -> FinModule:

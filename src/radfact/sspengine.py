@@ -134,7 +134,7 @@ def is_vnr(a: FinRing) -> bool:
 
 def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:
     """The submodules IE, for I ranging over all ideals of the base ring."""
-    return {mask_of(_span(e.add, [e.zero], [e.action[g] for g in ideal.small_gens()]))
+    return {_span(e.add, 1 << e.zero, [mask_of(e.action[g]) for g in ideal.small_gens()])
             for ideal in all_ideals(e.ring, bounds)}
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,37 @@ def test_ideal_power():
     assert ideal_power(m, 0) == whole_ideal(z8)
     assert ideal_power(m, 2).to_list() == [0, 4]
     assert ideal_power(m, 3).to_list() == [0]
+
+
+def test_ideal_power_stops_once_the_powers_stabilize(monkeypatch):
+    z12 = fr.make_zn(12)
+    p = generated_ideal(z12, [2])
+    stable = ideal_power(p, z12.order)
+    calls = []
+
+    def counted(i, j):
+        calls.append(1)
+        return ideal_product(i, j)
+
+    monkeypatch.setattr(finideal, "ideal_product", counted)
+    assert ideal_power(p, 10 ** 9) == stable
+    assert len(calls) <= z12.order.bit_length()
+    assert stable.to_list() == [0, 4, 8]
+
+
+def test_all_ideals_keeps_no_element_array_per_ideal():
+    # Z2(+)Z2^6 has 2,826 ideals; a sorted element array beside each bitset
+    # peaked at 3.1 MB under tracemalloc, one bitset and one generator tuple
+    # per ideal at 1.9 MB
+    ring = fr.ring_from_dict({"idealization": {"zn": 2, "module_rank": 6}})
+    _principal_masks(ring)
+    tracemalloc.start()
+    try:
+        assert len(all_ideals(ring)) == 2826
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4e6, peak
 
 
 def test_principal_ideals_match_one_row_at_a_time():

@@ -521,6 +521,8 @@ def module_case(ring, size, add, zero, action, message, id):
               "multiplication does not distribute over addition", "ring-not-distributive"),
     ring_case(8, XOR_ADD, NONASSOCIATIVE_MUL, 0, 1, "multiplication is not associative",
               "ring-multiplication-not-associative"),
+    module_case("Z2", 2, Z2_ADD, 0, Z2_MUL, "ring must be a FinRing, got 'Z2'",
+                "module-ring-not-finring"),
     module_case(Z2, 2, Z3_ADD, 0, Z2_MUL,
                 r"module addition table has shape \(3, 3\), not \(2, 2\)",
                 "module-addition-shape"),
