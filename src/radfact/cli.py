@@ -11,7 +11,8 @@ resource bound aborts the run, 4 when a census finds a disagreement between
 the SSP decision and the structural oracle, 5 when an internal arithmetic
 invariant fails (a re-multiplication or exact-division check: a bug, not a
 property of the input).  Verdicts themselves live in the report payload,
-never in the exit code.
+never in the exit code.  A census or sf-chain --input batch stops at its
+first refusal, whose message opens with `catalog[k]: ` or `line k: `.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from . import finideal, finring, polychain, quadring, sspengine
 from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
-                     _json_object, _strict_int)
+                     _json_object, _strict_int, _terms)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -88,35 +89,23 @@ def _load_payload(args):
     return json.loads(text, parse_int=lambda digits: _int_of_digits(digits, "JSON integer"))
 
 
-_GEN_TERM = re.compile(r"^(?P<sign>[+-]?)(?:(?P<num>\d+)\*?)?(?P<w>w)?$")
-
-
 def parse_quad_element(item) -> tuple[int, int]:
-    """Accept an int, an [x, y] pair, or a string like "1+2*w" or "-w"."""
+    """Accept an int, an [x, y] pair, or text in w such as "1+2*w" (`errors._terms`)."""
     if isinstance(item, int):
         return (_strict_int(item, "generator"), 0)
     if isinstance(item, (list, tuple)) and len(item) == 2:
         return tuple(_strict_int(c, "generator coordinate") for c in item)
     if not isinstance(item, str):
         raise ValueError(f"unrecognized element {item!r}")
-    s = item.replace(" ", "")
-    if not s:
+    terms = _terms(item, "w")
+    if not terms:
         raise ValueError("empty element")
-    x = y = 0
-    for part in re.split(r"(?=[+-])", s):
-        if not part:
-            continue
-        m = _GEN_TERM.match(part)
-        if not m or (m.group("num") is None and m.group("w") is None):
-            raise ValueError(f"could not parse element term {part!r}")
-        value = _int_of_digits(m.group("num"), "generator term") if m.group("num") else 1
-        if m.group("sign") == "-":
-            value = -value
-        if m.group("w"):
-            y += value
-        else:
-            x += value
-    return (x, y)
+    xy = [0, 0]
+    for exp, num, den in terms:
+        if exp > 1 or den != 1:
+            raise ValueError(f"generator {item!r} is not an integer x + y*w")
+        xy[exp] += num
+    return tuple(xy)
 
 
 def _ideal_dict(ideal):
@@ -211,12 +200,18 @@ def _cmd_sf_chain(args):
     if args.poly is not None and args.input:
         raise ValueError("give either a polynomial argument or --input, not both")
     if args.poly is not None:
-        lines = [args.poly]
-    else:
-        lines = [ln.strip() for ln in _read_input(args).split("\n") if ln.strip()]
-    if not lines:
+        return {"results": [_sf_chain_entry(args.poly)]}
+    results = []
+    for k, line in enumerate(_read_input(args).split("\n"), 1):
+        try:
+            if line.strip():
+                results.append(_sf_chain_entry(line.strip()))
+        except (ValueError, ResourceLimitError) as exc:
+            exc.args = (f"line {k}: {exc}",)    # names the refused line, keeps the exit
+            raise
+    if not results:
         raise ValueError("no polynomials given")
-    return {"results": [_sf_chain_entry(ln) for ln in lines]}
+    return {"results": results}
 
 
 def default_catalog_specs() -> list[dict]:
@@ -254,10 +249,14 @@ def default_catalog_specs() -> list[dict]:
 
 def census_rows(specs, bounds: Bounds = DEFAULT_BOUNDS):
     rows = []
-    for spec in specs:
-        ring = finring.ring_from_dict(spec, bounds)
-        factors = sspengine.local_factors(ring)
-        decided = sspengine.decide_ssp(ring, bounds).is_ssp
+    for k, spec in enumerate(specs):
+        try:
+            ring = finring.ring_from_dict(spec, bounds)
+            factors = sspengine.local_factors(ring)
+            decided = sspengine.decide_ssp(ring, bounds).is_ssp
+        except (ValueError, ResourceLimitError) as exc:
+            exc.args = (f"catalog[{k}]: {exc}",)
+            raise
         structural = all(v.is_special_primary for _, v in factors)
         rows.append({
             "label": ring.label,

@@ -1,5 +1,6 @@
 """Shared exception types, resource bounds, the two bases of the value
-classes and the JSON field checks (stdlib only).
+classes, the JSON field checks and the one grammar of polynomial text
+(stdlib only), in x for sf-chain and in w for factor's generators.
 
 `_Value` gives a class equality and a repr from the fields its `__init__`
 stores in the instance `__dict__`; `_Frozen` adds hashing and refuses any
@@ -7,6 +8,7 @@ later assignment or deletion."""
 
 from __future__ import annotations
 
+import re
 import sys
 
 # typing costs a cold start about 10 ms; only type checkers read the annotation
@@ -15,6 +17,9 @@ if TYPE_CHECKING:
     from typing import NoReturn
 
 MAX_ORDER = 4096
+# the largest exponent in polynomial text: a dense degree-256 sf-chain job
+# takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
+MAX_DEGREE = 256
 # levels of JSON arrays and objects a payload may nest
 MAX_NESTING = 256
 # CPython's default cap on int() of a decimal string, and the lowest nonzero
@@ -77,6 +82,53 @@ def _json_object(value, what, allowed):
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
     return value
+
+
+_SIGNS = re.compile(r"(?=[+-])")
+_TERM = re.compile(r"^([+-]?)\s*(?:(\d+)(?:/(\d+))?\s*\*?\s*)?([a-z])?(?:\^(\d+))?$")
+
+
+def _terms(text, var):
+    """The terms of polynomial text in `var` as (exponent, signed numerator,
+    denominator), none for blank text.  Spaces are dropped and the text splits
+    before each sign; a term is [n or n/d][*][var[^e]], with n or var present.
+    An exponent over MAX_DEGREE raises the max-degree ResourceLimitError."""
+    terms = []
+    for part in filter(None, _SIGNS.split(text.replace(" ", ""))):
+        if part in "+-":
+            raise ValueError(f"dangling sign in {text!r}")
+        m = _TERM.match(part)
+        sign, num, den, found, exp = m.groups() if m else (None,) * 5
+        if found not in (None, var) or (num is None and found is None):
+            raise ValueError(f"could not parse term {part!r} in {text!r}")
+        if found is None and exp is not None:
+            raise ValueError(f"exponent without variable in term {part!r}")
+        num = 1 if num is None else _int_of_digits(num, "coefficient")
+        den = 1 if den is None else _int_of_digits(den, "coefficient")
+        if not den:
+            raise ValueError(f"zero denominator in term {part!r}")
+        if exp is None:
+            exp = 1 if found else 0
+        else:
+            digits = exp.lstrip("0") or "0"
+            # by length first, since int() refuses strings beyond 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                shown = int(digits) if len(digits) <= SHOWN_DIGITS else f"{len(digits)} digits"
+                exceeded("max-degree", MAX_DEGREE, shown, "polynomial degree")
+            exp = int(digits)
+        terms.append((exp, -num if sign == "-" else num, den))
+    return terms
+
+
+def _format_terms(coeffs, var):
+    """Text of int or Fraction coefficients, lowest degree first: "x^2-1", or "0"."""
+    terms = []
+    for k, c in reversed(list(enumerate(coeffs))):
+        if c:
+            power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            coeff = "" if power and abs(c) == 1 else f"{abs(c)}*" if power else str(abs(c))
+            terms.append(("-" if c < 0 else "+" if terms else "") + coeff + power)
+    return "".join(terms) or "0"
 
 
 class _Value:

@@ -32,14 +32,15 @@ product of Z/n[x]/(f): a = a_0 + x*a' has index a_0 + n*a', with a' < a.
 All values are immutable after construction and every operation here is a
 pure function of its inputs.  This module, and numpy with it, runs on the
 first table-ring call (the package docstring says what that means for threads).
+Its `poly_quotient` labels come from `errors._format_terms`, not `polychain`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds, _json_object, _strict_int, _Value, exceeded
-from .polychain import RatPoly, format_poly
+from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _format_terms, _json_object, _strict_int,
+                     _Value, exceeded)
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18
@@ -335,7 +336,7 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
         q = min(order // n, n * p, p + max(1, _HORNER_BLOCK // (n * order)))
         mul[n * p:n * q] = add[scale, mul[p:q, times_x][:, None]].reshape(-1, order)
         p = q
-    label = f"Z{n}[x]/({format_poly(RatPoly(f))})"
+    label = f"Z{n}[x]/({_format_terms(f, 'x')})"
     return FinRing._trusted(order, add, mul, zero=0, one=1 % order, label=label)
 
 

@@ -10,19 +10,15 @@ pseudo-remainder sequence (Collins 1967); the chain takes one derivative
 gcd and then only gcds against squarefree links and exact divisions.
 Characteristic zero is essential here (the derivative criterion for
 repeated factors fails in characteristic p) and is all we implement.
+Polynomial text is read and written by the one grammar in `radfact.errors`.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import SHOWN_DIGITS, _int_of_digits, exceeded
-
-# the largest exponent parse_poly accepts: a dense degree-256 sf-chain job
-# takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
-MAX_DEGREE = 256
+from .errors import MAX_DEGREE, _format_terms, _terms  # noqa: F401 (MAX_DEGREE re-exported)
 
 
 class RatPoly:
@@ -320,68 +316,19 @@ def vk_poly(f: RatPoly, k: int) -> RatPoly:
     return _monic(links[k - 1]) if k <= len(links) else RatPoly.const(1)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?"
-    r"(?P<var>x)?(?:\^(?P<exp>\d+))?$")
-
-
 def parse_poly(text: str) -> RatPoly:
-    """Parse shapes like "x^3-x^2-x+1", "3/2*x^2 - 1", "-x", "7"."""
+    """Parse text in x (`errors._terms`) such as "x^3-x^2-x+1", "3/2*x^2 - 1" or "7"."""
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be a string, not {type(text).__name__}")
-    s = text.replace(" ", "")
-    if not s:
+    terms = _terms(text, "x")
+    if not terms:
         raise ValueError("empty polynomial")
-    parts = re.split(r"(?=[+-])", s)
-    coeffs: dict[int, Fraction] = {}
-    for part in parts:
-        if not part or part in "+-":
-            if part:
-                raise ValueError(f"dangling sign in {text!r}")
-            continue
-        m = _TERM_RE.match(part)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"could not parse term {part!r} in {text!r}")
-        if m.group("exp") is not None and m.group("var") is None:
-            raise ValueError(f"exponent without variable in term {part!r}")
-        try:
-            coeff = Fraction(*(_int_of_digits(t, "coefficient")
-                               for t in (m.group("coeff") or "1").split("/")))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {part!r}") from None
-        if m.group("sign") == "-":
-            coeff = -coeff
-        exp = 0
-        if m.group("var"):
-            digits = (m.group("exp") or "1").lstrip("0") or "0"
-            # checked before the dense coefficient list is allocated, and by
-            # length first, since int() refuses strings beyond 4300 digits
-            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                shown = int(digits) if len(digits) <= SHOWN_DIGITS else f"{len(digits)} digits"
-                exceeded("max-degree", MAX_DEGREE, shown, "polynomial degree")
-            exp = int(digits)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
+    out = [Fraction(0)] * (max(e for e, _, _ in terms) + 1)
+    for e, num, den in terms:
+        out[e] += Fraction(num, den)
     return RatPoly(out)
 
 
 def format_poly(p: RatPoly) -> str:
     """Render highest degree first, e.g. "x^2-1"; the zero polynomial is "0"."""
-    if p.is_zero:
-        return "0"
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if terms else "")
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == 1 else f"{mag}*{xs}"
-        terms.append(sign + body)
-    return "".join(terms)
+    return _format_terms(p.coeffs, "x")

@@ -258,6 +258,46 @@ def test_parse_quad_element():
         cli.parse_quad_element("u+v")
 
 
+@pytest.mark.parametrize("variant, plain", [("w^1", "w"), ("6*w^0", "6"), ("2w", "2*w"),
+                                            ("w^0 + w^1", "1+w")])
+def test_generator_exponents_up_to_1_read_as_written_out(capsys, tmp_path, variant, plain):
+    reports = [run_cli(capsys, ["factor"], {"d": -5, "gens": [g]}, tmp_path)
+               for g in (variant, plain)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+@pytest.mark.parametrize("gen, code, named", [
+    ("w^2", 2, "'w^2'"),
+    ("x", 2, "'x'"),
+    ("1/2*w", 2, "'1/2*w'"),
+    ("w^257", 3, "max-degree"),
+])
+def test_generator_outside_z_w_names_the_generator_or_the_bound(capsys, tmp_path, gen, code,
+                                                                named):
+    got, out, err = run_cli(capsys, ["factor"], {"d": -5, "gens": ["6", gen]}, tmp_path)
+    assert (got, out) == (code, "")
+    assert named in err and err.count("\n") == 1
+    assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
+@pytest.mark.parametrize("argv, text, code, opening", [
+    (["census"], json.dumps({"catalog": [{"zn": 4}, {"zn": 0}]}), 2,
+     "invalid input: catalog[1]: n must be >= 1"),
+    (["--max-ideals", "100", "census"],
+     json.dumps({"catalog": [{"zn": 4}, {"idealization": {"zn": 2, "module_rank": 6}}]}), 3,
+     "resource bound exceeded: catalog[1]: lattice size exceeds the max-ideals bound"),
+    (["sf-chain"], "x^2-1\n\n7\n", 2, "invalid input: line 3: f must have degree >= 1"),
+    (["sf-chain"], "x^2-1\nx^300+1\n", 3,
+     "resource bound exceeded: line 2: polynomial degree exceeds the max-degree bound"),
+], ids=["census-exit-2", "census-exit-3", "sf-chain-exit-2", "sf-chain-exit-3"])
+def test_a_batch_refusal_names_the_item_that_failed(capsys, tmp_path, argv, text, code, opening):
+    path = tmp_path / "batch"
+    path.write_text(text)
+    got, out, err = run_cli(capsys, ["--input", str(path)] + argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"radfact: {opening}") and err.count("\n") == 1
+
+
 def test_max_norm_governs_d(capsys, tmp_path):
     # 10^12 + 1 = 73 * 137 * 99990001; 10^12 + 39 is prime, so its
     # squarefree check runs Miller-Rabin on a cofactor above 10^12
@@ -801,7 +841,7 @@ print(json.dumps({"code": code, "ran": sorted(
 """
 
 _CORE = ["radfact", "radfact.cli", "radfact.errors"]
-_TABLE_RING = ["radfact.finideal", "radfact.finring", "radfact.polychain", "radfact.sspengine"]
+_TABLE_RING = ["radfact.finideal", "radfact.finring", "radfact.sspengine"]
 
 
 @pytest.mark.parametrize("argv, payload, engines", [

@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of `cli.main`: any payload ends in a documented exit
 code with at most one diagnostic line, never in a traceback or in the
 wording of a Python or numpy internal.  The two text parsers are fuzzed
-directly as well: they return or raise ValueError or ResourceLimitError."""
+directly as well: they return or raise ValueError or ResourceLimitError, and
+each reads back what the one polynomial writer wrote."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from radfact import cli, polychain
-from radfact.errors import ResourceLimitError
+from radfact.errors import ResourceLimitError, _format_terms
 from radfact.finring import make_zn, ring_to_dict
 
 from conftest import INTERNAL_PHRASES
@@ -149,3 +150,13 @@ def test_text_parsers_return_or_raise_only_input_errors(value):
             event(f"{parse.__name__}: {type(exc).__name__}")
         else:
             event(f"{parse.__name__}: parsed")
+
+
+@given(st.lists(st.fractions(), max_size=13).map(polychain.RatPoly))
+def test_parse_poly_reads_back_format_poly(p):
+    assert polychain.parse_poly(polychain.format_poly(p)) == p
+
+
+@given(st.integers(), st.integers())
+def test_parse_quad_element_reads_back_the_written_element(x, y):
+    assert cli.parse_quad_element(_format_terms([x, y], "w")) == (x, y)
