@@ -26,7 +26,7 @@ import sys
 
 from . import finideal, finring, polychain, quadring, sspengine
 from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
-                     _json_object, _strict_int, _terms)
+                     _json_object, _shown, _strict_int, _terms)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -96,14 +96,14 @@ def parse_quad_element(item) -> tuple[int, int]:
     if isinstance(item, (list, tuple)) and len(item) == 2:
         return tuple(_strict_int(c, "generator coordinate") for c in item)
     if not isinstance(item, str):
-        raise ValueError(f"unrecognized element {item!r}")
+        raise ValueError(f"unrecognized element {_shown(item)}")
     terms = _terms(item, "w")
     if not terms:
         raise ValueError("empty element")
     xy = [0, 0]
     for exp, num, den in terms:
         if exp > 1 or den != 1:
-            raise ValueError(f"generator {item!r} is not an integer x + y*w")
+            raise ValueError(f"generator {_shown(item)} is not an integer x + y*w")
         xy[exp] += num
     return tuple(xy)
 
@@ -175,7 +175,7 @@ def _listing(key, items):
 _RING_BODIES = {
     "decide-ssp": _decide_ssp_body,
     "ideals": lambda ring, bounds: _listing("ideals", finideal.all_ideals(ring, bounds)),
-    "spectrum": lambda ring, bounds: _listing("spectrum", finideal.prime_spectrum(ring, bounds)),
+    "spectrum": lambda ring, bounds: _listing("spectrum", finideal.prime_spectrum(ring)),
 }
 
 

@@ -28,6 +28,8 @@ MAX_INT_DIGITS = 4300
 _LOWEST_INT_DIGITS = 640
 # an observed size longer than this is shown by its length, not its digits
 SHOWN_DIGITS = 20
+# a message quotes at most this many characters of an input's repr
+SHOWN_CHARS = 60
 
 
 class ResourceLimitError(Exception):
@@ -53,6 +55,17 @@ def exceeded(bound: str, limit: int, observed, what: str) -> NoReturn:
     raise ResourceLimitError(
         f"{what} exceeds the {bound} bound (limit {limit}, observed {observed})",
         bound, limit, observed)
+
+
+def _shown(value):
+    """The repr of `value`, cut after SHOWN_CHARS characters and then followed
+    by "... (N chars)", N the length of the text (of the repr, for a value that
+    is not text), so a message that quotes its input stays short."""
+    shown = repr(value)
+    if len(shown) <= SHOWN_CHARS:
+        return shown
+    size = len(value) if isinstance(value, str) else len(shown)
+    return f"{shown[:SHOWN_CHARS]}... ({size} chars)"
 
 
 def _strict_int(value, what):
@@ -96,17 +109,17 @@ def _terms(text, var):
     terms = []
     for part in filter(None, _SIGNS.split(text.replace(" ", ""))):
         if part in "+-":
-            raise ValueError(f"dangling sign in {text!r}")
+            raise ValueError(f"dangling sign in {_shown(text)}")
         m = _TERM.match(part)
         sign, num, den, found, exp = m.groups() if m else (None,) * 5
         if found not in (None, var) or (num is None and found is None):
-            raise ValueError(f"could not parse term {part!r} in {text!r}")
+            raise ValueError(f"could not parse term {_shown(part)} in {_shown(text)}")
         if found is None and exp is not None:
-            raise ValueError(f"exponent without variable in term {part!r}")
+            raise ValueError(f"exponent without variable in term {_shown(part)}")
         num = 1 if num is None else _int_of_digits(num, "coefficient")
         den = 1 if den is None else _int_of_digits(den, "coefficient")
         if not den:
-            raise ValueError(f"zero denominator in term {part!r}")
+            raise ValueError(f"zero denominator in term {_shown(part)}")
         if exp is None:
             exp = 1 if found else 0
         else:

@@ -1,4 +1,4 @@
-"""Ideal lattices of finite table rings: enumeration, radicals, spectrum.
+"""Ideals of finite table rings: lattice enumeration, radicals, the prime spectrum.
 
 Ideals are bitsets over element indices, in the format that `finring`
 owns (`mask_of`, `elements_of`, `_pack`, `_bits`, `_bit_rows`), compared
@@ -12,15 +12,20 @@ known sum with every known ideal incomparable with it, in batched gathers
 (`_sums`): |L| sums per generator for a lattice of |L| ideals, keeping one
 bitset and one generator tuple per ideal.  Radicals of many ideals come
 from one gather of their membership rows through the power map
-(`_radical_masks`).
+(`_radical_masks`).  The spectrum needs no lattice: a finite ring is the
+product of its local factors eA, one per primitive idempotent e, and its
+primes are its maximal ideals {x : ex in M_e}, M_e the maximal ideal of eA
+(Atiyah-Macdonald, Thm 8.7 and Prop. 8.8), which `finring._special_primary`
+finds; `is_prime` and `vn_set` read that list.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DEFAULT_BOUNDS, Bounds, exceeded
-from .finring import FinRing, _bit_rows, _bits, _pack, elements_of, mask_of
+from .errors import DEFAULT_BOUNDS, Bounds, _strict_int, exceeded
+from .finring import (FinRing, _bit_rows, _bits, _pack, _primitive_idempotents, _special_primary,
+                      elements_of, mask_of)
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.
@@ -102,6 +107,8 @@ class FinIdeal:
 
     def contains(self, other) -> bool:
         """Set containment: other ⊆ self."""
+        if self.ring is not other.ring:
+            raise ValueError("ideals of different rings")
         return other.mask & ~self.mask == 0
 
     @property
@@ -158,7 +165,7 @@ def whole_ideal(a: FinRing) -> FinIdeal:
 
 def generated_ideal(a: FinRing, gens) -> FinIdeal:
     """Least ideal containing the given elements."""
-    gens = tuple(int(g) for g in gens)
+    gens = tuple(_strict_int(g, "generator") for g in gens)
     for g in gens:
         if not 0 <= g < a.order:
             raise ValueError(f"generator {g} out of range")
@@ -348,19 +355,18 @@ def radical(i: FinIdeal) -> FinIdeal:
     return FinIdeal._unchecked(i.ring, _radical_masks(i.ring, [i.mask])[0])
 
 
+def prime_spectrum(a: FinRing) -> list[FinIdeal]:
+    """All primes, sorted: {x : ex in M_e} for each primitive idempotent e, M_e the
+    maximal ideal of the local factor eA, one gather through row e of `mul`."""
+    prim = _primitive_idempotents(a)
+    rows = _bit_rows([_special_primary(a, e).maximal_ideal.mask for e in prim], a.order)
+    masks = _pack(np.take_along_axis(rows, a.mul[prim], axis=1))
+    return [FinIdeal._unchecked(a, m) for m in sorted(masks)]
+
+
 def is_prime(i: FinIdeal) -> bool:
-    """Primality by exhaustive pair scan over the complement."""
-    if i.is_whole:
-        return False
-    a = i.ring
-    member = _bits(i.mask, a.order)
-    comp = np.flatnonzero(~member)
-    return not member[a.mul[np.ix_(comp, comp)]].any()
-
-
-def prime_spectrum(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
-    """All prime ideals; in a finite ring these are exactly the maximal ideals."""
-    return [i for i in all_ideals(a, bounds) if is_prime(i)]
+    """Membership in `prime_spectrum`."""
+    return i in prime_spectrum(i.ring)
 
 
 def maximal_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
@@ -369,8 +375,8 @@ def maximal_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal
             if not any(j.mask != i.mask and j.contains(i) for j in proper)]
 
 
-def vn_set(i: FinIdeal, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
+def vn_set(i: FinIdeal, n: int) -> list[FinIdeal]:
     """All primes P with I ⊆ P^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [p for p in prime_spectrum(i.ring, bounds) if ideal_power(p, n).contains(i)]
+    return [p for p in prime_spectrum(i.ring) if ideal_power(p, n).contains(i)]

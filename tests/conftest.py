@@ -68,6 +68,18 @@ def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
     return fr.SpecialPrimaryVerdict(ok, m, t)
 
 
+def reference_is_prime(i):
+    """Oracle: primality by exhaustive pair scan over the complement: I is
+    proper and no product of two non-members lies in I.  Independent of the
+    local factors that `finideal.prime_spectrum` reads."""
+    if i.is_whole:
+        return False
+    a = i.ring
+    member = fr._bits(i.mask, a.order)
+    comp = np.flatnonzero(~member)
+    return not member[a.mul[np.ix_(comp, comp)]].any()
+
+
 def reference_primitive_idempotents(a):
     """Oracle: the primitive idempotents by a pairwise scan: a nonzero
     idempotent e is primitive when the only idempotents f with ef = f are 0

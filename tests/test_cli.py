@@ -591,6 +591,36 @@ def test_max_ideals_stops_the_lattice_of_z2_to_the_12_at_limit_plus_1(capsys, tm
     assert "max-ideals" in err and "(limit 100, observed 101)" in err
 
 
+def test_spectrum_enumerates_no_lattice_so_max_ideals_does_not_stop_it(capsys, tmp_path):
+    payload = {"product": [{"zn": 2}] * 12}
+    code, out, err = run_cli(capsys, ["--max-ideals", "5", "spectrum"], payload, tmp_path)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["count"] == len(report["spectrum"]) == 12
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sf-chain"], "x^2-1\n" + "x+" * 50000 + "q\n"),
+    (["sf-chain"], "x" * (1 << 20) + "\n"),
+    (["sf-chain"], "x" + "+" * (1 << 20) + "\n"),
+    (["sf-chain"], "1" * (1 << 20) + "^2\n"),
+    (["sf-chain"], "1/0*x^" + "9" * (1 << 20) + "\n"),
+    (["factor"], json.dumps({"d": -1, "gens": ["1+" + "2" * 40000 + "*v"]})),
+    (["factor"], json.dumps({"d": -1, "gens": ["w^2" + "+w" * 250000]})),
+    (["factor"], json.dumps({"d": -1, "gens": [[1] * 300000]})),
+], ids=["sf-chain-100-kb-bad-last-term", "sf-chain-1-mb-term", "sf-chain-1-mb-of-signs",
+        "sf-chain-1-mb-exponent-without-variable", "sf-chain-1-mb-zero-denominator",
+        "factor-40000-char-generator", "factor-500-kb-generator-outside-z-w",
+        "factor-300000-coordinates"])
+def test_a_refusal_quotes_a_bounded_part_of_its_input(capsys, tmp_path, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["--input", str(path)] + argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 400 and err.count("\n") == 1, err[:400]
+    assert "chars)" in err
+
+
 @pytest.mark.parametrize("payload", [[1], 5, "default", True])
 def test_census_payload_that_is_not_an_object_exits_2(capsys, tmp_path, payload):
     code, out, err = run_cli(capsys, ["census"], payload, tmp_path)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from radfact.errors import DEFAULT_BOUNDS, MAX_ORDER, Bounds
+from radfact.errors import DEFAULT_BOUNDS, MAX_ORDER, SHOWN_CHARS, Bounds, _shown
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "radfact")
@@ -61,3 +61,11 @@ def test_bounds_defaults_and_ceiling():
 def test_bounds_below_1_are_refused(field, bound, limit):
     with pytest.raises(ValueError, match=f"^{bound} {limit} is below 1$"):
         Bounds(**{field: limit})
+
+
+def test_shown_keeps_a_short_repr_and_cuts_a_long_one_after_shown_chars():
+    short = "x" * (SHOWN_CHARS - 2)
+    assert _shown(short) == repr(short)
+    assert _shown(short + "y") == repr(short + "y")[:SHOWN_CHARS] + "... (59 chars)"
+    assert _shown("z" * 10 ** 6) == "'" + "z" * (SHOWN_CHARS - 1) + "... (1000000 chars)"
+    assert _shown([7] * 100) == repr([7] * 100)[:SHOWN_CHARS] + "... (300 chars)"

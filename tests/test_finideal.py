@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_join_closure, relabelled, ring_specs
+from conftest import reference_is_prime, reference_join_closure, relabelled, ring_specs
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
@@ -45,6 +46,21 @@ def test_generated_ideal_examples():
     assert generated_ideal(z12, []).to_list() == [0]
     assert generated_ideal(z12, [1]).to_list() == list(range(12))
     assert generated_ideal(z12, [8]).to_list() == [0, 4, 8]
+
+
+@pytest.mark.parametrize("gen", [2.5, True, "2"])
+def test_generated_ideal_refuses_a_generator_that_is_not_an_integer(gen):
+    with pytest.raises(ValueError, match="generator must be an integer"):
+        generated_ideal(fr.make_zn(6), [gen])
+
+
+def test_contains_refuses_ideals_of_different_rings():
+    z6 = fr.make_zn(6)
+    with pytest.raises(ValueError, match="ideals of different rings"):
+        whole_ideal(z6).contains(zero_ideal(fr.make_zn(5)))
+    with pytest.raises(ValueError, match="ideals of different rings"):
+        whole_ideal(z6).contains(zero_ideal(fr.make_zn(6)))
+    assert whole_ideal(z6).contains(zero_ideal(z6))
 
 
 def test_ideal_constructor_validates():
@@ -189,11 +205,37 @@ def test_spectrum_of_flagship():
     assert [p.to_list() for p in prime_spectrum(b)] == [[0, 1, 2, 3]]
 
 
-def test_spectrum_equals_maximal_ideals():
-    for ring in (fr.make_zn(12), fr.make_zn(30), flagship(),
-                 fr.make_product(fr.make_zn(4), fr.make_zn(9))):
+def test_spectrum_equals_maximal_ideals(catalog_rings):
+    for ring in catalog_rings:
         assert [p.mask for p in prime_spectrum(ring)] == \
             sorted(m.mask for m in maximal_ideals(ring))
+
+
+@pytest.mark.parametrize("spec", [{"product": [{"zn": 2}] * 12},
+                                  {"idealization": {"zn": 2, "module_rank": 11}}],
+                         ids=["z2-to-the-12", "z2-idealization-of-rank-11"])
+def test_spectrum_of_order_4096_reads_the_local_factors_without_a_lattice(spec):
+    ring = fr.ring_from_dict(spec)
+    start = time.perf_counter()
+    spectrum = prime_spectrum(ring)
+    assert time.perf_counter() - start < 2.0
+    assert len(spectrum) == len(fr._primitive_idempotents(ring))
+    assert all(len(p) * 2 == ring.order for p in spectrum)     # every residue field is Z2
+    assert "ideals" not in ring._cache
+    assert [p.mask for p in vn_set(zero_ideal(ring), 1)] == [p.mask for p in spectrum]
+    assert not is_prime(whole_ideal(ring))
+    assert "ideals" not in ring._cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_spectrum_matches_the_maximal_ideals_and_the_pair_scan_on_relabelled_rings(spec, seed):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 64)
+    ideals = all_ideals(ring)
+    masks = [p.mask for p in prime_spectrum(ring)]
+    assert masks == sorted(m.mask for m in maximal_ideals(ring))
+    assert masks == [i.mask for i in ideals if reference_is_prime(i)]
+    assert [is_prime(i) for i in ideals] == [reference_is_prime(i) for i in ideals]
 
 
 def test_vn_set_examples():
