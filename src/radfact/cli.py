@@ -186,13 +186,16 @@ def _cmd_table_ring(args):
 
 
 def _sf_chain_entry(text):
-    poly = polychain.parse_poly(text)
-    chain = polychain.sf_chain(poly)
+    # in integers from the text to the report: f = a/den, p its primitive part
+    from fractions import Fraction    # polychain loads it; other commands need not
+    a, den = polychain._parse(text)
+    p = polychain._content_free(a)
+    links = polychain._chain(p)
     return {
         "input": text,
-        "leading_coefficient": str(poly.lc),
-        "chain": [polychain.format_poly(g) for g in chain],
-        "checks": polychain.chain_checks(poly, chain),
+        "leading_coefficient": str(Fraction(a[-1], den)),
+        "chain": [polychain._format_link(g) for g in links],
+        "checks": polychain._link_checks(p, links),
     }
 
 

@@ -72,7 +72,7 @@ def _strict_int(value, what):
     # int() would turn JSON true and 2.7 into the integers 1 and 2
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _int_of_digits(text, what):
@@ -93,7 +93,7 @@ def _json_object(value, what, allowed):
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(value.keys() - allowed)
     if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}")
+        raise ValueError(f"{what} has unknown keys {_shown(unknown)}")
     return value
 
 

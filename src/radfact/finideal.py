@@ -369,12 +369,6 @@ def is_prime(i: FinIdeal) -> bool:
     return i in prime_spectrum(i.ring)
 
 
-def maximal_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
-    proper = [i for i in all_ideals(a, bounds) if not i.is_whole]
-    return [i for i in proper
-            if not any(j.mask != i.mask and j.contains(i) for j in proper)]
-
-
 def vn_set(i: FinIdeal, n: int) -> list[FinIdeal]:
     """All primes P with I ⊆ P^n."""
     if n < 1:

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _format_terms, _json_object, _strict_int,
-                     _Value, exceeded)
+from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _format_terms, _json_object, _shown,
+                     _strict_int, _Value, exceeded)
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18
@@ -618,7 +618,7 @@ def ring_from_dict(obj, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
         return FinRing(order, _table(obj["add"], order, "add"), _table(obj["mul"], order, "mul"),
                        _strict_int(obj["zero"], "zero"), _strict_int(obj["one"], "one"), label)
     if kind is None:
-        raise ValueError(f"unrecognized ring description with keys {sorted(obj.keys())}")
+        raise ValueError(f"unrecognized ring description with keys {_shown(sorted(obj))}")
     spec = _json_object(obj, f"{kind} ring description", {kind})[kind]
     if kind == "zn":
         return make_zn(_strict_int(spec, "zn"), bounds)

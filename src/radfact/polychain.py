@@ -1,16 +1,16 @@
 """Ascending radical chains of principal ideals in Q[X] via derivative gcds.
 
 `RatPoly`, with exact `fractions.Fraction` coefficients, is the public
-type.  The chain, its checks, `poly_gcd`, `derivative_gcd` and `vk_poly`
-run on a private integer kernel instead: a nonzero polynomial over Q is a
-rational multiple of one primitive integer polynomial with a positive
-leading coefficient, and by Gauss's lemma products and exact quotients of
-primitive polynomials stay primitive.  Gcds come from the primitive
+type; the functions run on a private integer kernel.  A nonzero polynomial
+over Q is a rational multiple of one primitive integer polynomial with a
+positive leading coefficient, and by Gauss's lemma products and exact
+quotients of primitive ones stay primitive.  Gcds come from the primitive
 pseudo-remainder sequence (Collins 1967); the chain takes one derivative
-gcd and then only gcds against squarefree links and exact divisions.
-Characteristic zero is essential here (the derivative criterion for
-repeated factors fails in characteristic p) and is all we implement.
-Polynomial text is read and written by the one grammar in `radfact.errors`.
+gcd, then only gcds against squarefree links and exact divisions.  The CLI
+runs on integers from text to report; a Fraction appears only in `RatPoly`
+and in a monic link's non-integral coefficient.  Characteristic zero is
+essential (the derivative criterion fails in characteristic p).  Polynomial
+text is read and written by the one grammar in `radfact.errors`.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("exponent must be >= 0")
         out = RatPoly.const(1)
         for _ in range(n):
             out = out * self
@@ -240,9 +242,53 @@ def _product_of(links) -> list[int]:
     return out
 
 
+def _chain(p: list[int]) -> list[list[int]]:
+    """The primitive links of a primitive p of degree >= 1, re-multiplied against p."""
+    if len(p) < 2:
+        raise ValueError("f must have degree >= 1")
+    links = _links(p)
+    # by Gauss's lemma a product of primitive links is primitive, so it
+    # equals p exactly when the monic links multiply to monic(f)
+    if _product_of(links) != p:
+        raise ArithmeticError("squarefree chain failed to re-multiply")
+    return links
+
+
+def _link_checks(p: list[int], links: list[list[int]]) -> dict[str, bool]:
+    """Recompute the report's checks on the primitive links of a primitive p."""
+    return {
+        "product_matches_monic_input": _product_of(links) == p,
+        # a zero pseudo-remainder: b divides a in Q[x]
+        "links_divide_downward": all(not _divmod(a, b)[1] for a, b in zip(links, links[1:])),
+        "links_squarefree": all(len(_gcd(g, _derivative(g))) == 1
+                                for g in links if len(g) > 1),
+    }
+
+
 def _monic(a: list[int]) -> RatPoly:
     lc = a[-1]
     return RatPoly([Fraction(c, lc) for c in a])
+
+
+def _format_link(g: list[int]) -> str:
+    """The text of monic(g) for a primitive g, as `format_poly(_monic(g))`."""
+    return _format_terms(g if g[-1] == 1 else [Fraction(c, g[-1]) for c in g], "x")
+
+
+def _parse(text) -> tuple[list[int], int]:
+    """Integers a, trailing zeros stripped, and one denominator den: text = a/den."""
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial must be a string, not {type(text).__name__}")
+    terms = _terms(text, "x")
+    if not terms:
+        raise ValueError("empty polynomial")
+    den = lcm(*(d for _, _, d in terms))
+    a = [0] * (max(e for e, _, _ in terms) + 1)
+    for e, num, d in terms:
+        a[e] += num * (den // d)
+    while a and not a[-1]:
+        a.pop()
+    return a, den
 
 
 # --- the public routes --------------------------------------------------------
@@ -263,34 +309,12 @@ def sf_chain(f: RatPoly) -> list[RatPoly]:
     product of all links is monic(f).  The links are re-multiplied against
     the primitive part of f before they are returned.
     """
-    if f.degree < 1:
-        raise ValueError("f must have degree >= 1")
-    p = _primitive(f.coeffs)
-    links = _links(p)
-    # by Gauss's lemma a product of primitive links is primitive, so it
-    # equals p exactly when the monic links multiply to monic(f)
-    if _product_of(links) != p:
-        raise ArithmeticError("squarefree chain failed to re-multiply")
-    return [_monic(g) for g in links]
+    return [_monic(g) for g in _chain(_primitive(f.coeffs))]
 
 
 def chain_checks(f: RatPoly, chain: list[RatPoly]) -> dict[str, bool]:
     """Recompute the report's checks on a monic chain of f, in integers."""
-    links = [_primitive(g.coeffs) for g in chain]
-
-    def divides(b, a):
-        try:
-            _divmod(a, b, exact=True)
-        except ArithmeticError:
-            return False
-        return True
-
-    return {
-        "product_matches_monic_input": _product_of(links) == _primitive(f.coeffs),
-        "links_divide_downward": all(divides(b, a) for a, b in zip(links, links[1:])),
-        "links_squarefree": all(len(_gcd(g, _derivative(g))) == 1
-                                for g in links if len(g) > 1),
-    }
+    return _link_checks(_primitive(f.coeffs), [_primitive(g.coeffs) for g in chain])
 
 
 def _chain_links(f: RatPoly, k: int) -> list[list[int]]:
@@ -318,15 +342,8 @@ def vk_poly(f: RatPoly, k: int) -> RatPoly:
 
 def parse_poly(text: str) -> RatPoly:
     """Parse text in x (`errors._terms`) such as "x^3-x^2-x+1", "3/2*x^2 - 1" or "7"."""
-    if not isinstance(text, str):
-        raise ValueError(f"a polynomial must be a string, not {type(text).__name__}")
-    terms = _terms(text, "x")
-    if not terms:
-        raise ValueError("empty polynomial")
-    out = [Fraction(0)] * (max(e for e, _, _ in terms) + 1)
-    for e, num, den in terms:
-        out[e] += Fraction(num, den)
-    return RatPoly(out)
+    a, den = _parse(text)
+    return RatPoly([Fraction(c, den) for c in a])
 
 
 def format_poly(p: RatPoly) -> str:

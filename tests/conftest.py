@@ -9,7 +9,7 @@ from radfact import cli
 from radfact import finring as fr
 from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS, exceeded
-from radfact.finideal import all_ideals, ideal_product, maximal_ideals
+from radfact.finideal import all_ideals, ideal_product
 from radfact.polychain import RatPoly, format_poly
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
@@ -51,7 +51,7 @@ def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
     must be exactly the powers of M.  Independent of the principal-ideal
     criterion in `finring.is_special_primary` and of the radical closure.
     """
-    maximal = maximal_ideals(a, bounds)
+    maximal = reference_maximal_ideals(a, bounds)
     if len(maximal) != 1:
         return fr.SpecialPrimaryVerdict(False, None, None)
     m = maximal[0]
@@ -66,6 +66,15 @@ def reference_special_primary(a, bounds=DEFAULT_BOUNDS):
             raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
     ok = {i.mask for i in all_ideals(a, bounds) if i.mask != a.whole_mask} == power_masks
     return fr.SpecialPrimaryVerdict(ok, m, t)
+
+
+def reference_maximal_ideals(a, bounds=DEFAULT_BOUNDS):
+    """Oracle: the proper ideals of the full lattice that no other proper ideal
+    contains.  Independent of the local factors that `finideal.prime_spectrum`
+    reads; it compares ideal pairs, so it suits small rings only."""
+    proper = [i for i in all_ideals(a, bounds) if not i.is_whole]
+    return [i for i in proper
+            if not any(j.mask != i.mask and j.contains(i) for j in proper)]
 
 
 def reference_is_prime(i):

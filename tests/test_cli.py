@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import functools
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -9,9 +12,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import INTERNAL_PHRASES
-from radfact import cli, finideal
+from radfact import cli, finideal, polychain
 from radfact import quadring as q
 from radfact.errors import MAX_NESTING
 
@@ -100,6 +105,69 @@ def test_sf_chain_refuses_a_polynomial_argument_together_with_input(capsys, tmp_
     assert (code, out) == (2, "")
     assert err == ("radfact: invalid input: give either a polynomial argument or --input, "
                    "not both\n")
+
+
+# --- sf-chain on integers against the public RatPoly routes --------------------
+
+
+def public_sf_chain_entry(text):
+    """Oracle: one sf-chain report entry from the public `RatPoly` routes."""
+    poly = polychain.parse_poly(text)
+    chain = polychain.sf_chain(poly)
+    return {
+        "input": text,
+        "leading_coefficient": str(poly.lc),
+        "chain": [polychain.format_poly(g) for g in chain],
+        "checks": polychain.chain_checks(poly, chain),
+    }
+
+
+# (lower coefficients, leading coefficient, multiplicity) of one factor
+sf_factors = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                       st.integers(-6, 6).filter(bool), st.integers(1, 5))
+sf_texts = st.tuples(st.lists(sf_factors, min_size=1, max_size=3),
+                     st.fractions(-20, 20, max_denominator=12).filter(bool)).map(
+    lambda drawn: polychain.format_poly(functools.reduce(
+        lambda f, factor: f * polychain.RatPoly(factor[0] + [factor[1]]) ** factor[2],
+        drawn[0], polychain.RatPoly.const(drawn[1]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sf_texts)
+@example("-3/7*x^4+6/7*x^2-3/7")
+def test_sf_chain_report_entry_equals_the_public_route(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sf-chain", "--", text]) == 0
+    entry = public_sf_chain_entry(text)
+    assert out.getvalue() == json.dumps({"results": [entry]}, sort_keys=True, indent=2) + "\n"
+    assert all(entry["checks"].values())
+
+
+@pytest.mark.parametrize("text, as_file", [
+    *((text, False) for text in (
+        "0", "x-x", "7", "5/7", "", "x+", "1/0*x", "x^257", "x^256", "x^0", "0*x^3+x", "-x",
+        "2*x+1", "2/4*x^2-2/4", "6/4*x^3-3/2", "-3/7*x^4+6/7*x^2-3/7", "(2*x+1)^2")),
+    ("4*x^2-4\n  -2/3*x^3+2/3*x  \n", True),
+    ("x^2-1\n3/9\n", True),
+], ids=repr)
+def test_sf_chain_edge_cases_match_the_public_route(capsys, tmp_path, monkeypatch, text, as_file):
+    argv = ["sf-chain", "--", text]
+    if as_file:
+        path = tmp_path / "polys.txt"
+        path.write_text(text)
+        argv = ["--input", str(path), "sf-chain"]
+    integer = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_sf_chain_entry", public_sf_chain_entry)
+    assert run_cli(capsys, argv) == integer
+
+
+def test_sf_chain_that_does_not_remultiply_exits_5(capsys, monkeypatch):
+    links = cli.polychain._links
+    monkeypatch.setattr(cli.polychain, "_links", lambda p: links(p)[:-1])
+    code, out, err = run_cli(capsys, ["sf-chain", "x^3-x^2-x+1"])
+    assert (code, out) == (5, "")
+    assert err == "radfact: internal invariant failed: squarefree chain failed to re-multiply\n"
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):
@@ -608,10 +676,14 @@ def test_spectrum_enumerates_no_lattice_so_max_ideals_does_not_stop_it(capsys, t
     (["factor"], json.dumps({"d": -1, "gens": ["1+" + "2" * 40000 + "*v"]})),
     (["factor"], json.dumps({"d": -1, "gens": ["w^2" + "+w" * 250000]})),
     (["factor"], json.dumps({"d": -1, "gens": [[1] * 300000]})),
+    (["census"], json.dumps({"catalog": [{"zn": "7" * 50000}]})),
+    (["decide-ssp"], json.dumps({f"key{k}": 0 for k in range(20000)})),
+    (["decide-ssp"], json.dumps({"zn": 2, "k" * 30000: 1})),
 ], ids=["sf-chain-100-kb-bad-last-term", "sf-chain-1-mb-term", "sf-chain-1-mb-of-signs",
         "sf-chain-1-mb-exponent-without-variable", "sf-chain-1-mb-zero-denominator",
         "factor-40000-char-generator", "factor-500-kb-generator-outside-z-w",
-        "factor-300000-coordinates"])
+        "factor-300000-coordinates", "census-50000-char-zn-string",
+        "decide-ssp-ring-with-20000-keys", "decide-ssp-30000-char-unknown-key"])
 def test_a_refusal_quotes_a_bounded_part_of_its_input(capsys, tmp_path, argv, text):
     path = tmp_path / "input"
     path.write_text(text)

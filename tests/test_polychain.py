@@ -72,6 +72,13 @@ def test_arithmetic_basics():
     assert q * poly("x^2+1") + r == poly("x^3+2")
 
 
+def test_power_refuses_a_negative_exponent():
+    assert poly("x+1") ** 0 == RatPoly.const(1)
+    assert poly("x+1") ** 2 == poly("x^2+2*x+1")
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        poly("x+1") ** -1
+
+
 def test_poly_gcd_examples():
     f = poly("x^2-1")
     assert pc.poly_gcd(f, RatPoly()) == f.monic()
