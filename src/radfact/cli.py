@@ -4,6 +4,8 @@ Each command's handler maps the parsed arguments to a report dict; `main`
 emits that report once, to stdout or atomically to --output, and maps the
 outcome to the exit status.  The table-ring commands (decide-ssp, ideals,
 spectrum) share one handler that heads each report with the ring.
+Reports are written byte for byte as `json.dumps(report, sort_keys=True,
+indent=2)` would write them, by one pass that leaves strings to the C escaper.
 
 Exit status: 0 on success, 2 on invalid input (with a position-bearing
 diagnostic for malformed JSON) or a report that cannot be written, 3 when a
@@ -23,6 +25,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import finideal, finring, polychain, quadring, sspengine
 from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
@@ -33,6 +36,60 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
 EXIT_INVARIANT = 5
+
+
+def _report_text(report) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2) + "\n"`, without the
+    pure-Python encoder that `indent` selects: one recursive pass appends the
+    pieces to a list.  Keys must be `str`; a leaf other than a str, an int, a
+    bool or None goes through `json.dumps` itself, so a float prints and an
+    unserializable value is refused exactly as json would."""
+    out = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# the leaves the writer spells itself; bool is not `int` here, as `type` is exact
+_LEAVES = {str: _quoted, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null"}
+
+
+def _write(value, newline, out):
+    # `newline` is a line break plus the indent of the line that holds `value`
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                out.append(f"{sep}{_quoted(key)}: ")
+                _write(item, inner, out)
+            else:
+                out.append(f"{sep}{_quoted(key)}: {leaf(item)}")
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and (leaf := _LEAVES.get(kinds.pop())) is not None:
+            out.append(f"[{inner}{(',' + inner).join(map(leaf, value))}{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        leaf = _LEAVES.get(type(value))
+        out.append(json.dumps(value) if leaf is None else leaf(value))
 
 
 def _emit(text, output_path):
@@ -331,14 +388,22 @@ def _parser():
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = parser.parse_known_args(argv)
+    if (args.command == "sf-chain" and args.poly is None and extra == argv[-1:]
+            and extra[0].startswith("-") and not extra[0].startswith("--")):
+        # argparse takes a last argument such as "-x+1" for an unknown option;
+        # after sf-chain it is the polynomial
+        args.poly = extra[0]
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.bounds = Bounds(args.max_order, args.max_ideals, args.max_norm)
     except ValueError as exc:
         parser.error(f"--{exc}")    # the message opens with the bound's name, the flag's
     try:
         report = _HANDLERS[args.command](args)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _report_text(report)
     except json.JSONDecodeError as exc:
         print(f"radfact: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)

@@ -8,10 +8,12 @@ of ideals is therefore plain tuple equality and norm(I) = a*c.
 
 `IntIdeal` is the same machinery for ideals of the rational integers (an
 ideal is just its positive generator).  Both ideal classes answer
-`_prime_factors(primes)`, the (P, v_P(I)) for the primes P above `primes`
-dividing I, so Z shares the one factorization routine (re-multiplied to I),
-the one radical routine, PrimeFactorization and RadicalChain with the
-quadratic case; it is the cheapest oracle for the ascending radical chain.
+`_prime_factors(splittings)`, the (P, v_P(I)) for the primes P that divide I
+among (p, primes above p) pairs, so Z shares the one factorization routine
+(re-multiplied to I, each prime power by repeated squaring), the one radical
+routine, PrimeFactorization and RadicalChain with the quadratic case; it is
+the cheapest oracle for the ascending radical chain.  Each routine splits
+each rational prime once (`_splittings`), however many ideals it reads.
 
 Every factorization starts from the rational primes of a norm, found by
 `factor_int`: trial division with an early exit once deterministic
@@ -284,8 +286,9 @@ class QuadIdeal(_Frozen):
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> "PrimeFactorization":
         return _factorization(self, bounds)
 
-    def _prime_factors(self, primes):
-        """(P, v_P(I)) for each prime P above `primes` that divides I, read off the HNF.
+    def _prime_factors(self, splittings):
+        """(P, v_P(I)) for each prime P that divides I, read off the HNF, from
+        (p, `primes_above(ring, p)`) pairs.
 
         Write I = c*J with J = (a/c, b/c, 1) primitive.  The content c gives a
         prime P above p the exponent e(P/p)*v_p(c); a primitive ideal is divisible
@@ -296,9 +299,9 @@ class QuadIdeal(_Frozen):
         a, b, c = self.hnf
         a1, b1 = a // c, b // c
         out = []
-        for p in primes:
+        for p, above in splittings:
             vc, va = _valuation(c, p), _valuation(a1, p)
-            for prime, ram in primes_above(self.ring, p):
+            for prime, ram in above:
                 e = ram * vc
                 if va and prime.c == 1 and prime.b == b1 % p:
                     e += va
@@ -437,11 +440,30 @@ def _valuation(n: int, p: int) -> int:
     return k
 
 
+def _splittings(ring, primes):
+    """(p, [(P, e(P/p)), ...]) for each rational prime p: its primes above p."""
+    if isinstance(ring, IntRing):
+        return [(p, [(IntIdeal(p), 1)]) for p in primes]
+    return [(p, primes_above(ring, p)) for p in primes]
+
+
+def _power(ideal, e: int):
+    """ideal^e for e >= 1 by repeated squaring: at most 2*e.bit_length() - 2 products."""
+    result = None
+    while True:
+        if e & 1:
+            result = ideal if result is None else result * ideal
+        e >>= 1
+        if not e:
+            return result
+        ideal = ideal * ideal
+
+
 def _factorization(ideal, bounds):
     """Prime factorization with exponents from `_prime_factors`, re-multiplied to I."""
     primes = tuple(sorted(factor_int(ideal.norm, bounds)))
-    factors = tuple(ideal._prime_factors(primes))
-    if prod((p for p, e in factors for _ in range(e)), start=ideal.unit()) != ideal:
+    factors = tuple(ideal._prime_factors(_splittings(ideal.ring, primes)))
+    if prod((_power(p, e) for p, e in factors), start=ideal.unit()) != ideal:
         raise ArithmeticError(
             f"prime factorization of {ideal!r} failed to re-multiply")
     return PrimeFactorization(factors, primes)
@@ -464,15 +486,20 @@ def sp_factor(i, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
 
     J_k multiplies the primes whose exponent is at least k, so the chain
     re-multiplies to I exactly; the unit ideal has no chain and is rejected.
+    The links are formed from the top down, J_k = J_{k+1} * (the primes of
+    exponent exactly k), one product per prime factor.
     """
     if i.is_whole:
         raise ValueError("the unit ideal has no radical chain")
     pf = i.factorization(bounds)
     links = []
-    for k in range(1, pf.max_exponent + 1):
-        primes = [p for p, e in pf if e >= k]
-        links.append(prod(primes, start=i.unit()))
-    chain = RadicalChain(tuple(links), pf)
+    link = i.unit()
+    for k in range(pf.max_exponent, 0, -1):
+        for p, e in pf:
+            if e == k:
+                link = link * p
+        links.append(link)
+    chain = RadicalChain(tuple(reversed(links)), pf)
     product = chain.product()
     if product != i:
         raise ArithmeticError("radical chain failed to re-multiply to its ideal")
@@ -501,7 +528,12 @@ def normalize_factorization(ring, factors,
 
 def _radical_over(i, primes):
     """Product of the primes above `primes` that divide I: its radical if they cover N(I)."""
-    return prod((p for p, _ in i._prime_factors(primes)), start=i.unit())
+    return _radical_split(i, _splittings(i.ring, primes))
+
+
+def _radical_split(i, splittings):
+    """Product of the primes among `splittings` that divide I."""
+    return prod((p for p, _ in i._prime_factors(splittings)), start=i.unit())
 
 
 def verify_chain(chain: RadicalChain, ideal=None,
@@ -513,15 +545,18 @@ def verify_chain(chain: RadicalChain, ideal=None,
     link divides I, so no norm is factored again), or over the primes of
     each link's norm for a chain that records none.  A link with a prime
     factor outside the recorded primes cannot divide I, and fails the check.
+    Those primes are split once here, apart from the factorization's own
+    splitting, and read for every link.
     """
     links = list(chain.links)
     if chain.factorization is not None:
         primes = chain.factorization.rational_primes
     else:
         primes = sorted(set().union(*(factor_int(l.norm, bounds) for l in links)))
+    splittings = _splittings(links[0].ring, primes) if links else []
     checks = {
         "ascending": all(b.contains(a) for a, b in zip(links, links[1:])),
-        "links_radical": all(_radical_over(l, primes) == l for l in links),
+        "links_radical": all(_radical_split(l, splittings) == l for l in links),
         "links_proper": all(not l.is_whole for l in links),
     }
     if ideal is not None:
@@ -568,8 +603,9 @@ class IntIdeal(_Frozen):
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:
         return _factorization(self, bounds)
 
-    def _prime_factors(self, primes):
-        return [(IntIdeal(p), _valuation(self.n, p)) for p in primes if self.n % p == 0]
+    def _prime_factors(self, splittings):
+        return [(prime, _valuation(self.n, p))
+                for p, [(prime, _)] in splittings if self.n % p == 0]
 
     def to_dict(self):
         return {"zint": self.n}

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,40 @@ def test_sf_chain_refuses_a_polynomial_argument_together_with_input(capsys, tmp_
     assert (code, out) == (2, "")
     assert err == ("radfact: invalid input: give either a polynomial argument or --input, "
                    "not both\n")
+
+
+@pytest.mark.parametrize("text", ["-x+1", "-3/7*x^4+1"])
+def test_sf_chain_polynomial_opening_with_a_minus_sign(capsys, text):
+    code, out, err = run_cli(capsys, ["sf-chain", text])
+    assert (code, out, err) == run_cli(capsys, ["sf-chain", "--", text])
+    assert code == 0 and json.loads(out)["results"][0]["input"] == text
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_sf_chain_help_flags_still_print_help(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sf-chain", flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: radfact sf-chain")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-x+1", "sf-chain"], ["sf-chain", "-x+1", "x"], ["sf-chain", "-x+1", "-x+2"],
+    ["sf-chain", "--x"], ["factor", "-x+1"],
+], ids=" ".join)
+def test_other_unknown_arguments_are_still_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
+def test_sf_chain_refuses_a_minus_polynomial_together_with_input(capsys, tmp_path):
+    path = tmp_path / "polys.txt"
+    path.write_text("x^2-1\n")
+    code, out, err = run_cli(capsys, ["--input", str(path), "sf-chain", "-x+1"])
+    assert (code, out) == (2, "")
+    assert "give either a polynomial argument or --input, not both" in err
 
 
 # --- sf-chain on integers against the public RatPoly routes --------------------
@@ -301,6 +336,53 @@ def test_output_file_written_atomically(capsys, tmp_path):
     assert report["count"] == 2
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".radfact-")]
     assert not leftovers
+
+
+# --- the report writer -----------------------------------------------------------
+
+json_keys = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'), st.characters()),
+                    max_size=6)
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200)
+               | st.integers(max_value=-(2 ** 64)) | st.floats() | json_keys
+               | st.lists(st.integers(), min_size=20, max_size=80))
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(json_keys, children, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({"": [], "a": {}, "b": [[], {}, [[]]], "\u00e9\"\\": [True, None, -1, 2 ** 70]})
+def test_report_text_is_json_dumps_indented(value):
+    assert cli._report_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("leaf", [{1, 2}, np.int64(3)], ids=["set", "numpy-int"])
+def test_report_text_refuses_a_leaf_as_json_does(leaf):
+    report = {"rows": [1, {"value": leaf}]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(report, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as refused:
+        cli._report_text(report)
+    assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["factor"], {"d": -5, "gens": ["6", "2+2*w"]}),
+    (["decide-ssp"], {"idealization": {"zn": 2, "module_rank": 2}}),
+    (["ideals"], {"zn": 12}),
+    (["spectrum"], {"product": [{"zn": 4}, {"zn": 3}]}),
+    (["sf-chain", "-3/7*x^4+6/7*x^2-3/7"], None),
+    (["census"], {"catalog": [{"zn": 8}, {"poly_quotient": {"zn": 2, "f": [0, 0, 1]}}]}),
+], ids=["factor", "decide-ssp", "ideals", "spectrum", "sf-chain", "census"])
+def test_output_file_bytes_equal_stdout(capsys, tmp_path, argv, payload):
+    code, out, err = run_cli(capsys, argv, payload, tmp_path)
+    assert (code, err) == (0, "")
+    out_path = tmp_path / "report.json"
+    assert run_cli(capsys, ["--output", str(out_path)] + argv, payload, tmp_path) == (0, "", "")
+    assert out_path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "existing"],

@@ -1,4 +1,6 @@
+import contextlib
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -358,3 +360,69 @@ def test_radical_from_the_factorization_matches_the_recheck_route_int(n):
     ideal = q.IntIdeal(n)
     pf = ideal.factorization()
     assert q.radical(ideal) == q._radical_over(ideal, pf.rational_primes)
+
+
+# --- chain assembly counts: products and splittings per routine -----------------
+# beside the runtime budgets in test_acceptance.py, never in place of them
+
+@contextlib.contextmanager
+def counted():
+    """Live counts of `QuadIdeal.__mul__` and `primes_above` calls."""
+    counts = {"products": 0, "splittings": 0}
+    mul, above = q.QuadIdeal.__mul__, q.primes_above
+
+    def counted_mul(self, other):
+        counts["products"] += 1
+        return mul(self, other)
+
+    def counted_above(ring, p):
+        counts["splittings"] += 1
+        return above(ring, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(q.QuadIdeal, "__mul__", counted_mul)
+        mp.setattr(q, "primes_above", counted_above)
+        yield counts
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from(SUPPORTED_D))
+def test_chain_assembly_counts(seed, d):
+    ideal = random_quad_ideal(random.Random(seed), q.QuadRing(d))
+    with counted() as n:
+        pf = ideal.factorization()
+    # each prime power by squaring, then one product per prime into the unit ideal
+    assert n["products"] <= sum(2 * e.bit_length() for _, e in pf)
+    assert n["splittings"] == len(pf.rational_primes)
+    factorization_products = n["products"]
+    with counted() as n:
+        chain = q.sp_factor(ideal)
+    # one product per prime factor for the links, len - 1 to re-multiply them
+    assert n["products"] == factorization_products + len(pf) + len(chain) - 1
+    with counted() as n:
+        assert all(q.verify_chain(chain, ideal).values())
+    assert n["splittings"] == len(q.factor_int(ideal.norm))
+
+
+def test_chain_assembly_counts_on_a_high_power():
+    # (2^18 * 3) in Z[sqrt(-5)]: P^36 for the ramified 2, times both primes above 3
+    ideal = q.principal_ideal(q.QuadRing(-5), (2 ** 18 * 3, 0))
+    with counted() as n:
+        chain = q.sp_factor(ideal)
+    assert len(chain) == 36 and n["products"] <= 47
+    with counted() as n:
+        assert all(q.verify_chain(chain, ideal).values())
+    assert n["splittings"] == 2
+
+
+@pytest.mark.parametrize("d, p, kind", [
+    (-1, 5, "split"), (-1, 3, "inert"), (-1, 2, "ramified"),
+    (5, 11, "split"), (5, 2, "inert"), (5, 5, "ramified"),
+    (-7, 2, "split"), (-5, 7, "split"), (-5, 5, "ramified"),
+])
+@given(e=st.integers(1, 64))
+def test_prime_power_by_squaring_is_the_repeated_product(d, p, kind, e):
+    above = q.primes_above(q.QuadRing(d), p)
+    assert kind == ("ramified" if above[0][1] == 2 else "split" if len(above) == 2 else "inert")
+    for prime, _ in above:
+        assert q._power(prime, e) == prod([prime] * e, start=prime.unit())
+    assert q._power(q.IntIdeal(p), e) == q.IntIdeal(p ** e)
