@@ -3,7 +3,9 @@
 Each command's handler maps the parsed arguments to a report dict; `main`
 emits that report once, to stdout or atomically to --output, and maps the
 outcome to the exit status.  The table-ring commands (decide-ssp, ideals,
-spectrum) share one handler that heads each report with the ring.
+spectrum) share one handler that heads each report with the ring.  Text is
+read elsewhere: `factor` generators by `errors.parse_quad_element`, and
+each sf-chain entry by `polychain.text_chain`.
 Reports are written byte for byte as `json.dumps(report, sort_keys=True,
 indent=2)` would write them, by one pass that leaves strings to the C escaper.
 
@@ -29,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from . import finideal, finring, polychain, quadring, sspengine
 from .errors import (DEFAULT_BOUNDS, MAX_NESTING, Bounds, ResourceLimitError, _int_of_digits,
-                     _json_object, _shown, _strict_int, _terms)
+                     _json_object, _strict_int, parse_quad_element)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -146,25 +148,6 @@ def _load_payload(args):
     return json.loads(text, parse_int=lambda digits: _int_of_digits(digits, "JSON integer"))
 
 
-def parse_quad_element(item) -> tuple[int, int]:
-    """Accept an int, an [x, y] pair, or text in w such as "1+2*w" (`errors._terms`)."""
-    if isinstance(item, int):
-        return (_strict_int(item, "generator"), 0)
-    if isinstance(item, (list, tuple)) and len(item) == 2:
-        return tuple(_strict_int(c, "generator coordinate") for c in item)
-    if not isinstance(item, str):
-        raise ValueError(f"unrecognized element {_shown(item)}")
-    terms = _terms(item, "w")
-    if not terms:
-        raise ValueError("empty element")
-    xy = [0, 0]
-    for exp, num, den in terms:
-        if exp > 1 or den != 1:
-            raise ValueError(f"generator {_shown(item)} is not an integer x + y*w")
-        xy[exp] += num
-    return tuple(xy)
-
-
 def _ideal_dict(ideal):
     return {**ideal.to_dict(), "norm": ideal.norm}
 
@@ -243,17 +226,8 @@ def _cmd_table_ring(args):
 
 
 def _sf_chain_entry(text):
-    # in integers from the text to the report: f = a/den, p its primitive part
-    from fractions import Fraction    # polychain loads it; other commands need not
-    a, den = polychain._parse(text)
-    p = polychain._content_free(a)
-    links = polychain._chain(p)
-    return {
-        "input": text,
-        "leading_coefficient": str(Fraction(a[-1], den)),
-        "chain": [polychain._format_link(g) for g in links],
-        "checks": polychain._link_checks(p, links),
-    }
+    lc, chain, checks = polychain.text_chain(text)
+    return {"input": text, "leading_coefficient": lc, "chain": chain, "checks": checks}
 
 
 def _cmd_sf_chain(args):

@@ -1,6 +1,6 @@
 """Shared exception types, resource bounds, the two bases of the value
 classes, the JSON field checks and the one grammar of polynomial text
-(stdlib only), in x for sf-chain and in w for factor's generators.
+(stdlib only), in x for sf-chain and in w for `parse_quad_element`.
 
 `_Value` gives a class equality and a repr from the fields its `__init__`
 stores in the instance `__dict__`; `_Frozen` adds hashing and refuses any
@@ -17,8 +17,9 @@ if TYPE_CHECKING:
     from typing import NoReturn
 
 MAX_ORDER = 4096
-# the largest exponent in polynomial text: a dense degree-256 sf-chain job
-# takes about 3 s on a 2-core Xeon VM, and the cost grows about as degree^4
+# the largest exponent in polynomial text: on a 2-core Xeon VM a squarefree degree-252
+# sf-chain text (monic factors of degree <= 3, 14,949 chars) took 33-36 s through
+# cli.main and degree 126 took 1.7 s, so the cost grows about as degree^4.4
 MAX_DEGREE = 256
 # levels of JSON arrays and objects a payload may nest
 MAX_NESTING = 256
@@ -131,6 +132,25 @@ def _terms(text, var):
             exp = int(digits)
         terms.append((exp, -num if sign == "-" else num, den))
     return terms
+
+
+def parse_quad_element(item) -> tuple[int, int]:
+    """Accept an int, an [x, y] pair, or text in w such as "1+2*w" (`_terms`)."""
+    if isinstance(item, int):
+        return (_strict_int(item, "generator"), 0)
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        return tuple(_strict_int(c, "generator coordinate") for c in item)
+    if not isinstance(item, str):
+        raise ValueError(f"unrecognized element {_shown(item)}")
+    terms = _terms(item, "w")
+    if not terms:
+        raise ValueError("empty element")
+    xy = [0, 0]
+    for exp, num, den in terms:
+        if exp > 1 or den != 1:
+            raise ValueError(f"generator {_shown(item)} is not an integer x + y*w")
+        xy[exp] += num
+    return tuple(xy)
 
 
 def _format_terms(coeffs, var):

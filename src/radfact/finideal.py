@@ -1,14 +1,15 @@
 """Ideals of finite table rings: lattice enumeration, radicals, the prime spectrum.
 
-Ideals are bitsets over element indices, in the format that `finring`
-owns (`mask_of`, `elements_of`, `_pack`, `_bits`, `_bit_rows`), compared
+Ideals are bitsets over element indices, in the format that `finring` owns
+(`mask_of`, `elements_of`, `_pack`, `_bits`, `_bit_rows`, and the table of
+principal ideals `_principal_masks` that it caches on the ring), compared
 and hashed by value; every list of ideals produced here comes back sorted
 by bitset value so output is deterministic.  Enumeration never touches the
 power set: every ideal is a sum of principal ideals, so an ideal that is
 not the sum of the ideals below it (a join-irreducible one) is principal,
 and the lattice is the join closure of those.  `_join_closure` walks the
-distinct principal ideals by size and sums each one that is not yet a
-known sum with every known ideal incomparable with it, in batched gathers
+distinct principal ideals by size and sums each one that is not yet a known
+sum with every known ideal incomparable with it, in batched gathers
 (`_sums`): |L| sums per generator for a lattice of |L| ideals, keeping one
 bitset and one generator tuple per ideal.  Radicals of many ideals come
 from one gather of their membership rows through the power map
@@ -24,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds, _strict_int, exceeded
-from .finring import (FinRing, _bit_rows, _bits, _pack, _primitive_idempotents, _special_primary,
-                      elements_of, mask_of)
+from .finring import (FinRing, _bit_rows, _bits, _distinct, _pack, _primitive_idempotents,
+                      _principal_masks, _special_primary, elements_of, mask_of)
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.
@@ -172,35 +173,6 @@ def generated_ideal(a: FinRing, gens) -> FinIdeal:
     principal = _principal_masks(a)   # the ideal is the sum of the principal ideals gR
     span = _span(a.add, 1 << a.zero, [principal[g] for g in gens])
     return FinIdeal._unchecked(a, span, gens=tuple(sorted(set(gens))))
-
-
-def _row_masks(table) -> list[int]:
-    """Row i of `table`, as the bitset of its entries, for every i; equal rows share one int.
-
-    Entries index the rows: row i lists the set that element i generates,
-    as a*R for `mul` or R*m for the transposed action of a module.
-    """
-    n = table.shape[0]
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], table] = True
-    return _pack(member)
-
-
-def _distinct(masks):
-    """The distinct masks as sorted (bitset, least index) pairs."""
-    seen = {}
-    for i, mask in enumerate(masks):
-        seen.setdefault(mask, i)
-    return sorted(seen.items())
-
-
-def _principal_masks(a) -> list[int]:
-    """The bitset of the principal ideal xR for every element x, cached on the ring."""
-    cached = a._cache.get("principal_masks")
-    if cached is None:
-        # row x of mul is the set x*R, already closed under + and outer multiplication
-        cached = a._cache["principal_masks"] = _row_masks(a.mul)
-    return cached
 
 
 def _join_closure(cyclic, add, bounds):

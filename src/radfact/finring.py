@@ -19,10 +19,11 @@ unitary ring.  Constructors check the order they would build against
 `Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
 
 The local factors need no table of their own to be judged.  The primitive
-idempotents come from one walk over the principal masks that the ideal
-lattice caches (`_primitive_idempotents`), and the special-primary verdict
-of eA is read inside a (`_special_primary`): x in eA is a unit of eA exactly
-when xA = eA.  `decompose_local` builds eA only for a caller that wants it.
+idempotents come from one walk over the principal ideals xA as bitsets
+(`_principal_masks`, cached on the ring here and read by `finideal` and
+`sspengine` too), and the special-primary verdict of eA is read inside a
+(`_special_primary`): x in eA is a unit of eA exactly when xA = eA.
+`decompose_local` builds eA only for a caller that wants it.
 
 Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
 x*w + y for a second part of order w, so a free-module vector or a residue of
@@ -104,6 +105,35 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_bits(mask, mask.bit_length())).tolist())
 
 
+def _row_masks(table) -> list[int]:
+    """Row i of `table`, as the bitset of its entries, for every i; equal rows share one int.
+
+    Entries index the rows: row i lists the set that element i generates,
+    as a*R for `mul` or R*m for the transposed action of a module.
+    """
+    n = table.shape[0]
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], table] = True
+    return _pack(member)
+
+
+def _distinct(masks):
+    """The distinct masks as sorted (bitset, least index) pairs."""
+    seen = {}
+    for i, mask in enumerate(masks):
+        seen.setdefault(mask, i)
+    return sorted(seen.items())
+
+
+def _principal_masks(a) -> list[int]:
+    """The bitset of the principal ideal xR for every element x, cached on the ring."""
+    cached = a._cache.get("principal_masks")
+    if cached is None:
+        # row x of mul is the set x*R, already closed under + and outer multiplication
+        cached = a._cache["principal_masks"] = _row_masks(a.mul)
+    return cached
+
+
 def _additive_generators(add, zero):
     # Greedy generating set of the additive group; the closure loop also
     # proves that the returned set generates, which the verification below
@@ -180,7 +210,7 @@ def _verify_ring_tables(order, add, mul, zero, one):
 
 def _verify_module_tables(ring, size, add, zero, action):
     if not isinstance(ring, FinRing):
-        raise ValueError(f"ring must be a FinRing, got {ring!r}")
+        raise ValueError(f"ring must be a FinRing, got {_shown(ring)}")
     _verify_group(add, size, zero, "module")
     _check_table(action, (ring.order, size), ring.one, "action", "ring one", symmetric=False)
     # With the ring and the module's group verified, the r with (r + s)x =
@@ -472,8 +502,6 @@ def _primitive_idempotents(a: FinRing) -> list[int]:
     if len(nonzero) <= 1:
         prim = nonzero      # a local ring, the zero ring, or tables that are no ring
     else:
-        from .finideal import _principal_masks
-
         principal = _principal_masks(a)
         prim = []
         for e in sorted(nonzero, key=lambda e: principal[e].bit_count()):
@@ -523,7 +551,7 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
     in a as in eA.  A principal M = mA is an ideal, so eA is local; only a
     non-principal M needs the check that it is closed under addition.
     """
-    from .finideal import FinIdeal, _principal_masks, ideal_product
+    from .finideal import FinIdeal, ideal_product
 
     principal = _principal_masks(a)
     whole = principal[e]

@@ -6,11 +6,12 @@ over Q is a rational multiple of one primitive integer polynomial with a
 positive leading coefficient, and by Gauss's lemma products and exact
 quotients of primitive ones stay primitive.  Gcds come from the primitive
 pseudo-remainder sequence (Collins 1967); the chain takes one derivative
-gcd, then only gcds against squarefree links and exact divisions.  The CLI
-runs on integers from text to report; a Fraction appears only in `RatPoly`
-and in a monic link's non-integral coefficient.  Characteristic zero is
-essential (the derivative criterion fails in characteristic p).  Polynomial
-text is read and written by the one grammar in `radfact.errors`.
+gcd, then only gcds against squarefree links and exact divisions.
+`text_chain`, sf-chain's route, runs on integers from text to report; a
+Fraction appears only in `RatPoly`, the leading coefficient and a monic
+link's non-integral coefficient.  Characteristic zero is essential (the
+derivative criterion fails in characteristic p).  Polynomial text is read
+and written by the one grammar in `radfact.errors`.
 """
 
 from __future__ import annotations
@@ -270,11 +271,6 @@ def _monic(a: list[int]) -> RatPoly:
     return RatPoly([Fraction(c, lc) for c in a])
 
 
-def _format_link(g: list[int]) -> str:
-    """The text of monic(g) for a primitive g, as `format_poly(_monic(g))`."""
-    return _format_terms(g if g[-1] == 1 else [Fraction(c, g[-1]) for c in g], "x")
-
-
 def _parse(text) -> tuple[list[int], int]:
     """Integers a, trailing zeros stripped, and one denominator den: text = a/den."""
     if not isinstance(text, str):
@@ -338,6 +334,17 @@ def vk_poly(f: RatPoly, k: int) -> RatPoly:
     """The monic polynomial whose roots are the points where f vanishes to order >= k."""
     links = _chain_links(f, k)
     return _monic(links[k - 1]) if k <= len(links) else RatPoly.const(1)
+
+
+def text_chain(text: str) -> tuple[str, list[str], dict[str, bool]]:
+    """The leading coefficient and monic link texts and the checks of the chain
+    of polynomial text, in integers: text = a/den and p the primitive part of a."""
+    a, den = _parse(text)
+    p = _content_free(a)
+    links = _chain(p)
+    texts = [_format_terms(g if g[-1] == 1 else [Fraction(c, g[-1]) for c in g], "x")
+             for g in links]
+    return str(Fraction(a[-1], den)), texts, _link_checks(p, links)
 
 
 def parse_poly(text: str) -> RatPoly:

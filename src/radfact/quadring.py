@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, prod
 
-from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, exceeded
+from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, _strict_int, exceeded
 
 _TRIAL_LIMIT = 10 ** 6
 # past this trial divisor a prime cofactor ends trial division early
@@ -579,7 +579,7 @@ class IntIdeal(_Frozen):
     ring = INT_RING
 
     def __init__(self, n: int):
-        self.__dict__.update(n=n)
+        self.__dict__.update(n=_strict_int(n, "generator"))
         if n < 1:
             raise ValueError("generator must be a positive integer")
 

@@ -15,10 +15,9 @@ the ring itself, through xA = eA, and builds no factor ring.
 from __future__ import annotations
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
-from .finideal import (FinIdeal, _lattice_product, _principal_masks, _radical_masks, _row_masks,
-                       _span, all_ideals)
+from .finideal import FinIdeal, _lattice_product, _radical_masks, _span, all_ideals
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
-                      _special_primary, mask_of)
+                      _principal_masks, _row_masks, _special_primary, mask_of)
 
 # What `decide-ssp` reports as `sp_note` beside `is_sp`, which is always true.
 SP_NOTE = ("in a finite commutative ring every regular element is a unit, so the "

@@ -3,7 +3,8 @@
 A special-primary component is abstract: its ideal lattice is the chain
 M^0 ⊃ M^1 ⊃ ... ⊃ M^t = 0, so an ideal is just an exponent in 0..t
 (canonicalized by capping at t).  Dedekind components carry real quadratic
-or rational-integer ideals and delegate to `quadring`.
+or rational-integer ideals and delegate to `quadring`.  Each component
+class answers for its own entries, so a ZPI ring's functions make one pass.
 
 Chains for ideals that touch a component's zero power (exponent t) are a
 canonical choice rather than a unique factorization; such chains are
@@ -13,9 +14,8 @@ flagged with `canonical_extension=True` in the output.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import zip_longest
 
-from .errors import DEFAULT_BOUNDS, Bounds, _Frozen
+from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, _shown, _strict_int
 from .quadring import (IntIdeal, IntRing, QuadIdeal, QuadRing, sp_factor,
                        whole_ring_ideal)
 
@@ -32,9 +32,29 @@ class SprComponent(_Frozen):
     """Abstract special primary ring with nilpotency index t >= 1."""
 
     def __init__(self, t: int):
-        self.__dict__.update(t=t)
+        self.__dict__.update(t=_strict_int(t, "nilpotency index"))
         if t < 1:
             raise ValueError("nilpotency index must be >= 1")
+
+    def _unit(self):
+        return 0
+
+    def _entry(self, entry):
+        if _strict_int(entry, "special-primary exponent") < 0:
+            raise ValueError("special-primary entries are exponents >= 0")
+        return min(entry, self.t)
+
+    def _product(self, a, b):
+        return min(a + b, self.t)
+
+    def _links(self, entry, bounds):
+        return [1] * entry
+
+    def _reaches_zero(self, entry):
+        return entry == self.t
+
+    def _to_list(self, entry):
+        return entry
 
 
 class DedComponent(_Frozen):
@@ -45,10 +65,28 @@ class DedComponent(_Frozen):
         if not isinstance(ring, (QuadRing, IntRing)):
             raise ValueError("Dedekind component must be a QuadRing or IntRing")
 
-    def unit_ideal(self):
-        if isinstance(self.ring, IntRing):
-            return IntIdeal(1)
-        return whole_ring_ideal(self.ring)
+    def _unit(self):
+        return IntIdeal(1) if isinstance(self.ring, IntRing) else whole_ring_ideal(self.ring)
+
+    def _entry(self, entry):
+        if entry is ZERO or (isinstance(entry, (IntIdeal, QuadIdeal))
+                             and entry.ring == self.ring):
+            return entry
+        raise ValueError("expected an ideal of the component's ring")
+
+    def _product(self, a, b):
+        return ZERO if a is ZERO or b is ZERO else a * b
+
+    def _links(self, entry, bounds):
+        return [] if entry.is_whole else sp_factor(entry, bounds=bounds).links
+
+    def _reaches_zero(self, entry):
+        return False    # ZERO entries are refused before a chain is built
+
+    def _to_list(self, entry):
+        if entry is ZERO:
+            return "zero"
+        return {"zint": entry.n} if isinstance(entry, IntIdeal) else {"hnf": list(entry.hnf)}
 
 
 class ZpiRing(_Frozen):
@@ -58,23 +96,10 @@ class ZpiRing(_Frozen):
             raise ValueError("a ZPI ring needs at least one component")
         for comp in components:
             if not isinstance(comp, (SprComponent, DedComponent)):
-                raise ValueError(f"unrecognized component {comp!r}")
+                raise ValueError(f"unrecognized component {_shown(comp)}")
 
     def unit_ideal(self) -> "ZpiIdeal":
-        return ZpiIdeal(self, tuple(
-            0 if isinstance(c, SprComponent) else c.unit_ideal()
-            for c in self.components))
-
-
-def _canonical_entry(comp, entry):
-    if isinstance(comp, SprComponent):
-        if not isinstance(entry, int) or entry < 0:
-            raise ValueError("special-primary entries are exponents >= 0")
-        return min(entry, comp.t)
-    if entry is ZERO or (isinstance(entry, (IntIdeal, QuadIdeal))
-                         and entry.ring == comp.ring):
-        return entry
-    raise ValueError("expected an ideal of the component's ring")
+        return ZpiIdeal(self, tuple(c._unit() for c in self.components))
 
 
 class ZpiIdeal(_Frozen):
@@ -84,7 +109,7 @@ class ZpiIdeal(_Frozen):
         if len(entries) != len(ring.components):
             raise ValueError("entry count does not match component count")
         self.__dict__.update(ring=ring, entries=tuple(
-            _canonical_entry(c, e) for c, e in zip(ring.components, entries)))
+            c._entry(e) for c, e in zip(ring.components, entries)))
 
     @property
     def is_unit(self) -> bool:
@@ -98,15 +123,8 @@ def zpi_product(i: ZpiIdeal, j: ZpiIdeal) -> ZpiIdeal:
     """Componentwise product: exponents add and cap at t; zero absorbs."""
     if i.ring != j.ring:
         raise ValueError("ideals of different ZPI rings")
-    out = []
-    for comp, a, b in zip(i.ring.components, i.entries, j.entries):
-        if isinstance(comp, SprComponent):
-            out.append(min(a + b, comp.t))
-        elif a is ZERO or b is ZERO:
-            out.append(ZERO)
-        else:
-            out.append(a * b)
-    return ZpiIdeal(i.ring, tuple(out))
+    return ZpiIdeal(i.ring, tuple(
+        c._product(a, b) for c, a, b in zip(i.ring.components, i.entries, j.entries)))
 
 
 class ZpiChain(_Frozen):
@@ -135,35 +153,16 @@ def radical_chain(i: ZpiIdeal, bounds: Bounds = DEFAULT_BOUNDS) -> ZpiChain:
         raise ValueError("the unit ideal has no radical chain")
     if i.has_zero_entry():
         raise ValueError("zero entries in Dedekind components are not factorable")
-    comp_chains = []
-    extension = False
-    for comp, entry in zip(i.ring.components, i.entries):
-        if isinstance(comp, SprComponent):
-            comp_chains.append([1] * entry)
-            if entry == comp.t:
-                extension = True
-        elif entry.is_whole:
-            comp_chains.append([])
-        else:
-            comp_chains.append(sp_factor(entry, bounds=bounds).links)
-    unit = i.ring.unit_ideal().entries
-    links = tuple(ZpiIdeal(i.ring, tuple(u if e is None else e for e, u in zip(column, unit)))
-                  for column in zip_longest(*comp_chains))
-    chain = ZpiChain(links, extension)
+    pairs = list(zip(i.ring.components, i.entries))
+    chains = [c._links(e, bounds) for c, e in pairs]
+    links = tuple(ZpiIdeal(i.ring, tuple(ch[k] if k < len(ch) else c._unit()
+                                         for (c, _), ch in zip(pairs, chains)))
+                  for k in range(max(map(len, chains))))
+    chain = ZpiChain(links, any(c._reaches_zero(e) for c, e in pairs))
     if chain.product() != i:
         raise ArithmeticError("componentwise chain failed to re-multiply")
     return chain
 
 
 def ideal_to_list(i: ZpiIdeal) -> list:
-    out = []
-    for comp, e in zip(i.ring.components, i.entries):
-        if isinstance(comp, SprComponent):
-            out.append(e)
-        elif e is ZERO:
-            out.append("zero")
-        elif isinstance(e, IntIdeal):
-            out.append({"zint": e.n})
-        else:
-            out.append({"hnf": list(e.hnf)})
-    return out
+    return [c._to_list(e) for c, e in zip(i.ring.components, i.entries)]

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -326,3 +327,28 @@ def random_zpi_ideal(rng):
         ideal = z.ZpiIdeal(ring, tuple(entries))
         if not ideal.is_unit:
             return ideal
+
+
+def reference_radical_chain(i, bounds=DEFAULT_BOUNDS):
+    """Oracle: the links (as entry tuples) and the `canonical_extension` flag
+    of a ZPI ideal's chain, merged from per-component chains that a switch on
+    the component's type builds: k copies of M for an exponent k, flagged when
+    k is the nilpotency index, and `sp_factor`'s links for a Dedekind ideal.
+    Past the end of its chain a component holds its unit entry."""
+    from radfact import zpicompose as z
+
+    comp_chains = []
+    extension = False
+    units = []
+    for comp, entry in zip(i.ring.components, i.entries):
+        if isinstance(comp, z.SprComponent):
+            comp_chains.append([1] * entry)
+            extension |= entry == comp.t
+            units.append(0)
+        else:
+            units.append(q.IntIdeal(1) if isinstance(comp.ring, q.IntRing)
+                         else q.whole_ring_ideal(comp.ring))
+            comp_chains.append([] if entry.is_whole else q.sp_factor(entry, bounds=bounds).links)
+    links = [tuple(u if e is None else e for e, u in zip(column, units))
+             for column in zip_longest(*comp_chains)]
+    return links, extension

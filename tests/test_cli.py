@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import INTERNAL_PHRASES
-from radfact import cli, finideal, polychain
+from radfact import cli, errors, finideal, polychain
 from radfact import quadring as q
 from radfact.errors import MAX_NESTING
 
@@ -398,14 +398,14 @@ def test_unwritable_output_names_the_given_path(capsys, tmp_path, target):
 
 
 def test_parse_quad_element():
-    assert cli.parse_quad_element("6") == (6, 0)
-    assert cli.parse_quad_element("1+2*w") == (1, 2)
-    assert cli.parse_quad_element("-w") == (0, -1)
-    assert cli.parse_quad_element("2-1*w") == (2, -1)
-    assert cli.parse_quad_element([3, 4]) == (3, 4)
-    assert cli.parse_quad_element(7) == (7, 0)
+    assert errors.parse_quad_element("6") == (6, 0)
+    assert errors.parse_quad_element("1+2*w") == (1, 2)
+    assert errors.parse_quad_element("-w") == (0, -1)
+    assert errors.parse_quad_element("2-1*w") == (2, -1)
+    assert errors.parse_quad_element([3, 4]) == (3, 4)
+    assert errors.parse_quad_element(7) == (7, 0)
     with pytest.raises(ValueError):
-        cli.parse_quad_element("u+v")
+        errors.parse_quad_element("u+v")
 
 
 @pytest.mark.parametrize("variant, plain", [("w^1", "w"), ("6*w^0", "6"), ("2w", "2*w"),

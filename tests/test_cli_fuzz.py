@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from radfact import cli, polychain
-from radfact.errors import ResourceLimitError, _format_terms
+from radfact.errors import ResourceLimitError, _format_terms, parse_quad_element
 from radfact.finring import make_zn, ring_to_dict
 
 from conftest import INTERNAL_PHRASES
@@ -143,7 +143,7 @@ parser_inputs = st.one_of(
 @example(None)
 @example([1, [2]])
 def test_text_parsers_return_or_raise_only_input_errors(value):
-    for parse in (polychain.parse_poly, cli.parse_quad_element):
+    for parse in (polychain.parse_poly, parse_quad_element):
         try:
             parse(value)
         except (ValueError, ResourceLimitError) as exc:
@@ -159,4 +159,4 @@ def test_parse_poly_reads_back_format_poly(p):
 
 @given(st.integers(), st.integers())
 def test_parse_quad_element_reads_back_the_written_element(x, y):
-    assert cli.parse_quad_element(_format_terms([x, y], "w")) == (x, y)
+    assert parse_quad_element(_format_terms([x, y], "w")) == (x, y)

@@ -38,6 +38,51 @@ def test_src_has_no_assert_statement():
     assert offenders == []
 
 
+def _tree(name):
+    with open(os.path.join(SRC, name)) as fh:
+        return ast.parse(fh.read(), name)
+
+
+def test_each_shared_decision_has_one_owner():
+    owners = {"parse_quad_element": "errors.py", "_row_masks": "finring.py",
+              "_distinct": "finring.py", "_principal_masks": "finring.py",
+              "text_chain": "polychain.py"}
+    defined = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            for node in ast.walk(_tree(name)):
+                if isinstance(node, ast.FunctionDef) and node.name in owners:
+                    defined.setdefault(node.name, []).append(name)
+    assert defined == {helper: [owner] for helper, owner in owners.items()}
+
+
+def test_cli_reads_no_text_and_finring_imports_only_what_it_judges_with():
+    cli = _tree("cli.py")
+    from_errors = {a.name for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)
+                   and node.module == "errors" for a in node.names}
+    assert from_errors.isdisjoint({"_terms", "_shown"})
+    assert [node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "polychain" and node.attr.startswith("_")] == []
+    from_finideal = [a.name for node in ast.walk(_tree("finring.py"))
+                     if isinstance(node, ast.ImportFrom) and node.module == "finideal"
+                     for a in node.names]
+    assert sorted(from_finideal) == ["FinIdeal", "ideal_product"]
+
+
+def test_zpi_components_answer_for_their_own_entries():
+    # outside the component classes only ZpiRing's input validation tests a component's type
+    offenders = []
+    for top in _tree("zpicompose.py").body:
+        if getattr(top, "name", None) in ("SprComponent", "DedComponent"):
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and {"SprComponent", "DedComponent"} & {n.id for n in ast.walk(node.args[1])
+                                                            if isinstance(n, ast.Name)}):
+                offenders.append(f"{top.name}:{node.lineno}")
+    assert len(offenders) == 1 and offenders[0].startswith("ZpiRing:"), offenders
+
+
 def test_sources_and_tests_parse_as_python_3_10():
     # requires-python is >=3.10: no syntax from a later release
     paths = [os.path.join(d, name) for d in (SRC, os.path.join(ROOT, "tests"))

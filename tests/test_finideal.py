@@ -13,12 +13,10 @@ from conftest import (reference_is_prime, reference_join_closure, reference_maxi
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
-from radfact.finideal import (FinIdeal, _distinct, _join_closure, _principal_masks,
-                              _radical_masks, all_ideals,
-                              generated_ideal, ideal_power, ideal_product,
-                              ideal_sum, is_prime,
-                              prime_spectrum, radical, vn_set, whole_ideal,
-                              zero_ideal)
+from radfact.finideal import (FinIdeal, _join_closure, _radical_masks, all_ideals,
+                              generated_ideal, ideal_power, ideal_product, ideal_sum, is_prime,
+                              prime_spectrum, radical, vn_set, whole_ideal, zero_ideal)
+from radfact.finring import _distinct, _principal_masks
 
 
 def flagship():

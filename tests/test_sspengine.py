@@ -77,7 +77,7 @@ def test_lattice_product_matches_ideal_product_on_every_pair():
         ideals = all_ideals(ring)
         lattice = {i.mask: i.small_gens() for i in ideals}
         product = finideal._lattice_product(ring, lattice)
-        principal = finideal._principal_masks(ring)
+        principal = fr._principal_masks(ring)
         for i, j in itertools.product(ideals, repeat=2):
             assert product(i.mask, j.mask) == ideal_product(i, j).mask, ring.label
             union = 0

@@ -135,8 +135,27 @@ def test_zpi_ideal_canonicalizes_its_entries():
     (lambda: z.ZpiRing((5,)), "unrecognized component 5"),
     (lambda: z.ZpiIdeal(ZPI, (1,)), "entry count does not match component count"),
     (lambda: z.ZpiIdeal(ZPI, (-1, SIX, z.ZERO)), "special-primary entries are exponents >= 0"),
+    # a bool or a float is no integer field, though int() and comparisons accept it
+    (lambda: q.IntIdeal(True), "generator must be an integer, got True"),
+    (lambda: q.IntIdeal(2.5), "generator must be an integer, got 2.5"),
+    (lambda: z.SprComponent(True), "nilpotency index must be an integer, got True"),
+    (lambda: z.SprComponent(2.5), "nilpotency index must be an integer, got 2.5"),
+    (lambda: z.ZpiIdeal(z.ZpiRing((z.SprComponent(3),)), (True,)),
+     "special-primary exponent must be an integer, got True"),
+    (lambda: z.ZpiIdeal(z.ZpiRing((z.SprComponent(3),)), (2.5,)),
+     "special-primary exponent must be an integer, got 2.5"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda ring: fr.FinModule(ring, 2, [[0, 1], [1, 0]], 0, [[0, 0], [0, 1]]),
+    lambda component: z.ZpiRing((component,)),
+], ids=["fin-module-ring", "zpi-component"])
+def test_a_type_error_quotes_a_bounded_part_of_its_argument(build):
+    with pytest.raises(ValueError) as info:
+        build("x" * 100_000)
+    assert len(str(info.value)) < 400

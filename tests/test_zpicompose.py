@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import SEED, random_zpi_ideal
+from conftest import SEED, random_zpi_ideal, reference_radical_chain
 from radfact import quadring as q
 from radfact import zpicompose as z
 
@@ -129,6 +129,16 @@ def test_chains_remultiply_over_random_mixed_ideals():
         capped = any(isinstance(c, z.SprComponent) and e == c.t
                      for c, e in zip(ideal.ring.components, ideal.entries))
         assert chain.canonical_extension == capped
+
+
+def test_chains_equal_the_componentwise_merge_over_random_mixed_ideals():
+    rng = random.Random(SEED + 29)
+    for _ in range(1000):
+        ideal = random_zpi_ideal(rng)
+        chain = z.radical_chain(ideal)
+        links, extension = reference_radical_chain(ideal)
+        assert [link.entries for link in chain.links] == links, ideal
+        assert chain.canonical_extension == extension, ideal
 
 
 def test_serialization_round_trip():
