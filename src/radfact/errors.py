@@ -18,8 +18,9 @@ if TYPE_CHECKING:
 
 MAX_ORDER = 4096
 # the largest exponent in polynomial text: on a 2-core Xeon VM a squarefree degree-252
-# sf-chain text (monic factors of degree <= 3, 14,949 chars) took 33-36 s through
-# cli.main and degree 126 took 1.7 s, so the cost grows about as degree^4.4
+# sf-chain text (monic factors of degree <= 3 with coefficients in -5..5, 14,126
+# chars) takes 0.12-0.17 s through cli.main and degree 126 takes 0.012-0.017 s, so
+# the cost grows about as degree^3.4; the coefficient size is not bounded yet
 MAX_DEGREE = 256
 # levels of JSON arrays and objects a payload may nest
 MAX_NESTING = 256

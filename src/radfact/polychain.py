@@ -4,9 +4,11 @@
 type; the functions run on a private integer kernel.  A nonzero polynomial
 over Q is a rational multiple of one primitive integer polynomial with a
 positive leading coefficient, and by Gauss's lemma products and exact
-quotients of primitive ones stay primitive.  Gcds come from the primitive
-pseudo-remainder sequence (Collins 1967); the chain takes one derivative
-gcd, then only gcds against squarefree links and exact divisions.
+quotients of primitive ones stay primitive.  Gcds come from the heuristic
+gcd (Char, Geddes and Gonnet 1989): an integer gcd of values at a point
+beyond twice a root bound, read back as a polynomial in that point's digits
+and proved by exact division of both inputs.  The chain takes one
+derivative gcd, then only gcds against squarefree links and exact divisions.
 `text_chain`, sf-chain's route, runs on integers from text to report; a
 Fraction appears only in `RatPoly`, the leading coefficient and a monic
 link's non-integral coefficient.  Characteristic zero is essential (the
@@ -17,7 +19,7 @@ and written by the one grammar in `radfact.errors`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import MAX_DEGREE, _format_terms, _terms  # noqa: F401 (MAX_DEGREE re-exported)
 
@@ -191,16 +193,49 @@ def _divmod(a: list[int], b: list[int], exact: bool = False):
     return q, r, s
 
 
+def _at(a: list[int], xi: int) -> int:
+    """The value a(xi), by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd by the primitive pseudo-remainder sequence (Collins 1967)."""
+    """Primitive gcd by the heuristic gcd (Char, Geddes and Gonnet 1989).
+
+    The integer gcd of a(xi) and b(xi), read off in symmetric xi-adic digits,
+    gives a polynomial whose primitive part h is returned once it divides
+    both a and b exactly; otherwise xi grows.  Take R = 1 + max|c_i|/lc for
+    whichever input gives the smaller bound: its roots lie in |z| < R, and xi
+    starts at 2*min(max|c_i|//lc) + 4 > 2R.  So its value at xi is not 0, and
+    a nonconstant k dividing it has |k(xi)| > xi/2.  Then an h dividing both
+    is the gcd: were gcd = h*k with k nonconstant, k(xi) would divide the
+    content of the digit polynomial, which is not 0 and at most xi/2.  Once xi
+    is large against the coefficients of the gcd times the resultant of the
+    cofactors, the digits are a multiple of the gcd, so the loop ends.
+    """
     a, b = _content_free(a), _content_free(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return [1]
-        a, b = b, _content_free(_divmod(a, b)[1])
-    return a
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)) // a[-1], max(map(abs, b)) // b[-1]) + 4
+    while True:
+        value, h = gcd(_at(a, xi), _at(b, xi)), []
+        while value:
+            value, d = divmod(value, xi)
+            if 2 * d > xi:
+                d -= xi
+                value += 1
+            h.append(d)
+        h = _content_free(h)
+        try:
+            _divmod(a, h, exact=True)
+            _divmod(b, h, exact=True)
+            return h
+        except ArithmeticError:
+            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
@@ -255,15 +290,21 @@ def _chain(p: list[int]) -> list[list[int]]:
     return links
 
 
-def _link_checks(p: list[int], links: list[list[int]]) -> dict[str, bool]:
-    """Recompute the report's checks on the primitive links of a primitive p."""
-    return {
-        "product_matches_monic_input": _product_of(links) == p,
-        # a zero pseudo-remainder: b divides a in Q[x]
-        "links_divide_downward": all(not _divmod(a, b)[1] for a, b in zip(links, links[1:])),
-        "links_squarefree": all(len(_gcd(g, _derivative(g))) == 1
-                                for g in links if len(g) > 1),
-    }
+def _squarefree(g: list[int]) -> bool:
+    return len(g) < 2 or len(_gcd(g, _derivative(g))) == 1
+
+
+def _link_checks(links: list[list[int]], product_matches: bool) -> dict[str, bool]:
+    """The report's checks on primitive links, given whether they multiply to the input."""
+    # a zero pseudo-remainder: b divides a in Q[x]
+    divide = all(not _divmod(a, b)[1] for a, b in zip(links, links[1:]))
+    # a divisor of a squarefree polynomial is squarefree, so links that divide
+    # downward are squarefree when g1 is, unless g1 is 0 (which every
+    # polynomial divides)
+    squarefree = all(map(_squarefree, links[:1] if divide and [] not in links else links))
+    return {"product_matches_monic_input": product_matches,
+            "links_divide_downward": divide,
+            "links_squarefree": squarefree}
 
 
 def _monic(a: list[int]) -> RatPoly:
@@ -310,7 +351,8 @@ def sf_chain(f: RatPoly) -> list[RatPoly]:
 
 def chain_checks(f: RatPoly, chain: list[RatPoly]) -> dict[str, bool]:
     """Recompute the report's checks on a monic chain of f, in integers."""
-    return _link_checks(_primitive(f.coeffs), [_primitive(g.coeffs) for g in chain])
+    links = [_primitive(g.coeffs) for g in chain]
+    return _link_checks(links, _product_of(links) == _primitive(f.coeffs))
 
 
 def _chain_links(f: RatPoly, k: int) -> list[list[int]]:
@@ -344,7 +386,8 @@ def text_chain(text: str) -> tuple[str, list[str], dict[str, bool]]:
     links = _chain(p)
     texts = [_format_terms(g if g[-1] == 1 else [Fraction(c, g[-1]) for c in g], "x")
              for g in links]
-    return str(Fraction(a[-1], den)), texts, _link_checks(p, links)
+    # _chain has re-multiplied the links against p
+    return str(Fraction(a[-1], den)), texts, _link_checks(links, True)
 
 
 def parse_poly(text: str) -> RatPoly:

@@ -5,10 +5,13 @@ run with `pytest -s tests/test_acceptance.py` to watch them stream.
 The randomized criteria honour RADFACT_SEED (see conftest).
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from conftest import (SEED, SUPPORTED_D, primes_containing, random_quad_ideal,
                       random_zpi_ideal)
@@ -135,11 +138,12 @@ def test_criterion_5_vn_of_sums():
             pairs_done += 1
 
 
-def _random_irreducible(rng):
-    # monic, degree <= 3, irreducible over Q by the rational root theorem
+def _random_irreducible(rng, bound=4):
+    # monic, degree <= 3, coefficients in -bound..bound, irreducible over Q by
+    # the rational root theorem
     while True:
         deg = rng.randint(1, 3)
-        coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(deg)] + [Fraction(1)]
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(deg)] + [Fraction(1)]
         p = RatPoly(coeffs)
         if p.degree != deg:
             continue
@@ -193,6 +197,69 @@ def test_criterion_6_polynomial_chain_suite():
             for k in range(1, len(chain) + 2):
                 expected = chain[k - 1] if k <= len(chain) else RatPoly.const(1)
                 assert pc.vk_poly(f, k) == expected
+
+
+def _squarefree_product(rng, degree):
+    """Distinct monic irreducibles of degree <= 3 with coefficients in -5..5,
+    multiplied until the degree reaches at least the given one."""
+    f, factors = RatPoly.const(1), []
+    while f.degree < degree:
+        p = _random_irreducible(rng, bound=5)
+        if p not in factors:
+            factors.append(p)
+            f = f * p
+    return f
+
+
+def _long_poly(rng, degree, digits, lc=None):
+    top = 10 ** digits
+    coeffs = [rng.randint(-top, top) for _ in range(degree)]
+    return RatPoly(coeffs + [rng.randint(1, top) if lc is None else lc])
+
+
+def _long_sf_chain_cases():
+    """(name, f, its links, budget in seconds): the inputs the primitive PRS took
+    from 3 s to over a minute on, with budgets at least ten times the heuristic
+    gcd's time on a 2-core Xeon VM."""
+    rng = random.Random(SEED + 60)
+    f, g = _long_poly(rng, 20, 50), _long_poly(rng, 20, 50)
+    sf252, sf126 = _squarefree_product(rng, 252), _squarefree_product(rng, 126)
+    line = _long_poly(rng, 120, 1000, lc=1)
+    cases = [
+        (f"squarefree degree {sf252.degree}", sf252, [sf252], 4.0),
+        (f"squarefree degree {sf126.degree}", sf126, [sf126], 0.5),
+        ("f*g^2 of degree 60 with 50-digit coefficients", f * g * g, [f * g, g], 0.5),
+        ("monic squarefree degree 120 with 1000-digit coefficients", line, [line], 12.0),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, f, links, budget", _long_sf_chain_cases())
+def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, links, budget):
+    # one derivative gcd plus one gcd per further link makes the chain, and
+    # links that divide downward need one squarefree gcd in the checks
+    calls, phase = {"chain": 0, "checks": 0}, ["chain"]
+    gcd, link_checks = pc._gcd, pc._link_checks
+
+    def counted_gcd(a, b):
+        calls[phase[0]] += 1
+        return gcd(a, b)
+
+    def counted_checks(*args):
+        phase[0] = "checks"
+        return link_checks(*args)
+
+    monkeypatch.setattr(pc, "_gcd", counted_gcd)
+    monkeypatch.setattr(pc, "_link_checks", counted_checks)
+    text = pc.format_poly(f)
+    with criterion(6, f"sf-chain of {name}", budget=budget):
+        code = cli.main(["sf-chain", "--", text])
+        out = capsys.readouterr().out
+    entry, = json.loads(out)["results"]
+    assert code == 0
+    assert entry["chain"] == [pc.format_poly(g.monic()) for g in links]
+    assert all(entry["checks"].values())
+    assert calls == {"chain": len(links), "checks": 1}
 
 
 def _product_pair_pool():

@@ -293,6 +293,27 @@ def test_poly_gcd_finds_a_planted_common_factor(f, g, h):
     assert h.divides(common)
 
 
+long_ints = st.one_of(st.integers(-9, 9), st.integers(10**30, 10**40),
+                     st.integers(-10**40, -10**30))
+long_int_polys = st.lists(long_ints, max_size=6).map(
+    lambda cs: pc._primitive(RatPoly(cs).coeffs))
+
+
+@given(long_int_polys, long_int_polys, long_int_polys)
+@example([0, 1], [2, 1], [3, 1])       # x^2+3x and x^2+5x+6: 26 at 10, 90 at 27
+@example([1], [-1, 1], [10**35 + 1, 3 * 10**31])
+@example([-6, 1], [-1, 1], [1])         # x-6 vanishes at the first point, 6
+def test_gcd_finds_a_planted_common_factor_with_long_coefficients(f, g, h):
+    if not h or not (f or g):
+        return
+    a, b = pc._product(f, h), pc._product(g, h)
+    expected = reference_poly_gcd(RatPoly(a), RatPoly(b))
+    common = pc._gcd(a, b)
+    assert RatPoly(common).monic() == expected
+    assert pc.poly_gcd(RatPoly(a), RatPoly(b)) == expected
+    pc._divmod(common, h, exact=True)      # raises unless h divides the gcd
+
+
 @given(rat_polys, rat_polys)
 def test_ratpoly_arithmetic_matches_fraction_arithmetic(f, g):
     product = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
@@ -338,7 +359,19 @@ def test_exact_division_stops_at_a_non_integral_step():
         pc._divmod([1, 1], [1, 0, 1], exact=True)
 
 
-def test_sf_chain_returns_planted_links():
+def test_sf_chain_returns_planted_links(monkeypatch):
+    # the xi of each evaluation, and the number of distinct ones in each gcd
+    points, reached = [], []
+    at, gcd = pc._at, pc._gcd
+    monkeypatch.setattr(pc, "_at", lambda a, xi: points.append(xi) or at(a, xi))
+
+    def counted_gcd(a, b):
+        points.clear()
+        h = gcd(a, b)
+        reached.append(len(set(points)))
+        return h
+
+    monkeypatch.setattr(pc, "_gcd", counted_gcd)
     rng = random.Random(SEED + 3)
     for _ in range(150):
         f, irreducibles, exps = planted(rng)
@@ -352,6 +385,8 @@ def test_sf_chain_returns_planted_links():
         chain = pc.sf_chain(f)
         assert chain == expected
         assert all(pc.chain_checks(f, chain).values())
+    # about one gcd in ten reads no divisor at its first point
+    assert max(reached) >= 2
 
 
 def test_chain_checks_catch_a_wrong_chain():
@@ -364,6 +399,21 @@ def test_chain_checks_catch_a_wrong_chain():
     for failing, chain in bad.items():
         checks = pc.chain_checks(f, chain)
         assert not checks[failing], failing
+
+
+@given(st.lists(rat_polys.filter(lambda p: not p.is_zero), max_size=4), st.booleans(),
+       st.booleans())
+def test_links_squarefree_matches_one_gcd_per_link(factors, nested, zero_first):
+    chain = factors
+    if nested:          # g_k = q_k * ... * q_n, so the links divide downward
+        chain = [RatPoly.const(1) for _ in factors]
+        for k, q in enumerate(factors):
+            chain[:k + 1] = [g * q for g in chain[:k + 1]]
+    if zero_first:
+        chain = [RatPoly()] + chain
+    expected = all(reference_poly_gcd(g, g.derivative()).is_one
+                   for g in chain if g.degree >= 1)
+    assert pc.chain_checks(RatPoly.const(1), chain)["links_squarefree"] == expected
 
 
 def test_derivative_gcd_and_vk_poly_match_iterated_derivatives():
