@@ -162,7 +162,7 @@ def _cmd_factor(args):
         ideal = quadring.IntIdeal(_strict_int(payload["zint"], "zint"))
         report = {"ring": "Z"}
     else:
-        ring = quadring.QuadRing(_strict_int(payload["d"], "d"), args.bounds)
+        ring = quadring.QuadRing(payload["d"], args.bounds)
         gens = payload.get("gens", [])
         if not isinstance(gens, list):
             raise ValueError("factor payload: gens must be a JSON list")

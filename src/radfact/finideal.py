@@ -280,7 +280,7 @@ def _lattice_product(a, lattice):
 def ideal_power(i: FinIdeal, n: int) -> FinIdeal:
     """I^n.  The powers descend, at least halving at each strict step, and stop
     at the first repeat, so at most order.bit_length() products are taken."""
-    if n < 0:
+    if _strict_int(n, "exponent") < 0:
         raise ValueError("exponent must be >= 0")
     out = whole_ideal(i.ring)
     while n and (nxt := ideal_product(out, i)) != out:
@@ -343,6 +343,6 @@ def is_prime(i: FinIdeal) -> bool:
 
 def vn_set(i: FinIdeal, n: int) -> list[FinIdeal]:
     """All primes P with I ⊆ P^n."""
-    if n < 1:
+    if _strict_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return [p for p in prime_spectrum(i.ring) if ideal_power(p, n).contains(i)]

@@ -320,7 +320,7 @@ class FinModule:
 
 def make_zn(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """The ring of integers modulo n, with representatives 0..n-1."""
-    if n < 1:
+    if _strict_int(n, "zn") < 1:
         raise ValueError("n must be >= 1")
     _check_order(n, bounds, "ring order")
     # int32 tables reduced in place: (n-1)^2 < 2^31 for n <= MAX_ORDER, so no
@@ -344,6 +344,7 @@ def _is_canonical_zn(ring):
 
 def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     """Quotient Z_n[x]/(f) for a monic f, given lowest-degree-first coefficients."""
+    f = [_strict_int(c, "polynomial coefficient") for c in f]
     if not _is_canonical_zn(base):
         raise ValueError("base ring must be a canonical Z/n ring built by make_zn")
     n = base.order
@@ -351,7 +352,7 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
     if d < 1:
         raise ValueError("modulus must have degree >= 1")
     order = _bounded_power(n, d, bounds, "quotient order")
-    f = [int(c) % n for c in f]
+    f = [c % n for c in f]
     if f[d] != 1 % n:
         raise ValueError("modulus must be monic")
     vectors = free_module(base, d, bounds)   # residues as coefficient vectors
@@ -395,7 +396,7 @@ def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
 def free_module(ring: FinRing, rank: int, bounds: Bounds = DEFAULT_BOUNDS) -> FinModule:
     """The free module ring^rank with componentwise action; coordinate i has
     weight ring.order^i in the element index."""
-    if rank < 0:
+    if _strict_int(rank, "module rank") < 0:
         raise ValueError("rank must be >= 0")
     n = ring.order
     _bounded_power(n, rank, bounds, "module size")
@@ -649,14 +650,13 @@ def ring_from_dict(obj, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
         raise ValueError(f"unrecognized ring description with keys {_shown(sorted(obj))}")
     spec = _json_object(obj, f"{kind} ring description", {kind})[kind]
     if kind == "zn":
-        return make_zn(_strict_int(spec, "zn"), bounds)
+        return make_zn(spec, bounds)
     if kind == "poly_quotient":
         spec = _json_object(spec, "poly_quotient", {"base", "zn", "f"})
         base = _base_ring(spec, "base", "poly_quotient", bounds)
         if not isinstance(spec.get("f"), list):
             raise ValueError("poly_quotient f must be a JSON list")
-        f = [_strict_int(c, "polynomial coefficient") for c in spec["f"]]
-        return make_poly_quotient(base, f, bounds)
+        return make_poly_quotient(base, spec["f"], bounds)
     if kind == "product":
         if not isinstance(spec, list):
             raise ValueError("product must be a JSON list")
@@ -674,5 +674,4 @@ def ring_from_dict(obj, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
     if module == "self":
         return make_idealization(ring, module_from_ring(ring), bounds)
     rank = _json_object(module, "module (other than 'self')", {"rank"}).get("rank")
-    return make_idealization(ring, free_module(ring, _strict_int(rank, "module rank"), bounds),
-                             bounds)
+    return make_idealization(ring, free_module(ring, rank, bounds), bounds)

@@ -7,8 +7,9 @@ positive leading coefficient, and by Gauss's lemma products and exact
 quotients of primitive ones stay primitive.  Gcds come from the heuristic
 gcd (Char, Geddes and Gonnet 1989): an integer gcd of values at a point
 beyond twice a root bound, read back as a polynomial in that point's digits
-and proved by exact division of both inputs.  The chain takes one
-derivative gcd, then only gcds against squarefree links and exact divisions.
+and proved by exact division of both inputs; the quotients are the cofactors
+it returns.  The chain takes one derivative gcd, then only gcds against
+squarefree links, and reads each quotient it needs off a cofactor.
 `text_chain`, sf-chain's route, runs on integers from text to report; a
 Fraction appears only in `RatPoly`, the leading coefficient and a monic
 link's non-integral coefficient.  Characteristic zero is essential (the
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import MAX_DEGREE, _format_terms, _terms  # noqa: F401 (MAX_DEGREE re-exported)
+from .errors import MAX_DEGREE, _format_terms, _strict_int, _terms  # noqa: F401 (re-export)
 
 
 class RatPoly:
@@ -65,7 +66,14 @@ class RatPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        # an int or Fraction is a constant; other types get NotImplemented, so TypeError
+        if isinstance(other, (int, Fraction)):
+            b = (other,)
+        elif isinstance(other, RatPoly):
+            b = other.coeffs
+        else:
+            return NotImplemented
+        a = self.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -73,15 +81,24 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return RatPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, RatPoly)):
+            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         a, da = _cleared(self.coeffs)
         b, db = _cleared(other.coeffs)
         den = da * db
@@ -98,6 +115,8 @@ class RatPoly:
         return out
 
     def __divmod__(self, other):
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         # self = a/da and other = b/db, with s*a = q*b + r
@@ -201,14 +220,16 @@ def _at(a: list[int], xi: int) -> int:
     return v
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd by the heuristic gcd (Char, Geddes and Gonnet 1989).
+def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, a/h, b/h): the primitive gcd h of a and b by the heuristic gcd (Char,
+    Geddes and Gonnet 1989), and the cofactors of a and b with content divided out.
 
     The integer gcd of a(xi) and b(xi), read off in symmetric xi-adic digits,
     gives a polynomial whose primitive part h is returned once it divides
-    both a and b exactly; otherwise xi grows.  Take R = 1 + max|c_i|/lc for
-    whichever input gives the smaller bound: its roots lie in |z| < R, and xi
-    starts at 2*min(max|c_i|//lc) + 4 > 2R.  So its value at xi is not 0, and
+    both a and b exactly; the quotients of those two divisions are the
+    cofactors.  Otherwise xi grows.  Take R = 1 + max|c_i|/lc for whichever
+    input gives the smaller bound: its roots lie in |z| < R, and xi starts
+    at 2*min(max|c_i|//lc) + 4 > 2R.  So its value at xi is not 0, and
     a nonconstant k dividing it has |k(xi)| > xi/2.  Then an h dividing both
     is the gcd: were gcd = h*k with k nonconstant, k(xi) would divide the
     content of the digit polynomial, which is not 0 and at most xi/2.  Once xi
@@ -217,9 +238,9 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     """
     a, b = _content_free(a), _content_free(b)
     if not a or not b:
-        return a or b
+        return a or b, [1] if a else [], [1] if b else []
     if len(a) == 1 or len(b) == 1:
-        return [1]
+        return [1], a, b
     xi = 2 * min(max(map(abs, a)) // a[-1], max(map(abs, b)) // b[-1]) + 4
     while True:
         value, h = gcd(_at(a, xi), _at(b, xi)), []
@@ -231,9 +252,7 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
             h.append(d)
         h = _content_free(h)
         try:
-            _divmod(a, h, exact=True)
-            _divmod(b, h, exact=True)
-            return h
+            return h, _divmod(a, h, exact=True)[0], _divmod(b, h, exact=True)[0]
         except ArithmeticError:
             xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
@@ -257,16 +276,15 @@ def _links(p: list[int]) -> list[list[int]]:
 
     One derivative gcd f1 = gcd(p, p') gives g1 = p/f1; then
     g_{k+1} = gcd(f_k, g_k) and f_{k+1} = f_k/g_{k+1}, so every later gcd
-    is taken against a squarefree link.
+    is taken against a squarefree link.  Both quotients are the first
+    cofactor of `_gcd`, the quotient its proof divided out: no division here.
     """
     if len(p) < 2:
         return []
-    f = _gcd(p, _derivative(p))
-    g = _divmod(p, f, exact=True)[0]
+    f, g, _ = _gcd(p, _derivative(p))
     links = [g]
     while len(f) > 1:
-        g = _gcd(f, g)
-        f = _divmod(f, g, exact=True)[0]
+        g, f, _ = _gcd(f, g)
         links.append(g)
     return links
 
@@ -291,7 +309,7 @@ def _chain(p: list[int]) -> list[list[int]]:
 
 
 def _squarefree(g: list[int]) -> bool:
-    return len(g) < 2 or len(_gcd(g, _derivative(g))) == 1
+    return len(g) < 2 or len(_gcd(g, _derivative(g))[0]) == 1
 
 
 def _link_checks(links: list[list[int]], product_matches: bool) -> dict[str, bool]:
@@ -335,7 +353,7 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic gcd; rejects gcd(0, 0)."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return _monic(_gcd(_primitive(f.coeffs), _primitive(g.coeffs)))
+    return _monic(_gcd(_primitive(f.coeffs), _primitive(g.coeffs))[0])
 
 
 def sf_chain(f: RatPoly) -> list[RatPoly]:
@@ -358,7 +376,7 @@ def chain_checks(f: RatPoly, chain: list[RatPoly]) -> dict[str, bool]:
 def _chain_links(f: RatPoly, k: int) -> list[list[int]]:
     if f.is_zero:
         raise ValueError("f must be nonzero")
-    if k < 1:
+    if _strict_int(k, "k") < 1:
         raise ValueError("k must be >= 1")
     return _links(_primitive(f.coeffs))
 

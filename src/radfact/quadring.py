@@ -104,7 +104,7 @@ def factor_int(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> dict[int, int]:
     with a resource error, never mis-factored: the trial-division bound for
     a composite, the exact-primality bound from psi_13 on.
     """
-    if n < 1:
+    if _strict_int(n, "n") < 1:
         raise ValueError("can only factor positive integers")
     if n > bounds.norm:
         exceeded("max-norm", bounds.norm, n, "integer to factor")
@@ -155,6 +155,7 @@ class QuadRing(_Frozen):
     """
 
     def __init__(self, d: int, bounds: Bounds = DEFAULT_BOUNDS):
+        _strict_int(d, "d")
         self.__dict__.update(d=d, min_poly=(-(d - 1) // 4, -1) if d % 4 == 1 else (-d, 0))
         if d in (0, 1):
             raise ValueError("d must not be 0 or 1")
@@ -229,6 +230,7 @@ class QuadIdeal(_Frozen):
     """A nonzero ideal of Z[w] in HNF: rows (a, 0) and (b, c) over (1, w)."""
 
     def __init__(self, ring: QuadRing, a: int, b: int, c: int):
+        a, b, c = (_strict_int(v, "HNF entry") for v in (a, b, c))
         self.__dict__.update(ring=ring, a=a, b=b, c=c)
         if a <= 0 or c <= 0:
             raise ValueError("HNF requires a > 0 and c > 0")
@@ -327,7 +329,7 @@ def ideal_from_gens(ring: QuadRing, gens) -> QuadIdeal:
     """The ideal generated by elements given as (x, y) pairs over (1, w)."""
     rows = []
     for g in gens:
-        x, y = int(g[0]), int(g[1])
+        x, y = (_strict_int(g[i], "generator coordinate") for i in (0, 1))
         if x == 0 and y == 0:
             continue
         rows.append((x, y))
@@ -363,7 +365,7 @@ def primes_above(ring: QuadRing, p: int) -> list[tuple[QuadIdeal, int]]:
     prime; one root is a double root, p ramifies as (p, -r, 1)^2; two roots,
     p splits into the two primes (p, -r, 1).
     """
-    p = int(p)
+    p = _strict_int(p, "p")
     if p < 2 or not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     c0, c1 = ring.min_poly
@@ -476,7 +478,7 @@ def radical(i, bounds: Bounds = DEFAULT_BOUNDS):
 
 def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
     """Primes P with I ⊆ P^n, read off the factorization exponents."""
-    if n < 1:
+    if _strict_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return [p for p, e in i.factorization(bounds) if e >= n]
 

@@ -8,6 +8,7 @@ The randomized criteria honour RADFACT_SEED (see conftest).
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -237,20 +238,31 @@ def _long_sf_chain_cases():
 @pytest.mark.parametrize("name, f, links, budget", _long_sf_chain_cases())
 def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, links, budget):
     # one derivative gcd plus one gcd per further link makes the chain, and
-    # links that divide downward need one squarefree gcd in the checks
+    # links that divide downward need one squarefree gcd in the checks; the
+    # chain divides nothing itself, since each quotient it needs is a cofactor
+    # that a gcd's proof divided out, and only that proof divides exactly
     calls, phase = {"chain": 0, "checks": 0}, ["chain"]
-    gcd, link_checks = pc._gcd, pc._link_checks
+    divisions = Counter()       # (phase, or "gcd" inside one, exact) -> calls
+    gcd, link_checks, divmod_ = pc._gcd, pc._link_checks, pc._divmod
 
     def counted_gcd(a, b):
         calls[phase[0]] += 1
-        return gcd(a, b)
+        phase.append("gcd")
+        result = gcd(a, b)
+        phase.pop()
+        return result
 
     def counted_checks(*args):
         phase[0] = "checks"
         return link_checks(*args)
 
+    def counted_divmod(a, b, exact=False):
+        divisions[phase[-1], exact] += 1
+        return divmod_(a, b, exact)
+
     monkeypatch.setattr(pc, "_gcd", counted_gcd)
     monkeypatch.setattr(pc, "_link_checks", counted_checks)
+    monkeypatch.setattr(pc, "_divmod", counted_divmod)
     text = pc.format_poly(f)
     with criterion(6, f"sf-chain of {name}", budget=budget):
         code = cli.main(["sf-chain", "--", text])
@@ -260,6 +272,9 @@ def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, lin
     assert entry["chain"] == [pc.format_poly(g.monic()) for g in links]
     assert all(entry["checks"].values())
     assert calls == {"chain": len(links), "checks": 1}
+    assert not any(where == "chain" for where, _ in divisions)
+    assert all(where == "gcd" for where, exact in divisions if exact)
+    assert divisions["gcd", True] >= 2 * (len(links) + 1)
 
 
 def _product_pair_pool():

@@ -3,6 +3,10 @@ import os
 
 import pytest
 
+from radfact import finideal as fi
+from radfact import finring as fr
+from radfact import polychain as pc
+from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS, MAX_ORDER, SHOWN_CHARS, Bounds, _shown
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -114,3 +118,37 @@ def test_shown_keeps_a_short_repr_and_cuts_a_long_one_after_shown_chars():
     assert _shown(short + "y") == repr(short + "y")[:SHOWN_CHARS] + "... (59 chars)"
     assert _shown("z" * 10 ** 6) == "'" + "z" * (SHOWN_CHARS - 1) + "... (1000000 chars)"
     assert _shown([7] * 100) == repr([7] * 100)[:SHOWN_CHARS] + "... (300 chars)"
+
+
+GAUSS = q.QuadRing(-1)
+Z4 = fr.make_zn(4)
+X2 = pc.parse_poly("x^2")
+
+
+# int() and comparisons would take a bool or a float, truncating 2.7 to 2
+# and reading True as 1, so each public entry point refuses them by name
+@pytest.mark.parametrize("build, message", [
+    (lambda: q.ideal_from_gens(GAUSS, [(2.7, 0)]),
+     "generator coordinate must be an integer, got 2.7"),
+    (lambda: q.ideal_from_gens(GAUSS, [(1, True)]),
+     "generator coordinate must be an integer, got True"),
+    (lambda: q.primes_above(GAUSS, 2.5), "p must be an integer, got 2.5"),
+    (lambda: q.QuadIdeal(GAUSS, True, 0, True), "HNF entry must be an integer, got True"),
+    (lambda: q.QuadIdeal(GAUSS, 2, 1, 1.0), "HNF entry must be an integer, got 1.0"),
+    (lambda: q.QuadRing(2.0), "d must be an integer, got 2.0"),
+    (lambda: q.factor_int(True), "n must be an integer, got True"),
+    (lambda: q.vn(q.IntIdeal(12), 1.5), "n must be an integer, got 1.5"),
+    (lambda: fr.make_zn(True), "zn must be an integer, got True"),
+    (lambda: fr.make_zn(2.0), "zn must be an integer, got 2.0"),
+    (lambda: fr.make_poly_quotient(fr.make_zn(2), [1, 0, 1.5]),
+     "polynomial coefficient must be an integer, got 1.5"),
+    (lambda: fr.free_module(Z4, 1.0), "module rank must be an integer, got 1.0"),
+    (lambda: fi.ideal_power(fi.whole_ideal(Z4), 2.5), "exponent must be an integer, got 2.5"),
+    (lambda: fi.vn_set(fi.zero_ideal(Z4), 1.5), "n must be an integer, got 1.5"),
+    (lambda: pc.derivative_gcd(X2, True), "k must be an integer, got True"),
+    (lambda: pc.vk_poly(X2, 1.5), "k must be an integer, got 1.5"),
+])
+def test_integer_arguments_are_checked_strictly(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

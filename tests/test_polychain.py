@@ -79,6 +79,23 @@ def test_power_refuses_a_negative_exponent():
         poly("x+1") ** -1
 
 
+def test_scalar_operands_are_constants_and_other_types_are_refused():
+    f, g = poly("x^2-1"), poly("x+1")
+    half = Fraction(1, 2)
+    assert f + 1 == 1 + f == poly("x^2")
+    assert f - 1 == poly("x^2-2") and 1 - f == poly("-x^2+2")
+    assert f + half == half + f == poly("x^2-1/2")
+    assert f - half == poly("x^2-3/2") and half - f == poly("-x^2+3/2")
+    assert f * half == half * f == poly("1/2*x^2-1/2")
+    assert sum([f, g]) == poly("x^2+x")
+    for other in ("a", 1.5, None, [1]):
+        for op in (lambda: f + other, lambda: other + f, lambda: f - other,
+                   lambda: other - f, lambda: f * other, lambda: other * f,
+                   lambda: divmod(f, other), lambda: f // other, lambda: f % other):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_poly_gcd_examples():
     f = poly("x^2-1")
     assert pc.poly_gcd(f, RatPoly()) == f.monic()
@@ -303,12 +320,17 @@ long_int_polys = st.lists(long_ints, max_size=6).map(
 @example([0, 1], [2, 1], [3, 1])       # x^2+3x and x^2+5x+6: 26 at 10, 90 at 27
 @example([1], [-1, 1], [10**35 + 1, 3 * 10**31])
 @example([-6, 1], [-1, 1], [1])         # x-6 vanishes at the first point, 6
+@example([], [2, 1], [3, 1])            # a zero input: the gcd is the other input
+@example([7], [2, 1], [1])              # a constant input: the gcd is 1
 def test_gcd_finds_a_planted_common_factor_with_long_coefficients(f, g, h):
     if not h or not (f or g):
         return
     a, b = pc._product(f, h), pc._product(g, h)
     expected = reference_poly_gcd(RatPoly(a), RatPoly(b))
-    common = pc._gcd(a, b)
+    common, ca, cb = pc._gcd(a, b)
+    # the cofactors are the quotients of the content-free inputs by the gcd
+    assert pc._product(common, ca) == pc._content_free(a)
+    assert pc._product(common, cb) == pc._content_free(b)
     assert RatPoly(common).monic() == expected
     assert pc.poly_gcd(RatPoly(a), RatPoly(b)) == expected
     pc._divmod(common, h, exact=True)      # raises unless h divides the gcd
