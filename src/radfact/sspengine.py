@@ -4,7 +4,8 @@
 one `SspVerdict`: the ideal lattice and the closure's parent links, from
 which the verdict, the first non-factorable ideal and, on request, a
 shortest factorization of every ideal are read.  The radicals of all lattice
-ideals come from one gather (`finideal._radical_masks`).  A structurally
+ideals come from one gather (`finideal._radical_masks`); `SspVerdict.checks`
+re-checks every witness once.  A structurally
 independent oracle (`structural_ssp`) answers the same question through the
 local decomposition, so the two routes can be cross-checked: `local_factors`
 reads the order and special-primary verdict of each local factor eA inside
@@ -15,7 +16,7 @@ the ring itself, through xA = eA, and builds no factor ring.
 from __future__ import annotations
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
-from .finideal import FinIdeal, _lattice_product, _radical_masks, _span, all_ideals
+from .finideal import FinIdeal, _lattice_product, _radical_masks, _span, all_ideals, ideal_product
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
                       _principal_masks, _row_masks, _special_primary, mask_of)
 
@@ -67,6 +68,22 @@ class SspVerdict(_Value):
         out.append(self.lattice[mask])
         out.reverse()
         return out
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        """Whether every witness factor is radical, by one gather over the seeds
+        and the links' radicals, and every witness multiplies to its ideal.  A
+        witness is its parent's times the link's radical, so by induction from
+        the one-factor seeds one `ideal_product` per parent link proves that."""
+        links = [(p, link) for p, link in self.parent.items() if link is not None]
+        factors = list({m for m, link in self.parent.items() if link is None}
+                       | {r for _, (_, r) in links})
+        radicals = _radical_masks(self.ring, factors)
+        return {
+            "factors_radical": all(r == m for m, r in zip(factors, radicals)),
+            "products_match": all(ideal_product(self.lattice[m], self.lattice[r]).mask == p
+                                  for p, (m, r) in links),
+        }
 
     @property
     def factorizations(self) -> dict[FinIdeal, list[FinIdeal] | None]:

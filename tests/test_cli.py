@@ -43,6 +43,18 @@ def test_factor_quadratic(capsys, tmp_path):
     assert all(report["checks"].values())
 
 
+@pytest.mark.parametrize("payload", [{"d": -5, "gens": ["6"]}, {"zint": 360}],
+                         ids=["quadratic", "integer"])
+def test_factor_multiplies_its_chain_out_once(capsys, tmp_path, monkeypatch, payload):
+    chains = []
+    product = cli.quadring.RadicalChain.product
+    monkeypatch.setattr(cli.quadring.RadicalChain, "product",
+                        lambda chain: chains.append(chain) or product(chain))
+    code, out, _ = run_cli(capsys, ["factor"], payload, tmp_path)
+    assert code == 0 and json.loads(out)["checks"]["product_matches"] is True
+    assert len(chains) == 1
+
+
 def test_factor_int_shortcut(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["factor"], {"zint": 12}, tmp_path)
     assert code == 0

@@ -55,6 +55,25 @@ def test_ideal_from_gens_examples():
         q.ideal_from_gens(zi, [(0, 0)])
 
 
+@pytest.mark.parametrize("gen, shown", [
+    ((2, 0, 5), "(2, 0, 5)"), ((2,), "(2,)"), ([], "[]"), (7, "7"),
+    ((1,) * 100, "(" + "1, " * 19 + "1,... (300 chars)"),
+])
+def test_ideal_from_gens_refuses_a_generator_that_is_not_a_pair(gen, shown):
+    with pytest.raises(ValueError) as info:
+        q.ideal_from_gens(q.QuadRing(-1), [(1, 1), gen])
+    assert str(info.value) == f"a generator must be an (x, y) pair, got {shown}"
+
+
+@pytest.mark.parametrize("op", [lambda i, j: i * j, lambda i, j: i.contains(j)],
+                         ids=["mul", "contains"])
+@pytest.mark.parametrize("int_first", [True, False], ids=["int-quad", "quad-int"])
+def test_int_and_quadratic_ideals_do_not_mix(op, int_first):
+    i, j = q.IntIdeal(2), q.principal_ideal(q.QuadRing(-1), (2, 0))
+    with pytest.raises(ValueError, match="^ideals of different rings$"):
+        op(*((i, j) if int_first else (j, i)))
+
+
 def test_hnf_invariants_rejected():
     zi = q.QuadRing(-1)
     with pytest.raises(ValueError):
@@ -287,6 +306,11 @@ def test_verify_chain_checks_links_over_the_recorded_primes():
     lumped = q.RadicalChain((p2 * p2, q.principal_ideal(zi, (3, 0))), chain.factorization)
     checks = q.verify_chain(lumped, i)
     assert not checks["links_radical"] and checks["product_matches"]
+    # P2 is a prime, so radical, but it lies over the recorded 5 and does not divide P1
+    (p1, _), (p2, _) = q.primes_above(zi, 5)
+    stray = q.RadicalChain((p2,), p1.factorization())
+    assert not q.verify_chain(stray, p1)["links_radical"]
+    assert all(q.verify_chain(q.RadicalChain((p1,), p1.factorization()), p1).values())
 
 
 def test_corollary5_sum_identity_small(rng):
@@ -398,9 +422,10 @@ def test_chain_assembly_counts(seed, d):
         chain = q.sp_factor(ideal)
     # one product per prime factor for the links, len - 1 to re-multiply them
     assert n["products"] == factorization_products + len(pf) + len(chain) - 1
+    # each link's radical is read off the recorded primes: nothing is split again
     with counted() as n:
         assert all(q.verify_chain(chain, ideal).values())
-    assert n["splittings"] == len(q.factor_int(ideal.norm))
+    assert n["splittings"] == 0
 
 
 def test_chain_assembly_counts_on_a_high_power():
@@ -411,7 +436,7 @@ def test_chain_assembly_counts_on_a_high_power():
     assert len(chain) == 36 and n["products"] <= 47
     with counted() as n:
         assert all(q.verify_chain(chain, ideal).values())
-    assert n["splittings"] == 2
+    assert n["splittings"] == 0
 
 
 @pytest.mark.parametrize("d, p, kind", [

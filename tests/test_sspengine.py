@@ -212,6 +212,34 @@ def test_factorizations_remultiply_and_are_radical():
             assert prod.mask == ideal.mask
 
 
+def test_witness_checks_take_one_product_per_parent_link(monkeypatch):
+    products = []
+    monkeypatch.setattr(ssp, "ideal_product",
+                        lambda i, j: products.append((i.mask, j.mask)) or ideal_product(i, j))
+    for ring in (fr.make_zn(72), flagship(), fr.ring_from_dict({"product": [{"zn": 4}] * 3})):
+        verdict = ssp.decide_ssp(ring)
+        products.clear()
+        assert verdict.checks == {"factors_radical": True, "products_match": True}
+        links = [link for link in verdict.parent.values() if link is not None]
+        assert len(products) == len(links) and set(products) == set(links)
+
+
+def test_witness_checks_catch_a_tampered_link():
+    z8 = fr.make_zn(8)
+    verdict = ssp.decide_ssp(z8)
+    mask = {tuple(i.to_list()): m for m, i in verdict.lattice.items()}
+    zero, four, two = mask[(0,)], mask[(0, 4)], mask[(0, 2, 4, 6)]
+    assert verdict.parent[zero] == (four, two)
+
+    def tampered(link):
+        return ssp.SspVerdict(z8, {**verdict.parent, zero: link}, verdict.lattice).checks
+
+    # (2)(2) = (4), not (0)
+    assert tampered((two, two)) == {"factors_radical": True, "products_match": False}
+    # (2)(4) = (0), but (4) is not radical
+    assert tampered((two, four)) == {"factors_radical": False, "products_match": True}
+
+
 def test_witness_lengths_are_bfs_minimal():
     z8 = fr.make_zn(8)
     verdict = ssp.decide_ssp(z8)
