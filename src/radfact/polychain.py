@@ -4,13 +4,20 @@
 type; the functions run on a private integer kernel.  A nonzero polynomial
 over Q is a rational multiple of one primitive integer polynomial with a
 positive leading coefficient, and by Gauss's lemma products and exact
-quotients of primitive ones stay primitive.  Gcds come from the heuristic
-gcd (Char, Geddes and Gonnet 1989): an integer gcd of values at a point
-beyond twice a root bound, read back as a polynomial in that point's digits
-and proved by exact division of both inputs; the quotients are the cofactors
-it returns.  The chain takes one derivative gcd, then only gcds against
-squarefree links, and reads each quotient it needs off a cofactor.
-`text_chain`, sf-chain's route, runs on integers from text to report; a
+quotients of primitive ones stay primitive.  The kernel has one packed
+form, Kronecker substitution (Schonhage 1982): `_pack(a, k)` is the integer
+a(2^k) and `_unpack(v, k)` reads v's balanced base-2^k digits back, each in
+about linear time.  A product is one integer product, unpacked at a width
+above its coefficient bound; the chain is re-multiplied by comparing packed
+values at a width where balanced digits are unique.  Gcds come from the
+heuristic gcd (Char, Geddes and Gonnet 1989): the integer gcd of the packed
+inputs at a power of two beyond twice a root bound, unpacked and proved by
+exact division of both inputs; the quotients are the cofactors it returns.
+Pseudo-division (`_divmod`) is the one exact division, since it stops at
+the first non-integral step.  The chain takes one derivative gcd, then only
+gcds against squarefree links, and reads each quotient it needs off a
+cofactor.  `text_chain`, sf-chain's route, runs on integers from text to
+report, after `_parse` bounds the cleared size (`MAX_POLY_BITS`); a
 Fraction appears only in `RatPoly`, the leading coefficient and a monic
 link's non-integral coefficient.  Characteristic zero is essential (the
 derivative criterion fails in characteristic p).  Polynomial text is read
@@ -20,9 +27,10 @@ and written by the one grammar in `radfact.errors`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
-from .errors import MAX_DEGREE, _format_terms, _strict_int, _terms  # noqa: F401 (re-export)
+from .errors import (MAX_DEGREE, MAX_POLY_BITS, _format_terms, _strict_int,  # noqa: F401 (re-export)
+                     _terms, exceeded)
 
 
 class RatPoly:
@@ -212,28 +220,55 @@ def _divmod(a: list[int], b: list[int], exact: bool = False):
     return q, r, s
 
 
-def _at(a: list[int], xi: int) -> int:
-    """The value a(xi), by Horner's rule."""
+def _pack(a: list[int], k: int) -> int:
+    """The value a(2^k): Horner's rule by shifts on short lists, and above that
+    two halves joined by one shift, so the time is about linear in the result."""
+    if len(a) > 32:
+        m = len(a) // 2
+        return _pack(a[:m], k) + (_pack(a[m:], k) << m * k)
     v = 0
     for c in reversed(a):
-        v = v * xi + c
+        v = (v << k) + c
     return v
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of v, lowest first, each in (-2^(k-1), 2^(k-1)]:
+    digit by digit on short values, and above that split at 2^(mk), the low m
+    digits writing the one value congruent to v in [-h, 2^(mk) - 1 - h]."""
+    if v.bit_length() > 32 * k:
+        m = v.bit_length() // k // 2
+        h = _pack([(1 << k - 1) - 1] * m, k)    # -h: m digits of 1 - 2^(k-1)
+        low = ((v + h) & ((1 << m * k) - 1)) - h
+        digits = _unpack(low, k)
+        return digits + [0] * (m - len(digits)) + _unpack((v - low) >> m * k, k)
+    out, half, mask = [], 1 << k - 1, (1 << k) - 1
+    while v:
+        d = v & mask
+        v >>= k
+        if d > half:
+            d -= mask + 1
+            v += 1
+        out.append(d)
+    return out
 
 
 def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(h, a/h, b/h): the primitive gcd h of a and b by the heuristic gcd (Char,
     Geddes and Gonnet 1989), and the cofactors of a and b with content divided out.
 
-    The integer gcd of a(xi) and b(xi), read off in symmetric xi-adic digits,
-    gives a polynomial whose primitive part h is returned once it divides
-    both a and b exactly; the quotients of those two divisions are the
-    cofactors.  Otherwise xi grows.  Take R = 1 + max|c_i|/lc for whichever
-    input gives the smaller bound: its roots lie in |z| < R, and xi starts
-    at 2*min(max|c_i|//lc) + 4 > 2R.  So its value at xi is not 0, and
-    a nonconstant k dividing it has |k(xi)| > xi/2.  Then an h dividing both
-    is the gcd: were gcd = h*k with k nonconstant, k(xi) would divide the
-    content of the digit polynomial, which is not 0 and at most xi/2.  Once xi
-    is large against the coefficients of the gcd times the resultant of the
+    The integer gcd of a(xi) and b(xi), xi = 2^j, read off in balanced base-xi
+    digits by `_unpack`, gives a polynomial whose primitive part h is returned
+    once it divides both a and b exactly; the quotients of those two divisions
+    are the cofactors.  Otherwise xi grows, each step rounded up to a power of
+    two.  Take R = 1 + max|c_i|/lc for whichever input gives the smaller bound:
+    its roots lie in |z| < R, and j is the bit length of 2*min(max|c_i|//lc) + 4,
+    so xi > 2R.  So its value at xi is not 0, and a nonconstant k dividing it
+    has |k(xi)| > xi/2.  Then an h dividing both is the gcd: were gcd = h*k with
+    k nonconstant, k(xi) would divide the content of the digit polynomial, which
+    is not 0 and at most xi/2.  A digit tie at exactly xi/2 reads as +xi/2, and
+    the proof divisions accept or refuse the candidate it gives.  Once xi is
+    large against the coefficients of the gcd times the resultant of the
     cofactors, the digits are a multiple of the gcd, so the loop ends.
     """
     a, b = _content_free(a), _content_free(b)
@@ -241,30 +276,19 @@ def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
         return a or b, [1] if a else [], [1] if b else []
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
-    xi = 2 * min(max(map(abs, a)) // a[-1], max(map(abs, b)) // b[-1]) + 4
+    j = (2 * min(max(map(abs, a)) // a[-1], max(map(abs, b)) // b[-1]) + 4).bit_length()
     while True:
-        value, h = gcd(_at(a, xi), _at(b, xi)), []
-        while value:
-            value, d = divmod(value, xi)
-            if 2 * d > xi:
-                d -= xi
-                value += 1
-            h.append(d)
-        h = _content_free(h)
+        h = _content_free(_unpack(gcd(_pack(a, j), _pack(b, j)), j))
         try:
             return h, _divmod(a, h, exact=True)[0], _divmod(b, h, exact=True)[0]
         except ArithmeticError:
-            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+            j = ((73794 * isqrt(isqrt(1 << j)) << j) // 27011 - 1).bit_length()
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
-    return out
+    # no coefficient of a*b exceeds |a|_1 * |b|_inf in magnitude
+    k = (sum(map(abs, a)) * max(map(abs, b), default=0)).bit_length() + 1
+    return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -303,9 +327,16 @@ def _chain(p: list[int]) -> list[list[int]]:
     links = _links(p)
     # by Gauss's lemma a product of primitive links is primitive, so it
     # equals p exactly when the monic links multiply to monic(f)
-    if _product_of(links) != p:
+    if not _remultiplies(links, p):
         raise ArithmeticError("squarefree chain failed to re-multiply")
     return links
+
+
+def _remultiplies(links: list[list[int]], p: list[int]) -> bool:
+    """Whether the links multiply to p, both sides packed at a width k with 2^(k-1)
+    above |p|_inf and prod |g|_1, so that balanced digits are unique."""
+    k = max(max(map(abs, p), default=0), prod(sum(map(abs, g)) for g in links)).bit_length() + 1
+    return prod(_pack(g, k) for g in links) == _pack(p, k)
 
 
 def _squarefree(g: list[int]) -> bool:
@@ -337,8 +368,18 @@ def _parse(text) -> tuple[list[int], int]:
     terms = _terms(text, "x")
     if not terms:
         raise ValueError("empty polynomial")
-    den = lcm(*(d for _, _, d in terms))
+    # a cleared term num*(den/d) has within one bit of num.bit_length() +
+    # den.bit_length() - d.bit_length() bits, so the size is bounded as the
+    # common denominator grows and before any product
     a = [0] * (max(e for e, _, _ in terms) + 1)
+    excess = max(num.bit_length() - d.bit_length() for _, num, d in terms)
+    den = 1
+    for d in {d for _, _, d in terms}:
+        den = lcm(den, d)
+        size = len(a) * (den.bit_length() + excess)
+        if size > MAX_POLY_BITS:
+            exceeded("max-poly-bits", MAX_POLY_BITS, size,
+                     "polynomial size ((degree + 1) * bits of the largest cleared coefficient)")
     for e, num, d in terms:
         a[e] += num * (den // d)
     while a and not a[-1]:
@@ -370,7 +411,7 @@ def sf_chain(f: RatPoly) -> list[RatPoly]:
 def chain_checks(f: RatPoly, chain: list[RatPoly]) -> dict[str, bool]:
     """Recompute the report's checks on a monic chain of f, in integers."""
     links = [_primitive(g.coeffs) for g in chain]
-    return _link_checks(links, _product_of(links) == _primitive(f.coeffs))
+    return _link_checks(links, _remultiplies(links, _primitive(f.coeffs)))
 
 
 def _chain_links(f: RatPoly, k: int) -> list[list[int]]:

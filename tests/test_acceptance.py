@@ -240,10 +240,12 @@ def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, lin
     # one derivative gcd plus one gcd per further link makes the chain, and
     # links that divide downward need one squarefree gcd in the checks; the
     # chain divides nothing itself, since each quotient it needs is a cofactor
-    # that a gcd's proof divided out, and only that proof divides exactly
+    # that a gcd's proof divided out, and only that proof divides exactly; the
+    # re-multiplication compares packed values and multiplies no polynomials
     calls, phase = {"chain": 0, "checks": 0}, ["chain"]
     divisions = Counter()       # (phase, or "gcd" inside one, exact) -> calls
-    gcd, link_checks, divmod_ = pc._gcd, pc._link_checks, pc._divmod
+    products = Counter()        # phase -> _product calls
+    gcd, link_checks, divmod_, product = pc._gcd, pc._link_checks, pc._divmod, pc._product
 
     def counted_gcd(a, b):
         calls[phase[0]] += 1
@@ -260,9 +262,14 @@ def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, lin
         divisions[phase[-1], exact] += 1
         return divmod_(a, b, exact)
 
+    def counted_product(a, b):
+        products[phase[0]] += 1
+        return product(a, b)
+
     monkeypatch.setattr(pc, "_gcd", counted_gcd)
     monkeypatch.setattr(pc, "_link_checks", counted_checks)
     monkeypatch.setattr(pc, "_divmod", counted_divmod)
+    monkeypatch.setattr(pc, "_product", counted_product)
     text = pc.format_poly(f)
     with criterion(6, f"sf-chain of {name}", budget=budget):
         code = cli.main(["sf-chain", "--", text])
@@ -275,6 +282,7 @@ def test_sf_chain_of_long_inputs_within_budget(capsys, monkeypatch, name, f, lin
     assert not any(where == "chain" for where, _ in divisions)
     assert all(where == "gcd" for where, exact in divisions if exact)
     assert divisions["gcd", True] >= 2 * (len(links) + 1)
+    assert products["chain"] == 0
 
 
 def _product_pair_pool():

@@ -451,7 +451,11 @@ def test_generator_outside_z_w_names_the_generator_or_the_bound(capsys, tmp_path
     (["sf-chain"], "x^2-1\n\n7\n", 2, "invalid input: line 3: f must have degree >= 1"),
     (["sf-chain"], "x^2-1\nx^300+1\n", 3,
      "resource bound exceeded: line 2: polynomial degree exceeds the max-degree bound"),
-], ids=["census-exit-2", "census-exit-3", "sf-chain-exit-2", "sf-chain-exit-3"])
+    (["sf-chain"], f"x^2-1\nx^249+{2 ** 2000}\n", 3,
+     "resource bound exceeded: line 2: polynomial size ((degree + 1) * bits of the largest "
+     "cleared coefficient) exceeds the max-poly-bits bound (limit 500000, observed 500250)"),
+], ids=["census-exit-2", "census-exit-3", "sf-chain-exit-2", "sf-chain-exit-3",
+        "sf-chain-poly-bits"])
 def test_a_batch_refusal_names_the_item_that_failed(capsys, tmp_path, argv, text, code, opening):
     path = tmp_path / "batch"
     path.write_text(text)
@@ -720,6 +724,7 @@ def _shown_over(limit, observed):
     (["sf-chain", "x^300+1"], None),
     (["sf-chain", "x^100000000"], None),
     (["sf-chain", "x^" + "9" * 5000], None),
+    (["sf-chain", f"x^249+{2 ** 2000}"], None),
     # a composite cofactor past the trial division, and a cofactor from psi_13 on
     (["--max-norm", str(10 ** 16), "factor"], {"zint": 100000980001501}),
     (["--max-norm", str(10 ** 25), "factor"], {"zint": PSI_13}),
@@ -727,7 +732,7 @@ def _shown_over(limit, observed):
         "quotient-of-degree-100000", "order-over-the-ceiling", "max-order-64", "max-ideals",
         "max-ideals-of-z2-to-the-12", "d-composite", "d-prime", "d", "negative-d", "max-norm",
         "norm-of-8599-digits", "norm-of-4300-digits", "max-degree", "degree-of-9-digits",
-        "degree-of-5000-digits", "trial-division", "exact-primality"])
+        "degree-of-5000-digits", "max-poly-bits", "trial-division", "exact-primality"])
 def test_no_refusal_shows_an_observed_size_within_its_limit(capsys, tmp_path, argv, payload):
     code, out, err = run_cli(capsys, argv, payload, tmp_path)
     assert code == 3 and out == ""

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -232,6 +233,29 @@ def reference_divmod(f, g):
     return RatPoly(quot), RatPoly(rem[:g.degree])
 
 
+def reference_product(a, b):
+    """Oracle: the schoolbook product of integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_unpack(v, k):
+    """Oracle: balanced base-2^k digits by divmod, one digit at a time."""
+    xi, out = 1 << k, []
+    while v:
+        v, d = divmod(v, xi)
+        if 2 * d > xi:
+            d -= xi
+            v += 1
+        out.append(d)
+    return out
+
+
 def reference_poly_gcd(f, g):
     """Oracle: monic gcd by Euclid over Fraction."""
     if f.is_zero and g.is_zero:
@@ -336,6 +360,62 @@ def test_gcd_finds_a_planted_common_factor_with_long_coefficients(f, g, h):
     pc._divmod(common, h, exact=True)      # raises unless h divides the gcd
 
 
+def _stripped(cs):
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    return cs
+
+
+def packable(k):
+    """Coefficient lists below 2^(k-1) in magnitude, trailing zeros stripped, with
+    runs of zeros and the boundary values +-(2^(k-1) - 1)."""
+    top = (1 << k - 1) - 1
+    pieces = st.one_of(st.lists(st.just(0), min_size=1, max_size=40),
+                       st.sampled_from([top, -top, 1, -1]).map(lambda c: [c]),
+                       st.integers(-top, top).map(lambda c: [c]))
+    return st.lists(pieces, max_size=12).map(lambda drawn: _stripped(sum(drawn, [])))
+
+
+@given(st.integers(2, 80).flatmap(lambda k: st.tuples(st.just(k), packable(k))))
+@example((2, [1, 0, -1]))
+@example((3, [3, -3] * 40))           # 80 digits: the split path on both sides
+def test_unpack_reads_back_packed_coefficients(drawn):
+    k, a = drawn
+    v = pc._pack(a, k)
+    assert v == sum(c << i * k for i, c in enumerate(a))
+    assert pc._unpack(v, k) == a
+
+
+@given(st.integers(2, 70), st.integers(-10 ** 9, 10 ** 9) | st.integers(-2 ** 3000, 2 ** 3000))
+@example(8, 128)                        # a tie at xi/2 reads as +xi/2
+@example(8, sum(128 << 8 * i for i in range(100)))
+@example(2, -(2 ** 2000))
+def test_unpack_matches_the_digit_by_digit_reference(k, v):
+    assert pc._unpack(v, k) == reference_unpack(v, k)
+
+
+coeff_lists = st.lists(long_ints, max_size=40).map(_stripped)
+
+
+@given(coeff_lists, coeff_lists)
+@example([], [1])
+@example([0, 0, 1], [-(10 ** 40), 0, 10 ** 40])
+def test_product_matches_the_schoolbook_reference(a, b):
+    assert pc._product(a, b) == reference_product(a, b)
+
+
+def test_remultiplication_is_not_fooled_by_a_packed_alias():
+    # links whose product q is not p can still pack to p's value at the width
+    # that |p|_inf alone would give; the check's width also covers prod |g|_1
+    p = [1, -1, -1, 1]                                  # (x - 1)^2 (x + 1)
+    k = max(map(abs, p)).bit_length() + 1
+    monic = [list(c) + [1] for d in (1, 2) for c in itertools.product(range(-3, 4), repeat=d)]
+    g, h = next((g, h) for g in monic for h in monic
+                if reference_product(g, h) != p and pc._pack(g, k) * pc._pack(h, k) == pc._pack(p, k))
+    assert not pc._remultiplies([g, h], p)
+    assert not pc.chain_checks(RatPoly(p), [RatPoly(g), RatPoly(h)])["product_matches_monic_input"]
+
+
 @given(rat_polys, rat_polys)
 def test_ratpoly_arithmetic_matches_fraction_arithmetic(f, g):
     product = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
@@ -382,10 +462,10 @@ def test_exact_division_stops_at_a_non_integral_step():
 
 
 def test_sf_chain_returns_planted_links(monkeypatch):
-    # the xi of each evaluation, and the number of distinct ones in each gcd
+    # the j of each evaluation at xi = 2^j, and the number of distinct ones in each gcd
     points, reached = [], []
-    at, gcd = pc._at, pc._gcd
-    monkeypatch.setattr(pc, "_at", lambda a, xi: points.append(xi) or at(a, xi))
+    pack, gcd = pc._pack, pc._gcd
+    monkeypatch.setattr(pc, "_pack", lambda a, k: points.append(k) or pack(a, k))
 
     def counted_gcd(a, b):
         points.clear()
@@ -467,3 +547,25 @@ def test_parse_poly_bounds_the_degree_before_allocating():
         parse_poly("x^100000000+1")
     assert exc.value.bound == "max-degree" and exc.value.value == pc.MAX_DEGREE
     assert "100000000" in str(exc.value)
+
+
+def test_parse_poly_bounds_the_cleared_size_before_any_product(monkeypatch):
+    # the size is (degree + 1) * bits of the largest cleared coefficient:
+    # 250 * 2000 at degree 249 with 2^1999 is the limit, and 2^2000 one past it
+    assert 250 * 2000 == pc.MAX_POLY_BITS
+    assert parse_poly(f"x^249+{2 ** 1999}").coeffs[0] == 2 ** 1999
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_poly(f"x^249+{2 ** 2000}")
+    assert (exc.value.bound, exc.value.value, exc.value.observed) == (
+        "max-poly-bits", pc.MAX_POLY_BITS, 250 * 2001)
+    assert "max-poly-bits" in str(exc.value) and "observed 500250" in str(exc.value)
+    # distinct denominators multiply the cleared size by the number of terms,
+    # so the common denominator stops growing once the size passes the limit
+    rng = random.Random(SEED + 65)
+    dens = [rng.randrange(10 ** 1199, 10 ** 1200) | 1 for _ in range(120)]
+    calls = []
+    monkeypatch.setattr(pc, "lcm", lambda *ds: calls.append(ds) or lcm(*ds))
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_poly("+".join(f"1/{d}*x^{k}" for k, d in enumerate(dens)))
+    assert exc.value.bound == "max-poly-bits" and exc.value.observed > pc.MAX_POLY_BITS
+    assert len(calls) <= 3
