@@ -22,14 +22,16 @@ MAX_ORDER = 4096
 # chars) takes 0.12-0.17 s through cli.main and degree 126 takes 0.012-0.017 s, so
 # the cost grows about as degree^3.4; MAX_POLY_BITS bounds the coefficient size
 MAX_DEGREE = 256
-# the largest cleared polynomial, as (degree + 1) times the bit length of its largest
-# coefficient: its size packed at that width.  In-process on a 2-core Xeon VM its
-# chain grows about as the square of that size, and the slowest shapes have a low
-# degree, their coefficients made by many denominators.  At the limit f*g^2 of degree
-# 3 takes 1.3-1.9 s and g^2 1.2 s, a monic squarefree degree 255 0.6-0.7 s and f*g^2
-# of degree 255 0.2 s; at 1 Mbit they take 5.6-7.9 s, 2.5-4.2 s and 0.7-1.2 s; at
-# 3.6 Mbit, the 4300-digit limit at degree 255, f*g^2 takes 11 s and x^255 + c*x^127
-# + 1 takes 13 s
+# a bound on the written terms of polynomial text: (the highest exponent + 1) times
+# the bit length of the largest term cleared to the common denominator, about its
+# size packed at that width.  Terms are bounded before they are summed, so cancelling
+# terms count in full and like terms add up to log2(count) bits uncounted.
+# In-process on a 2-core Xeon VM the chain grows about as the square of that size,
+# and the slowest shapes have a low degree, their coefficients made by many
+# denominators.  At the limit f*g^2 of degree 3 takes 1.3-1.9 s and g^2 1.2 s, a
+# monic squarefree degree 255 0.6-0.7 s and f*g^2 of degree 255 0.2 s; at 1 Mbit
+# they take 5.6-7.9 s, 2.5-4.2 s and 0.7-1.2 s; at 3.6 Mbit, the 4300-digit limit at
+# degree 255, f*g^2 takes 11 s and x^255 + c*x^127 + 1 takes 13 s
 MAX_POLY_BITS = 500_000
 # levels of JSON arrays and objects a payload may nest
 MAX_NESTING = 256

@@ -6,18 +6,18 @@ over Q is a rational multiple of one primitive integer polynomial with a
 positive leading coefficient, and by Gauss's lemma products and exact
 quotients of primitive ones stay primitive.  The kernel has one packed
 form, Kronecker substitution (Schonhage 1982): `_pack(a, k)` is the integer
-a(2^k) and `_unpack(v, k)` reads v's balanced base-2^k digits back, each in
-about linear time.  A product is one integer product, unpacked at a width
-above its coefficient bound; the chain is re-multiplied by comparing packed
-values at a width where balanced digits are unique.  Gcds come from the
-heuristic gcd (Char, Geddes and Gonnet 1989): the integer gcd of the packed
-inputs at a power of two beyond twice a root bound, unpacked and proved by
-exact division of both inputs; the quotients are the cofactors it returns.
+a(2^k) and `_unpack(v, k)` reads v's balanced base-2^k digits back.  A
+product is one integer product, unpacked at a width above its coefficient
+bound; the chain is re-multiplied by comparing packed values at a width
+where balanced digits are unique.  Gcds come from the heuristic gcd (Char,
+Geddes and Gonnet 1989): the integer gcd of the packed inputs at a power
+of two beyond twice a root bound, unpacked and proved by exact division of
+both inputs; the quotients are the cofactors it returns.
 Pseudo-division (`_divmod`) is the one exact division, since it stops at
 the first non-integral step.  The chain takes one derivative gcd, then only
 gcds against squarefree links, and reads each quotient it needs off a
 cofactor.  `text_chain`, sf-chain's route, runs on integers from text to
-report, after `_parse` bounds the cleared size (`MAX_POLY_BITS`); a
+report, after `_parse` bounds the written terms (`MAX_POLY_BITS`); a
 Fraction appears only in `RatPoly`, the leading coefficient and a monic
 link's non-integral coefficient.  Characteristic zero is essential (the
 derivative criterion fails in characteristic p).  Polynomial text is read
@@ -221,11 +221,7 @@ def _divmod(a: list[int], b: list[int], exact: bool = False):
 
 
 def _pack(a: list[int], k: int) -> int:
-    """The value a(2^k): Horner's rule by shifts on short lists, and above that
-    two halves joined by one shift, so the time is about linear in the result."""
-    if len(a) > 32:
-        m = len(a) // 2
-        return _pack(a[:m], k) + (_pack(a[m:], k) << m * k)
+    """The value a(2^k), by Horner's rule with shifts."""
     v = 0
     for c in reversed(a):
         v = (v << k) + c
@@ -233,15 +229,7 @@ def _pack(a: list[int], k: int) -> int:
 
 
 def _unpack(v: int, k: int) -> list[int]:
-    """The balanced base-2^k digits of v, lowest first, each in (-2^(k-1), 2^(k-1)]:
-    digit by digit on short values, and above that split at 2^(mk), the low m
-    digits writing the one value congruent to v in [-h, 2^(mk) - 1 - h]."""
-    if v.bit_length() > 32 * k:
-        m = v.bit_length() // k // 2
-        h = _pack([(1 << k - 1) - 1] * m, k)    # -h: m digits of 1 - 2^(k-1)
-        low = ((v + h) & ((1 << m * k) - 1)) - h
-        digits = _unpack(low, k)
-        return digits + [0] * (m - len(digits)) + _unpack((v - low) >> m * k, k)
+    """The balanced base-2^k digits of v, lowest first, each in (-2^(k-1), 2^(k-1)]."""
     out, half, mask = [], 1 << k - 1, (1 << k) - 1
     while v:
         d = v & mask
@@ -369,8 +357,8 @@ def _parse(text) -> tuple[list[int], int]:
     if not terms:
         raise ValueError("empty polynomial")
     # a cleared term num*(den/d) has within one bit of num.bit_length() +
-    # den.bit_length() - d.bit_length() bits, so the size is bounded as the
-    # common denominator grows and before any product
+    # den.bit_length() - d.bit_length() bits, so the written terms are bounded
+    # as the common denominator grows and before any product or sum
     a = [0] * (max(e for e, _, _ in terms) + 1)
     excess = max(num.bit_length() - d.bit_length() for _, num, d in terms)
     den = 1
@@ -379,7 +367,7 @@ def _parse(text) -> tuple[list[int], int]:
         size = len(a) * (den.bit_length() + excess)
         if size > MAX_POLY_BITS:
             exceeded("max-poly-bits", MAX_POLY_BITS, size,
-                     "polynomial size ((degree + 1) * bits of the largest cleared coefficient)")
+                     "polynomial size ((highest exponent + 1) * bits of the largest cleared term)")
     for e, num, d in terms:
         a[e] += num * (den // d)
     while a and not a[-1]:

@@ -452,8 +452,8 @@ def test_generator_outside_z_w_names_the_generator_or_the_bound(capsys, tmp_path
     (["sf-chain"], "x^2-1\nx^300+1\n", 3,
      "resource bound exceeded: line 2: polynomial degree exceeds the max-degree bound"),
     (["sf-chain"], f"x^2-1\nx^249+{2 ** 2000}\n", 3,
-     "resource bound exceeded: line 2: polynomial size ((degree + 1) * bits of the largest "
-     "cleared coefficient) exceeds the max-poly-bits bound (limit 500000, observed 500250)"),
+     "resource bound exceeded: line 2: polynomial size ((highest exponent + 1) * bits of the "
+     "largest cleared term) exceeds the max-poly-bits bound (limit 500000, observed 500250)"),
 ], ids=["census-exit-2", "census-exit-3", "sf-chain-exit-2", "sf-chain-exit-3",
         "sf-chain-poly-bits"])
 def test_a_batch_refusal_names_the_item_that_failed(capsys, tmp_path, argv, text, code, opening):

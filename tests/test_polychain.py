@@ -378,7 +378,7 @@ def packable(k):
 
 @given(st.integers(2, 80).flatmap(lambda k: st.tuples(st.just(k), packable(k))))
 @example((2, [1, 0, -1]))
-@example((3, [3, -3] * 40))           # 80 digits: the split path on both sides
+@example((3, [3, -3] * 40))
 def test_unpack_reads_back_packed_coefficients(drawn):
     k, a = drawn
     v = pc._pack(a, k)
@@ -550,7 +550,7 @@ def test_parse_poly_bounds_the_degree_before_allocating():
 
 
 def test_parse_poly_bounds_the_cleared_size_before_any_product(monkeypatch):
-    # the size is (degree + 1) * bits of the largest cleared coefficient:
+    # the size is (highest exponent + 1) * bits of the largest cleared term:
     # 250 * 2000 at degree 249 with 2^1999 is the limit, and 2^2000 one past it
     assert 250 * 2000 == pc.MAX_POLY_BITS
     assert parse_poly(f"x^249+{2 ** 1999}").coeffs[0] == 2 ** 1999
@@ -559,6 +559,10 @@ def test_parse_poly_bounds_the_cleared_size_before_any_product(monkeypatch):
     assert (exc.value.bound, exc.value.value, exc.value.observed) == (
         "max-poly-bits", pc.MAX_POLY_BITS, 250 * 2001)
     assert "max-poly-bits" in str(exc.value) and "observed 500250" in str(exc.value)
+    # the bound is on the written terms: ones that cancel still count in full
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_poly(f"x^249+{2 ** 2000}*x-{2 ** 2000}*x")
+    assert exc.value.observed == 250 * 2001
     # distinct denominators multiply the cleared size by the number of terms,
     # so the common denominator stops growing once the size passes the limit
     rng = random.Random(SEED + 65)
