@@ -39,6 +39,8 @@ MAX_NESTING = 256
 # cap the interpreter can be set to
 MAX_INT_DIGITS = 4300
 _LOWEST_INT_DIGITS = 640
+# the digits of one piece of a longer integer that `_decimal` writes, under that cap
+_PIECE_DIGITS = 600
 # an observed size longer than this is shown by its length, not its digits
 SHOWN_DIGITS = 20
 # a message quotes at most this many characters of an input's repr
@@ -165,13 +167,40 @@ def parse_quad_element(item) -> tuple[int, int]:
     return tuple(xy)
 
 
+def _decimal(c) -> str:
+    """str(c) for an int or a Fraction c, also past the interpreter's limit on
+    int-to-text conversion (MAX_INT_DIGITS by default, or PYTHONINTMAXSTRDIGITS).
+    A value whose integers are under the limit goes through str.  A longer
+    integer is cut at powers of ten, by halves, into zero-padded pieces of
+    _PIECE_DIGITS digits, which even the lowest limit the interpreter takes
+    writes.  So a report can hold a longer integer than its input may."""
+    try:
+        return str(c)
+    except ValueError:
+        pass
+    if c.denominator != 1:
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+    n = c.numerator
+    powers = [10 ** _PIECE_DIGITS]      # powers[j] = 10^(_PIECE_DIGITS * 2^j)
+    while powers[-1] <= abs(n):
+        powers.append(powers[-1] * powers[-1])
+
+    def padded(m, j):                   # m < powers[j], with all its digits
+        if not j:
+            return f"{m:0{_PIECE_DIGITS}d}"
+        high, low = divmod(m, powers[j - 1])
+        return padded(high, j - 1) + padded(low, j - 1)
+
+    return ("-" if n < 0 else "") + padded(abs(n), len(powers) - 1).lstrip("0")
+
+
 def _format_terms(coeffs, var):
     """Text of int or Fraction coefficients, lowest degree first: "x^2-1", or "0"."""
     terms = []
     for k, c in reversed(list(enumerate(coeffs))):
         if c:
             power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
-            coeff = "" if power and abs(c) == 1 else f"{abs(c)}*" if power else str(abs(c))
+            coeff = "" if power and abs(c) == 1 else _decimal(abs(c)) + ("*" if power else "")
             terms.append(("-" if c < 0 else "+" if terms else "") + coeff + power)
     return "".join(terms) or "0"
 

@@ -23,7 +23,12 @@ idempotents come from one walk over the principal ideals xA as bitsets
 (`_principal_masks`, cached on the ring here and read by `finideal` and
 `sspengine` too), and the special-primary verdict of eA is read inside a
 (`_special_primary`): x in eA is a unit of eA exactly when xA = eA.
-`decompose_local` builds eA only for a caller that wants it.
+`decompose_local` builds eA only for a caller that wants it.  Since
+(ux)A = xA for a unit u, `_row_masks` scatters and packs one multiplication
+row per associate class, the row of its least element, and gives every
+element of the class that mask: 25 rows instead of 256 for Z16 x Z16.
+`sspengine.is_multiplication_module` sends the cyclic submodules Rm through
+the same kernel, as R(um) = Rm.
 
 Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
 x*w + y for a second part of order w, so a free-module vector or a residue of
@@ -45,6 +50,10 @@ from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _format_terms, _json_obj
 
 # The most products (1 MiB of int32) one Horner step of make_poly_quotient fills
 _HORNER_BLOCK = 1 << 18
+# The most entries (2 MiB of intp) one scatter of _row_masks indexes.  On a 2-core
+# Xeon VM, at order 4096 with every element its own label (Z2^12), one index of all
+# 16M entries peaked at 151 MB and took 90 ms; blocks of this size 19 MB and 49 ms
+_SCATTER_BLOCK = 1 << 18
 
 
 def _check_order(order, bounds, what):
@@ -105,16 +114,33 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_bits(mask, mask.bit_length())).tolist())
 
 
-def _row_masks(table) -> list[int]:
+def _row_masks(table, unit_rows) -> list[int]:
     """Row i of `table`, as the bitset of its entries, for every i; equal rows share one int.
 
     Entries index the rows: row i lists the set that element i generates,
-    as a*R for `mul` or R*m for the transposed action of a module.
+    as i*R for `mul` or R*i for the transposed action of a module.  Row j of
+    `unit_rows` lists u*i for every i, u the j-th unit, and u*i generates the
+    same set as i, since (ux)R = xR.  So each i gets a label, its least
+    associate min(i, min_u u*i), and only the rows of the labels that label
+    themselves are scattered and packed: i takes its label's mask, the set
+    that i generates, so every mask is the one row i would give.  With no
+    unit (tables from `_trusted` that are no ring) each row is its own label.
+    Equal sets of two classes still share one int, so nothing here assumes
+    that equal principal ideals come from associates.
     """
     n = table.shape[0]
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], table] = True
-    return _pack(member)
+    idx = np.arange(n)
+    labels = np.minimum(idx, unit_rows.min(axis=0, initial=n))
+    rows = np.flatnonzero(labels == idx)
+    member = np.zeros((rows.size, n), dtype=bool)
+    flat = member.reshape(-1)
+    # one flat index (row offset + entry) per block of rows
+    step = max(1, _SCATTER_BLOCK // table.shape[1])
+    for i in range(0, rows.size, step):
+        block = table[rows[i:i + step]]
+        flat[(np.arange(i * n, (i + len(block)) * n, n)[:, None] + block).ravel()] = True
+    mask = dict(zip(rows.tolist(), _pack(member)))
+    return [mask[label] for label in labels.tolist()]
 
 
 def _distinct(masks):
@@ -126,11 +152,16 @@ def _distinct(masks):
 
 
 def _principal_masks(a) -> list[int]:
-    """The bitset of the principal ideal xR for every element x, cached on the ring."""
+    """The bitset of the principal ideal xR for every element x, cached on the ring.
+
+    One row is packed per associate class (`_row_masks`), through the units'
+    rows of `mul`.
+    """
     cached = a._cache.get("principal_masks")
     if cached is None:
         # row x of mul is the set x*R, already closed under + and outer multiplication
-        cached = a._cache["principal_masks"] = _row_masks(a.mul)
+        unit_rows = a.mul[np.asarray(units(a), dtype=np.intp)]
+        cached = a._cache["principal_masks"] = _row_masks(a.mul, unit_rows)
     return cached
 
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .errors import (MAX_DEGREE, MAX_POLY_BITS, _format_terms, _strict_int,  # noqa: F401 (re-export)
-                     _terms, exceeded)
+from .errors import (MAX_DEGREE, MAX_POLY_BITS, _decimal,  # noqa: F401 (re-export)
+                     _format_terms, _strict_int, _terms, exceeded)
 
 
 class RatPoly:
@@ -434,7 +434,7 @@ def text_chain(text: str) -> tuple[str, list[str], dict[str, bool]]:
     texts = [_format_terms(g if g[-1] == 1 else [Fraction(c, g[-1]) for c in g], "x")
              for g in links]
     # _chain has re-multiplied the links against p
-    return str(Fraction(a[-1], den)), texts, _link_checks(links, True)
+    return _decimal(Fraction(a[-1], den)), texts, _link_checks(links, True)
 
 
 def parse_poly(text: str) -> RatPoly:

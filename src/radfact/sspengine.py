@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
 from .finideal import FinIdeal, _lattice_product, _radical_masks, _span, all_ideals, ideal_product
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
-                      _principal_masks, _row_masks, _special_primary, mask_of)
+                      _principal_masks, _row_masks, _special_primary, mask_of, units)
 
 # What `decide-ssp` reports as `sp_note` beside `is_sp`, which is always true.
 SP_NOTE = ("in a finite commutative ring every regular element is a unit, so the "
@@ -161,5 +161,7 @@ def is_multiplication_module(e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> b
     16, 1988): if each Rm is I_m E, then F is the sum of its Rm, which is
     (sum of the I_m) E.
     """
-    # row m of the transposed action is {r·m : r in ring}, the submodule Rm
-    return set(_row_masks(e.action.T)) <= _ideal_image_masks(e, bounds)
+    # row m of the transposed action is {r·m : r in ring}, the submodule Rm, and
+    # Rm = R(um) for a unit u; a list, not the tuple, indexes rows of the action
+    cyclic = _row_masks(e.action.T, e.action[list(units(e.ring))])
+    return set(cyclic) <= _ideal_image_masks(e, bounds)

@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -963,6 +965,52 @@ def test_lowered_interpreter_digit_limit_exits_2_naming_it(
     assert code == 2 and out == ""
     assert "1000 digits, over the 640-digit limit" in err
     assert not any(phrase in err for phrase in INTERNAL_PHRASES)
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def assert_the_sum_link_is_written(capsys, digits):
+    """sf-chain of x + 1/d_1 + ... + 1/d_6, six odd d_k of `digits` digits,
+    exits 0 with the one link x + sum 1/d_k, whose numerator has more digits
+    than the interpreter's limit lets str write."""
+    ds = [10 ** (digits - 1) + 2 * k + 1 for k in range(6)]
+    code, out, err = run_cli(capsys, ["sf-chain", "x+" + "+".join(f"1/{d}" for d in ds)])
+    assert code == 0 and err == ""
+    [result] = json.loads(out)["results"]
+    assert result["leading_coefficient"] == "1"
+    [link] = result["chain"]
+    num, den = re.fullmatch(r"x\+(\d+)/(\d+)", link).groups()
+    assert len(num) > sys.get_int_max_str_digits()
+    with _int_digit_limit(0):
+        assert Fraction(int(num), int(den)) == sum(Fraction(1, d) for d in ds)
+
+
+def test_a_report_numerator_past_the_digit_limit_is_written(capsys):
+    assert_the_sum_link_is_written(capsys, 1000)
+
+
+def test_a_report_numerator_past_the_lowest_digit_limit_is_written(capsys, int_digit_limit_640):
+    assert_the_sum_link_is_written(capsys, 600)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10000), st.integers(0, 2 ** 64), st.integers(-10 ** 30, 10 ** 30),
+       st.sampled_from([640, 4300]))
+def test_decimal_writes_what_str_writes_past_the_digit_limit(k, seed, tail, limit):
+    # random digits above 10^k over a short signed tail, so that whole pieces of zeros occur
+    n = random.Random(seed).randrange(10 ** k) * 10 ** k + tail
+    with _int_digit_limit(0):
+        expected = str(n)
+    with _int_digit_limit(limit):
+        assert errors._decimal(n) == expected
 
 
 # Runs jobs through cli.main in a fresh interpreter; argv[1] says whether numpy

@@ -316,14 +316,28 @@ def test_all_ideals_keeps_no_element_array_per_ideal():
 
 
 def test_principal_ideals_match_one_row_at_a_time():
-    rings = [fr.make_zn(n) for n in (1, 2, 12, 64)]
+    rings = [fr.make_zn(n) for n in (1, 2, 12, 64, 251)]
     rings += [flagship(), fr.make_product(fr.make_zn(4), fr.make_zn(6)),
               fr.make_poly_quotient(fr.make_zn(3), [0, 0, 1])]
+    # Z3^5 (32 units), Z2^8 (only the unit 1, every element its own class), Z2(+)Z2^3
+    rings += [fr.ring_from_dict(spec) for spec in (
+        {"product": [{"zn": 3}] * 5}, {"product": [{"zn": 2}] * 8},
+        {"idealization": {"zn": 2, "module_rank": 3}})]
     for ring in rings:
         seen = {}
         for g in range(ring.order):
             seen.setdefault(fr.mask_of(ring.mul[g]), g)
         assert _distinct(_principal_masks(ring)) == sorted(seen.items()), ring
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_principal_masks_equal_the_rows_packed_one_at_a_time(spec, seed):
+    """Every element's mask, not only the distinct ones, is the mask of its
+    own row of `mul`, also with zero and one moved off indices 0 and 1."""
+    base, ring, _ = drawn_relabelled_ring(spec, seed, 512)
+    for a in (base, ring):
+        assert _principal_masks(a) == [fr.mask_of(row) for row in a.mul], a.label
 
 
 def assert_join_closure_matches_the_reference(ring):

@@ -152,6 +152,24 @@ def test_census_of_z2_to_the_12_within_budget():
     assert row["decide_ssp"] and row["agree"]
 
 
+@pytest.mark.parametrize("spec, rows", [
+    ({"zn": 251}, 2), ({"product": [{"zn": 16}, {"zn": 16}]}, 25),
+    ({"product": [{"zn": 2}] * 12}, 4096),      # only the unit 1: every element its own class
+], ids=["Z251", "Z16xZ16", "Z2^12"])
+def test_principal_masks_pack_one_row_per_associate_class(spec, rows, catalog_rings, monkeypatch):
+    """A work count beside the census budgets: `_row_masks` packs the rows of
+    the least associates only, one per distinct principal ideal in a finite ring."""
+    packed = []
+    pack = fr._pack
+    monkeypatch.setattr(fr, "_pack", lambda member: packed.append(len(member)) or pack(member))
+    for ring in catalog_rings + [fr.ring_from_dict(spec)]:
+        ring._cache.pop("principal_masks", None)
+        packed.clear()
+        masks = fr._principal_masks(ring)
+        assert packed == [len(fr._distinct(masks))], ring.label
+    assert packed == [rows]
+
+
 def test_radical_closure_of_flagship():
     b = flagship()
     clo = ssp.radical_closure(b)
@@ -341,6 +359,22 @@ def test_multiplication_modules_match_the_definition(catalog_rings):
         images = ssp._ideal_image_masks(m, DEFAULT_BOUNDS)
         verdicts.append(ssp.is_multiplication_module(m))
         assert verdicts[-1] == (brute_force_submodules(m) <= images), m.label
+    assert True in verdicts and False in verdicts
+
+
+def test_multiplication_modules_match_the_cyclic_submodules_one_column_at_a_time(catalog_rings):
+    """The kernel's route against per-column `mask_of`: column m of the action
+    is the cyclic submodule Rm, packed one at a time."""
+    small = [ring for ring in catalog_rings if ring.order <= 16]
+    modules = [fr.free_module(ring, rank) for ring in small if ring.order <= 8 for rank in (2, 3)]
+    modules += [fr.module_from_ring(ring) for ring in small]
+    modules += [fr.quotient_module(ring, i) for ring in small for i in all_ideals(ring)]
+    verdicts = []
+    for m in modules:
+        cyclic = [fr.mask_of(m.action[:, x]) for x in range(m.size)]
+        assert fr._row_masks(m.action.T, m.action[list(fr.units(m.ring))]) == cyclic, m.label
+        verdicts.append(ssp.is_multiplication_module(m))
+        assert verdicts[-1] == (set(cyclic) <= ssp._ideal_image_masks(m, DEFAULT_BOUNDS)), m.label
     assert True in verdicts and False in verdicts
 
 
