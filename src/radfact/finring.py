@@ -18,11 +18,15 @@ e, the image of x -> ex), and the modules `free_module` and
 unitary ring.  Constructors check the order they would build against
 `Bounds.order` (at most MAX_ORDER = 4096) before they allocate a table.
 
-The local factors need no table of their own to be judged.  The primitive
-idempotents come from one walk over the principal ideals xA as bitsets
-(`_principal_masks`, cached on the ring here and read by `finideal` and
-`sspengine` too), and the special-primary verdict of eA is read inside a
-(`_special_primary`): x in eA is a unit of eA exactly when xA = eA.
+The local factors need no table of their own to be judged.  A finite ring
+is the product of its local factors eA, e ranging over its primitive
+idempotents (Atiyah-Macdonald, Thm. 8.7), and e is primitive exactly when
+eA holds two idempotents, 0 and e: one AND of the principal ideal eA as a
+bitset (`_principal_masks`, cached on the ring here and read by `finideal`
+and `sspengine` too) with the bitset of the idempotents.  So a is local
+exactly when 1 is its only nonzero idempotent, and the special-primary
+verdict of a local factor eA is read inside a (`_special_primary`): x in
+eA is a unit of eA exactly when xA = eA.
 `decompose_local` builds eA only for a caller that wants it.  Since
 (ux)A = xA for a unit u, `_row_masks` scatters and packs one multiplication
 row per associate class, the row of its least element, and gives every
@@ -524,22 +528,18 @@ def _primitive_idempotents(a: FinRing) -> list[int]:
     """The primitive idempotents of a, sorted by element index.
 
     A ring whose only nonzero idempotent is 1 is local and needs no search.
-    Otherwise walk the nonzero idempotents e by the size of eA and keep e
-    when eA holds no idempotent kept before it: a non-primitive e has a
-    primitive f with fA strictly inside eA, met earlier, while eA for a
-    primitive e holds no idempotent but 0 and e.  That is one bit test per
-    (idempotent, kept idempotent) pair, on the cached principal masks.
+    Otherwise a nonzero idempotent e is primitive exactly when eA holds no
+    idempotent but 0 and e, and an idempotent f lies in eA exactly when
+    ef = f (f = ex gives ef = eex = f).  So e is kept when its cached
+    principal mask, ANDed with the bitset of all idempotents, counts two.
     """
-    nonzero = [e for e in idempotents(a) if e != a.zero]
+    idems = idempotents(a)
+    nonzero = [e for e in idems if e != a.zero]
     if len(nonzero) <= 1:
         prim = nonzero      # a local ring, the zero ring, or tables that are no ring
     else:
-        principal = _principal_masks(a)
-        prim = []
-        for e in sorted(nonzero, key=lambda e: principal[e].bit_count()):
-            if not any(principal[e] >> f & 1 for f in prim):
-                prim.append(e)
-        prim.sort()
+        principal, idem_mask = _principal_masks(a), mask_of(idems)
+        prim = [e for e in nonzero if (principal[e] & idem_mask).bit_count() == 2]
     products = a.mul[np.ix_(prim, prim)]
     if (products[~np.eye(len(prim), dtype=bool)] != a.zero).any():
         raise ArithmeticError("primitive idempotents not orthogonal")
@@ -573,15 +573,14 @@ class SpecialPrimaryVerdict(_Value):
 
 
 def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
-    """The special-primary verdict of the factor ring eA, for an idempotent
-    e of a, read off a's own tables without building eA.
+    """The special-primary verdict of the local factor eA, for a primitive
+    idempotent e of a, read off a's own tables without building eA.
 
     An element x of eA is a unit of eA exactly when xA = eA, so the
     non-units M of eA are the members whose principal mask is not eA's.
-    When eA is local, M is an ideal of a too (with a's zero), and the
-    verdict carries it as one; M^t and the nilpotency index are the same
-    in a as in eA.  A principal M = mA is an ideal, so eA is local; only a
-    non-principal M needs the check that it is closed under addition.
+    Since e is primitive, eA is local and M is its maximal ideal, an ideal
+    of a too (with a's zero), which the verdict carries; M^t and the
+    nilpotency index are the same in a as in eA.
     """
     from .finideal import FinIdeal, ideal_product
 
@@ -589,8 +588,6 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
     whole = principal[e]
     members = np.flatnonzero(_bits(whole, a.order))
     nonunits = members[np.array([principal[x] != whole for x in members.tolist()], dtype=bool)]
-    if nonunits.size == 0:
-        return SpecialPrimaryVerdict(False, None, None)    # eA is the zero ring
     mask = mask_of(nonunits)
     gen = next((x for x in nonunits.tolist() if principal[x] == mask), None)
     if gen is not None:
@@ -602,8 +599,6 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
             if t > a.order:
                 raise ArithmeticError("maximal ideal of a finite local ring failed to nilpotate")
         return SpecialPrimaryVerdict(True, FinIdeal._unchecked(a, mask, gens=(gen,)), t)
-    if not _bits(mask, a.order)[a.add[np.ix_(nonunits, nonunits)]].all():
-        return SpecialPrimaryVerdict(False, None, None)    # eA is not local
     m = FinIdeal._unchecked(a, mask)
     cur, t = m, 1
     while cur.mask != 1 << a.zero:
@@ -617,11 +612,13 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
 def is_special_primary(a: FinRing) -> SpecialPrimaryVerdict:
     """Decide whether every proper ideal of a is a power of a unique maximal ideal.
 
-    a is local exactly when its non-units M are closed under addition, and
-    a finite local ring is special primary exactly when M is principal
-    (Atiyah-Macdonald, Prop. 8.8; Zariski-Samuel, Vol. I, Ch. IV, §15).
-    No ideal lattice is enumerated.
+    a is local exactly when 1 is its only nonzero idempotent (the zero ring
+    has none, and is not local), and a finite local ring is special primary
+    exactly when its maximal ideal M is principal (Atiyah-Macdonald, Prop.
+    8.8; Zariski-Samuel, Vol. I, Ch. IV, §15).  No ideal lattice is enumerated.
     """
+    if _primitive_idempotents(a) != [a.one]:
+        return SpecialPrimaryVerdict(False, None, None)    # a is not local
     return _special_primary(a, a.one)
 
 

@@ -7,12 +7,13 @@ positive leading coefficient, and by Gauss's lemma products and exact
 quotients of primitive ones stay primitive.  The kernel has one packed
 form, Kronecker substitution (Schonhage 1982): `_pack(a, k)` is the integer
 a(2^k) and `_unpack(v, k)` reads v's balanced base-2^k digits back.  A
-product is one integer product, unpacked at a width above its coefficient
-bound; the chain is re-multiplied by comparing packed values at a width
-where balanced digits are unique.  Gcds come from the heuristic gcd (Char,
-Geddes and Gonnet 1989): the integer gcd of the packed inputs at a power
-of two beyond twice a root bound, unpacked and proved by exact division of
-both inputs; the quotients are the cofactors it returns.
+product of any number of factors is one integer product, unpacked once at
+a width above its coefficient bound; the chain is re-multiplied by
+comparing packed values at a width where balanced digits are unique.  Gcds
+come from the heuristic gcd (Char, Geddes and Gonnet 1989): the integer
+gcd of the packed inputs at a power of two beyond twice a root bound,
+unpacked and proved by exact division of both inputs; the quotients are
+the cofactors it returns.
 Pseudo-division (`_divmod`) is the one exact division, since it stops at
 the first non-integral step.  The chain takes one derivative gcd, then only
 gcds against squarefree links, and reads each quotient it needs off a
@@ -273,10 +274,11 @@ def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
             j = ((73794 * isqrt(isqrt(1 << j)) << j) // 27011 - 1).bit_length()
 
 
-def _product(a: list[int], b: list[int]) -> list[int]:
-    # no coefficient of a*b exceeds |a|_1 * |b|_inf in magnitude
-    k = (sum(map(abs, a)) * max(map(abs, b), default=0)).bit_length() + 1
-    return _unpack(_pack(a, k) * _pack(b, k), k)
+def _product(*polys: list[int]) -> list[int]:
+    """The product of any number of polynomials, by one pack and one unpack at
+    a width k with 2^(k-1) > prod |g|_1, which bounds every coefficient."""
+    k = prod(sum(map(abs, g)) for g in polys).bit_length() + 1
+    return _unpack(prod(_pack(g, k) for g in polys), k)
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -299,13 +301,6 @@ def _links(p: list[int]) -> list[list[int]]:
         g, f, _ = _gcd(f, g)
         links.append(g)
     return links
-
-
-def _product_of(links) -> list[int]:
-    out = [1]
-    for g in links:
-        out = _product(out, g)
-    return out
 
 
 def _chain(p: list[int]) -> list[list[int]]:
@@ -416,7 +411,7 @@ def derivative_gcd(f: RatPoly, k: int) -> RatPoly:
     In characteristic 0 it is prod over p^e || f with e >= k of p^(e-k+1),
     which is the product of the links g_k, g_{k+1}, ... of the chain.
     """
-    return _monic(_product_of(_chain_links(f, k)[k - 1:]))
+    return _monic(_product(*_chain_links(f, k)[k - 1:]))
 
 
 def vk_poly(f: RatPoly, k: int) -> RatPoly:

@@ -10,13 +10,16 @@ independent oracle (`structural_ssp`) answers the same question through the
 local decomposition, so the two routes can be cross-checked: `local_factors`
 reads the order and special-primary verdict of each local factor eA inside
 the ring itself, through xA = eA, and builds no factor ring.
+`is_vnr` counts the nilpotents on the cached power map, since a finite
+commutative ring is von Neumann regular exactly when it is reduced.
 `is_multiplication_module` decides on the cyclic submodules alone.
 """
 
 from __future__ import annotations
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
-from .finideal import FinIdeal, _lattice_product, _radical_masks, _span, all_ideals, ideal_product
+from .finideal import (FinIdeal, _lattice_product, _power_map, _radical_masks, _span, all_ideals,
+                       ideal_product)
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
                       _principal_masks, _row_masks, _special_primary, mask_of, units)
 
@@ -141,11 +144,14 @@ def structural_ssp(a: FinRing) -> bool:
 
 
 def is_vnr(a: FinRing) -> bool:
-    """Von Neumann regularity: every x has some y with x*y*x = x."""
-    for x in range(a.order):
-        if not (a.mul[a.mul[x], x] == x).any():
-            return False
-    return True
+    """Von Neumann regularity: every x has some y with x*y*x = x.
+
+    A finite commutative ring is von Neumann regular exactly when it is
+    reduced, a product of fields: so only 0 may have x^N = 0 under the
+    cached power map of `finideal._power_map`, whose N is past every
+    nilpotency index.
+    """
+    return int((_power_map(a) == a.zero).sum()) == 1
 
 
 def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:

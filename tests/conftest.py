@@ -99,6 +99,16 @@ def reference_primitive_idempotents(a):
             and all(f in (a.zero, e) for f in idems if a.mul_el(e, f) == f)]
 
 
+def reference_is_vnr(a):
+    """Oracle: von Neumann regularity by its definition, one element at a time:
+    every x has some y with x*y*x = x.  Independent of the nilpotent count on
+    the power map in `sspengine.is_vnr`."""
+    for x in range(a.order):
+        if not (a.mul[a.mul[x], x] == x).any():
+            return False
+    return True
+
+
 def relabelled(ring, perm):
     """`ring` with element x renamed perm[x], built by the verifying constructor."""
     perm = np.asarray(perm)

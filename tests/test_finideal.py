@@ -458,3 +458,36 @@ def test_radical_masks_of_no_ideals_is_empty():
 def test_radical_masks_match_the_power_walk_on_relabelled_rings(spec, seed):
     _, ring, _ = drawn_relabelled_ring(spec, seed, 64)
     assert_radical_masks_match_the_power_walk(ring)
+
+
+def test_an_ideal_from_elements_refuses_members_out_of_range_or_not_an_ideal():
+    z4 = fr.make_zn(4)
+    with pytest.raises(ValueError, match="^members out of range for this ring$"):
+        FinIdeal(z4, [0, 4])
+    z2xz2 = fr.make_product(fr.make_zn(2), fr.make_zn(2))
+    # the diagonal {(0, 0), (1, 1)} is an additive subgroup but no ideal: (1, 0)(1, 1) = (1, 0)
+    with pytest.raises(ValueError, match="^subset is not closed under ring multiplication$"):
+        FinIdeal(z2xz2, [0, 3])
+    assert FinIdeal(z4, [2, 0, 2]) == generated_ideal(z4, [2])
+
+
+def test_membership_and_zero_ideal():
+    z4 = fr.make_zn(4)
+    i = FinIdeal(z4, [0, 2])
+    assert 2 in i and 0 in i and 1 not in i and 3 not in i
+    assert not i.is_zero and zero_ideal(z4).is_zero and not whole_ideal(z4).is_zero
+    assert FinIdeal(z4, [0]).is_zero
+
+
+def test_ideal_operations_refuse_bad_arguments():
+    z4, z6 = fr.make_zn(4), fr.make_zn(6)
+    with pytest.raises(ValueError, match="^generator 4 out of range$"):
+        generated_ideal(z4, [4])
+    with pytest.raises(ValueError, match="^generator -1 out of range$"):
+        generated_ideal(z4, [-1])
+    i, j = generated_ideal(z4, [2]), generated_ideal(z6, [2])
+    for op in (ideal_sum, ideal_product):
+        with pytest.raises(ValueError, match="^ideals of different rings$"):
+            op(i, j)
+    with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+        ideal_power(i, -1)

@@ -917,3 +917,17 @@ def test_free_module_over_the_zero_ring_returns_at_once():
     m = fr.free_module(fr.make_zn(1), 10 ** 9)
     assert time.perf_counter() - start < 0.5
     assert (m.size, m.zero, m.add.tolist(), m.action.tolist()) == (1, 0, [[0]], [[0]])
+
+
+def test_module_and_quotient_constructors_refuse_bad_arguments():
+    z4, z6 = fr.make_zn(4), fr.make_zn(6)
+    with pytest.raises(ValueError, match="^rank must be >= 0$"):
+        fr.free_module(z4, -1)
+    with pytest.raises(ValueError, match="^ideal belongs to a different ring$"):
+        fr.quotient(z4, zero_ideal(z6))
+
+
+def test_module_repr_names_the_module_its_size_and_its_ring():
+    z4 = fr.make_zn(4)
+    assert repr(fr.free_module(z4, 2)) == "FinModule('Z4^2', size=16, over='Z4')"
+    assert repr(fr.module_from_ring(z4)) == "FinModule('Z4 (self)', size=4, over='Z4')"

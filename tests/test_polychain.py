@@ -573,3 +573,34 @@ def test_parse_poly_bounds_the_cleared_size_before_any_product(monkeypatch):
         parse_poly("+".join(f"1/{d}*x^{k}" for k, d in enumerate(dens)))
     assert exc.value.bound == "max-poly-bits" and exc.value.observed > pc.MAX_POLY_BITS
     assert len(calls) <= 3
+
+
+def test_the_zero_polynomial_has_no_leading_coefficient_and_divides_only_zero():
+    zero, f = RatPoly(), parse_poly("x+1")
+    with pytest.raises(ValueError, match="^the zero polynomial has no leading coefficient$"):
+        zero.lc
+    with pytest.raises(ValueError, match="^the zero polynomial cannot be made monic$"):
+        zero.monic()
+    for op in (divmod, lambda a, b: a // b, lambda a, b: a % b):
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            op(f, zero)
+    assert zero.divides(zero) and not zero.divides(f)
+
+
+def test_equal_polynomials_hash_equal():
+    assert hash(RatPoly([1, 2, 0])) == hash(RatPoly([Fraction(2, 2), 2]))
+    assert len({parse_poly("x^2-1"), RatPoly([-1, 0, 1]), parse_poly("x-1")}) == 2
+
+
+def test_adding_a_longer_polynomial_to_a_shorter_one():
+    assert RatPoly([1]) + RatPoly([0, 0, 1]) == parse_poly("x^2+1")
+    assert RatPoly([1, 1]) + RatPoly([0, -1, 2]) == parse_poly("2*x^2+1")
+    assert 3 + parse_poly("x") == parse_poly("x+3")
+
+
+@given(st.lists(coeff_lists, max_size=5))
+def test_product_of_many_factors_matches_the_pairwise_reference(polys):
+    expected = [1]
+    for g in polys:
+        expected = reference_product(expected, g)
+    assert pc._product(*polys) == expected

@@ -451,3 +451,19 @@ def test_prime_power_by_squaring_is_the_repeated_product(d, p, kind, e):
     for prime, _ in above:
         assert q._power(prime, e) == prod([prime] * e, start=prime.unit())
     assert q._power(q.IntIdeal(p), e) == q.IntIdeal(p ** e)
+
+
+def test_quadratic_routes_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="^can only factor positive integers$"):
+        q.factor_int(0)
+    gi, g5 = q.QuadRing(-1), q.QuadRing(-5)
+    i = q.principal_ideal(gi, (2, 0))
+    with pytest.raises(ValueError, match="^ideals of different rings$"):
+        q.ideal_sum(i, q.principal_ideal(g5, (2, 0)))
+    with pytest.raises(ValueError, match="^empty chain has no well-defined product here$"):
+        q.RadicalChain(()).product()
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        q.vn(i, 0)
+    other, _ = q.primes_above(g5, 2)[0]
+    with pytest.raises(ValueError, match="^factor 0 belongs to a different ring$"):
+        q.normalize_factorization(gi, [other])

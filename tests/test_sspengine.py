@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_primitive_idempotents, ring_specs
+from conftest import reference_is_vnr, reference_primitive_idempotents, ring_specs
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
@@ -291,6 +291,27 @@ def test_is_vnr():
     assert ssp.is_vnr(fr.make_zn(6))
     assert not ssp.is_vnr(fr.make_zn(4))
     assert ssp.is_vnr(fr.make_poly_quotient(fr.make_zn(2), [1, 1, 1]))
+
+
+def test_is_vnr_matches_the_definition_on_the_catalog(catalog_rings):
+    assert [ssp.is_vnr(r) for r in catalog_rings] == [reference_is_vnr(r) for r in catalog_rings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_is_vnr_matches_the_definition_on_relabelled_rings(spec, seed):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 128)
+    assert ssp.is_vnr(ring) == reference_is_vnr(ring)
+
+
+@pytest.mark.parametrize("spec, vnr", [
+    ({"product": [{"zn": 2}] * 12}, True),
+    ({"zn": 4096}, False),
+    ({"idealization": {"zn": 2, "module_rank": 11}}, False),
+], ids=["z2-to-the-12", "z4096", "z2-idealization-of-rank-11"])
+def test_is_vnr_matches_the_definition_at_order_4096(spec, vnr):
+    ring = fr.ring_from_dict(spec)
+    assert ssp.is_vnr(ring) == reference_is_vnr(ring) == vnr
 
 
 def test_is_multiplication_module():

@@ -167,3 +167,16 @@ def test_dedekind_entry_of_another_ring_is_rejected(ded_ring, entry):
 def test_zero_entry_is_accepted_in_every_dedekind_component(ded_ring):
     ring = z.ZpiRing((z.DedComponent(ded_ring),))
     assert z.ZpiIdeal(ring, (z.ZERO,)).entries == (z.ZERO,)
+
+
+def test_product_refuses_ideals_of_different_rings():
+    ring, other = z.ZpiRing((z.SprComponent(3),)), z.ZpiRing((z.SprComponent(2),))
+    with pytest.raises(ValueError, match="^ideals of different ZPI rings$"):
+        z.zpi_product(z.ZpiIdeal(ring, (1,)), z.ZpiIdeal(other, (1,)))
+
+
+def test_a_chain_iterates_over_its_links_and_counts_them():
+    ring = mixed_ring()
+    chain = z.radical_chain(z.ZpiIdeal(ring, (2, q.IntIdeal(12))))
+    assert list(chain) == list(chain.links) and len(chain) == len(chain.links) == 2
+    assert chain.product() == z.ZpiIdeal(ring, (2, q.IntIdeal(12)))
