@@ -4,14 +4,17 @@ Only maximal orders are supported: w = sqrt(d) when d = 2, 3 (mod 4) and
 w = (1+sqrt(d))/2 when d = 1 (mod 4), with d squarefree.  A nonzero ideal
 is a rank-2 sublattice with basis rows (a, 0), (b, c) over (1, w), kept in
 Hermite normal form with a > 0, c > 0, c | a, c | b, 0 <= b < a; equality
-of ideals is therefore plain tuple equality and norm(I) = a*c.
+of ideals is therefore plain tuple equality and norm(I) = a*c.  A product
+is composed in closed form from the two primitive parts (two extended gcds,
+no lattice reduction); only `ideal_from_gens` and `ideal_sum` reduce rows.
 
 `IntIdeal` is the same machinery for ideals of the rational integers (an
 ideal is just its positive generator).  Both ideal classes answer
 `_prime_factors(splittings)`, the (P, v_P(I)) for the primes P that divide I
 among (p, primes above p) pairs, so Z shares the one factorization routine
 (re-multiplied to I, each prime power by repeated squaring), the one radical
-routine, PrimeFactorization and RadicalChain with the quadratic case; it is
+routine, PrimeFactorization and RadicalChain (re-multiplied one run of equal
+links at a time, by the same squaring) with the quadratic case; it is
 the cheapest oracle for the ascending radical chain.  Each routine splits
 each rational prime once (`_splittings`), however many ideals it reads.
 
@@ -23,7 +26,7 @@ The module keeps no mutable state.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, cycle, groupby
 from math import gcd, isqrt, prod
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Frozen, _shown, _strict_int, exceeded
@@ -200,7 +203,6 @@ def _hnf_rows(rows):
     xs = []
     pivot = None
     for x, y in rows:
-        x, y = int(x), int(y)
         if y == 0:
             if x:
                 xs.append(x)
@@ -279,11 +281,30 @@ class QuadIdeal(_Frozen):
         return all(self.member(row) for row in other.basis())
 
     def __mul__(self, other):
-        if self.ring != other.ring:
+        """The product HNF in closed form, by composing the primitive parts.
+
+        Write I = k1*(A1, B1 + w) and J = k2*(A2, B2 + w) with k = c, A = a/c,
+        B = b/c.  The product of the primitive parts is spanned by A1*A2,
+        A1*(B2 + w), A2*(B1 + w) and (B1*B2 - c0) + (B1 + B2 - c1)*w, so its w
+        content is g = gcd(A1, A2, B1 + B2 - c1) = u*A1 + v*A2 + t*(B1 + B2 - c1),
+        the row with w coordinate g has x coordinate u*A1*B2 + v*A2*B1 +
+        t*(B1*B2 - c0), and its norm A1*A2 fixes the first row at A1*A2/g
+        (Cohen, A Course in Computational Algebraic Number Theory, Sec. 5.4).
+        """
+        ring = self.ring
+        if ring != other.ring:
             raise ValueError("ideals of different rings")
-        rows = [self.ring.mul_elements(u, v)
-                for u in self.basis() for v in other.basis()]
-        return QuadIdeal._unchecked(self.ring, *_hnf_rows(rows))
+        k1, k2 = self.c, other.c
+        a1, b1, a2, b2 = self.a // k1, self.b // k1, other.a // k2, other.b // k2
+        c0, c1 = ring.min_poly
+        # c1 is 0 or -1 and b1, b2 >= 0, so both gcds are of nonnegative
+        # integers and come out positive
+        g1, u, v = _xgcd(a1, a2)
+        g, s, t = _xgcd(g1, b1 + b2 - c1)
+        a = a1 * a2 // g
+        b = (s * (u * a1 * b2 + v * a2 * b1) + t * (b1 * b2 - c0)) % a
+        k = k1 * k2
+        return QuadIdeal._unchecked(ring, k * a, k * b, k * g)
 
     def factorization(self, bounds: Bounds = DEFAULT_BOUNDS) -> "PrimeFactorization":
         return _factorization(self, bounds)
@@ -431,9 +452,12 @@ class RadicalChain(_Frozen):
         return len(self.links)
 
     def product(self):
+        """J1 * ... * Jn, each run of equal links raised to its length by
+        `_power`, then the runs multiplied left to right."""
         if not self.links:
             raise ValueError("empty chain has no well-defined product here")
-        return prod(self.links[1:], start=self.links[0])
+        powers = (_power(link, sum(1 for _ in run)) for link, run in groupby(self.links))
+        return prod(powers, start=next(powers))
 
 
 def _valuation(n: int, p: int) -> int:
@@ -526,12 +550,6 @@ def normalize_factorization(ring, factors,
     return sp_factor(prod(factors, start=unit), bounds=bounds)
 
 
-def _radical_over(i, primes):
-    """Product of the primes above `primes` that divide I, by the HNF exponent formula:
-    its radical if they cover N(I).  The test reference for `verify_chain`."""
-    return prod((p for p, _ in i._prime_factors(_splittings(i.ring, primes))), start=i.unit())
-
-
 def verify_chain(chain: RadicalChain, ideal=None,
                  bounds: Bounds = DEFAULT_BOUNDS) -> dict[str, bool]:
     """Re-check every RadicalChain invariant; used by reports and tests.
@@ -542,7 +560,7 @@ def verify_chain(chain: RadicalChain, ideal=None,
     split again), or for a chain that records none, the primes above its
     links' norms.  A link with a prime factor outside the recorded ones cannot
     divide I: the recorded primes that contain it miss that factor, so the
-    link fails the check.
+    link fails the check.  Equal links are checked once.
     """
     links = list(chain.links)
     if chain.factorization is not None:
@@ -554,7 +572,8 @@ def verify_chain(chain: RadicalChain, ideal=None,
     checks = {
         "ascending": all(b.contains(a) for a, b in zip(links, links[1:])),
         "links_radical": all(
-            prod((p for p in primes if p.contains(l)), start=l.unit()) == l for l in links),
+            prod((p for p in primes if p.contains(l)), start=l.unit()) == l
+            for l in dict.fromkeys(links)),
         "links_proper": all(not l.is_whole for l in links),
     }
     if ideal is not None:

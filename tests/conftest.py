@@ -1,6 +1,7 @@
 import os
 import random
 from itertools import zip_longest
+from math import prod
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def random_quad_ideal(rng, ring, max_norm=10 ** 6):
             continue
         if not ideal.is_whole and ideal.norm <= max_norm:
             return ideal
+
+
+def reference_product(i, j):
+    """Oracle: I*J as the HNF of the four products of basis rows, through the
+    checked constructor.  Independent of the composition of primitive parts
+    in `QuadIdeal.__mul__`."""
+    rows = [i.ring.mul_elements(u, v) for u in i.basis() for v in j.basis()]
+    return q.QuadIdeal(i.ring, *q._hnf_rows(rows))
+
+
+def reference_radical_over(i, primes):
+    """Oracle: the product of the primes above `primes` that divide I, by the
+    HNF exponent formula: the radical of I if they cover N(I).  Independent
+    of the re-multiplied factorization that `quadring.radical` reads."""
+    return prod((p for p, _ in i._prime_factors(q._splittings(i.ring, primes))),
+                start=i.unit())
 
 
 def reference_exponent(ideal, prime):

@@ -1,5 +1,6 @@
 import contextlib
 import random
+from itertools import groupby
 from math import prod
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (SUPPORTED_D, random_quad_ideal, random_radical_quad_ideal,
-                      reference_factorization)
+                      reference_factorization, reference_product, reference_radical_over)
 from radfact import quadring as q
 from radfact.errors import Bounds, ResourceLimitError
 
@@ -125,6 +126,55 @@ def test_norm_multiplicativity_random(rng):
             i = random_quad_ideal(rng, ring, 10 ** 4)
             j = random_quad_ideal(rng, ring, 10 ** 4)
             assert (i * j).norm == i.norm * j.norm
+
+
+# k*(m, x + y*w): content k, small m so that two draws often share a prime, and
+# (1, 0) for the unit ideal; or k times a prime above 2, 3, 5 or 7
+drawn_ideals = st.one_of(
+    st.tuples(st.just("gens"), st.integers(1, 12), st.integers(1, 60),
+              st.integers(-20, 20), st.integers(-20, 20)),
+    st.tuples(st.just("prime"), st.integers(1, 12), st.sampled_from((2, 3, 5, 7)),
+              st.integers(0, 1)))
+
+
+def drawn_ideal(ring, drawn):
+    """The ideal a `drawn_ideals` tuple names, built without any ideal product."""
+    kind, k, *rest = drawn
+    if kind == "gens":
+        m, x, y = rest
+        gens = [(m, 0), (x, y)]
+    else:
+        p, which = rest
+        above = q.primes_above(ring, p)
+        gens = above[which % len(above)][0].basis()
+    return q.ideal_from_gens(ring, [(k * x, k * y) for x, y in gens])
+
+
+@pytest.mark.parametrize("d", SUPPORTED_D)
+@given(i=drawn_ideals, j=drawn_ideals)
+@example(i=("gens", 1, 1, 0, 0), j=("prime", 3, 2, 0))
+@example(i=("prime", 1, 2, 0), j=("prime", 1, 2, 0))
+@example(i=("prime", 4, 3, 1), j=("prime", 6, 3, 0))
+@example(i=("gens", 6, 36, 5, 1), j=("gens", 10, 60, 3, -2))
+def test_product_in_closed_form_matches_the_four_row_hnf(d, i, j):
+    ring = q.QuadRing(d)
+    i, j = drawn_ideal(ring, i), drawn_ideal(ring, j)
+    ij = i * j
+    assert ij == reference_product(i, j)
+    assert ij == j * i
+    assert ij.norm == i.norm * j.norm
+
+
+@pytest.mark.parametrize("d", [-5, -1, 5])
+@given(pick=st.lists(st.integers(0, 2), min_size=1, max_size=8))
+@example(pick=[0, 1, 0, 0, 1])
+@example(pick=[2, 2, 2, 0, 2, 2])
+def test_chain_product_by_runs_is_the_left_to_right_product(d, pick):
+    ring = q.QuadRing(d)
+    pool = [q.primes_above(ring, 2)[0][0], q.primes_above(ring, 3)[-1][0],
+            q.principal_ideal(ring, (6, 1))]
+    links = tuple(pool[k] for k in pick)
+    assert q.RadicalChain(links).product() == prod(links[1:], start=links[0])
 
 
 def test_contains_and_sum():
@@ -376,14 +426,14 @@ def test_int_factorization_is_remultiplied(monkeypatch):
 def test_radical_from_the_factorization_matches_the_recheck_route_quad(seed, d):
     ideal = random_quad_ideal(random.Random(seed), q.QuadRing(d))
     pf = ideal.factorization()
-    assert q.radical(ideal) == q._radical_over(ideal, pf.rational_primes)
+    assert q.radical(ideal) == reference_radical_over(ideal, pf.rational_primes)
 
 
 @given(n=st.integers(2, 10 ** 9))
 def test_radical_from_the_factorization_matches_the_recheck_route_int(n):
     ideal = q.IntIdeal(n)
     pf = ideal.factorization()
-    assert q.radical(ideal) == q._radical_over(ideal, pf.rational_primes)
+    assert q.radical(ideal) == reference_radical_over(ideal, pf.rational_primes)
 
 
 # --- chain assembly counts: products and splittings per routine -----------------
@@ -420,8 +470,11 @@ def test_chain_assembly_counts(seed, d):
     factorization_products = n["products"]
     with counted() as n:
         chain = q.sp_factor(ideal)
-    # one product per prime factor for the links, len - 1 to re-multiply them
-    assert n["products"] == factorization_products + len(pf) + len(chain) - 1
+    # one product per prime factor for the links; the re-multiplication raises
+    # each run of m equal links to its length by squaring, then joins the runs
+    runs = [sum(1 for _ in run) for _, run in groupby(chain.links)]
+    remultiply = sum(m.bit_length() + bin(m).count("1") - 2 for m in runs) + len(runs) - 1
+    assert n["products"] == factorization_products + len(pf) + remultiply
     # each link's radical is read off the recorded primes: nothing is split again
     with counted() as n:
         assert all(q.verify_chain(chain, ideal).values())
@@ -433,7 +486,7 @@ def test_chain_assembly_counts_on_a_high_power():
     ideal = q.principal_ideal(q.QuadRing(-5), (2 ** 18 * 3, 0))
     with counted() as n:
         chain = q.sp_factor(ideal)
-    assert len(chain) == 36 and n["products"] <= 47
+    assert len(chain) == 36 and n["products"] <= 20
     with counted() as n:
         assert all(q.verify_chain(chain, ideal).values())
     assert n["splittings"] == 0
