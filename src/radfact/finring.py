@@ -32,7 +32,8 @@ eA is a unit of eA exactly when xA = eA.
 row per associate class, the row of its least element, and gives every
 element of the class that mask: 25 rows instead of 256 for Z16 x Z16.
 `sspengine.is_multiplication_module` sends the cyclic submodules Rm through
-the same kernel, as R(um) = Rm.
+the same kernel, as R(um) = Rm: a module is a multiplication module exactly
+when it is cyclic, one of the Rm.
 
 Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
 x*w + y for a second part of order w, so a free-module vector or a residue of

@@ -12,16 +12,17 @@ reads the order and special-primary verdict of each local factor eA inside
 the ring itself, through xA = eA, and builds no factor ring.
 `is_vnr` counts the nilpotents on the cached power map, since a finite
 commutative ring is von Neumann regular exactly when it is reduced.
-`is_multiplication_module` decides on the cyclic submodules alone.
+`is_multiplication_module` tests cyclicity, since over a finite commutative
+ring a module is a multiplication module exactly when it is cyclic.
 """
 
 from __future__ import annotations
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
-from .finideal import (FinIdeal, _lattice_product, _power_map, _radical_masks, _span, all_ideals,
+from .finideal import (FinIdeal, _lattice_product, _power_map, _radical_masks, all_ideals,
                        ideal_product)
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
-                      _principal_masks, _row_masks, _special_primary, mask_of, units)
+                      _principal_masks, _row_masks, _special_primary, units)
 
 # What `decide-ssp` reports as `sp_note` beside `is_sp`, which is always true.
 SP_NOTE = ("in a finite commutative ring every regular element is a unit, so the "
@@ -154,20 +155,21 @@ def is_vnr(a: FinRing) -> bool:
     return int((_power_map(a) == a.zero).sum()) == 1
 
 
-def _ideal_image_masks(e: FinModule, bounds: Bounds) -> set[int]:
-    """The submodules IE, for I ranging over all ideals of the base ring."""
-    return {_span(e.add, 1 << e.zero, [mask_of(e.action[g]) for g in ideal.small_gens()])
-            for ideal in all_ideals(e.ring, bounds)}
-
-
-def is_multiplication_module(e: FinModule, bounds: Bounds = DEFAULT_BOUNDS) -> bool:
+def is_multiplication_module(e: FinModule) -> bool:
     """Test that every submodule F of e equals IE for some ideal I.
 
-    The cyclic submodules Rm decide it (El-Bast and Smith, Comm. Algebra
-    16, 1988): if each Rm is I_m E, then F is the sum of its Rm, which is
-    (sum of the I_m) E.
+    Over a finite commutative ring A that holds exactly when e is cyclic
+    (El-Bast and Smith, Comm. Algebra 16, 1988), so no lattice is enumerated:
+    (<=) a submodule F of Am equals (F : m)m, with (F : m) = {r : rm in F};
+    (=>) A is the product of the local rings fA over its primitive idempotents
+    f, and each fE is a multiplication module over fA (F inside fE is IE, so
+    F = (fI)(fE)).  The maximal ideal M of fA is nilpotent, so M(fE) != fE
+    when fE != 0 (Nakayama), and some m in fE outside M(fE) has Am = I(fE)
+    for an ideal I of fA not inside M: I = fA and Am = fE.  E, the sum of
+    the fE, is then generated by the sum m of their generators m_f, as
+    fm = m_f.
     """
     # row m of the transposed action is {r·m : r in ring}, the submodule Rm, and
     # Rm = R(um) for a unit u; a list, not the tuple, indexes rows of the action
     cyclic = _row_masks(e.action.T, e.action[list(units(e.ring))])
-    return set(cyclic) <= _ideal_image_masks(e, bounds)
+    return (1 << e.size) - 1 in cyclic

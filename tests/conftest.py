@@ -11,7 +11,7 @@ from radfact import cli
 from radfact import finring as fr
 from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS, exceeded
-from radfact.finideal import all_ideals, ideal_product
+from radfact.finideal import _span, all_ideals, generated_ideal, ideal_product
 from radfact.polychain import RatPoly, format_poly
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
@@ -98,6 +98,31 @@ def reference_primitive_idempotents(a):
     idems = fr.idempotents(a)
     return [e for e in idems if e != a.zero
             and all(f in (a.zero, e) for f in idems if a.mul_el(e, f) == f)]
+
+
+def reference_ideal_image_masks(e, bounds=DEFAULT_BOUNDS):
+    """Oracle: the submodules IE, for I ranging over all ideals of the base
+    ring, each spanned from the images of I's generators.  A module is a
+    multiplication module exactly when every submodule is among them."""
+    return {_span(e.add, 1 << e.zero, [fr.mask_of(e.action[g]) for g in ideal.small_gens()])
+            for ideal in all_ideals(e.ring, bounds)}
+
+
+def reference_idealization_ssp(a, e):
+    """Oracle: whether A(+)E is SSP, by the local rule: for every primitive
+    idempotent f, either fE = 0 and fA is special primary, or fA is a field
+    and |fE| = |fA|.  fA is built as A/(1 - f)A and judged on its full
+    lattice; independent of the radical closure of A(+)E."""
+    for f in reference_primitive_idempotents(a):
+        one_minus_f = int(np.flatnonzero(a.add[f] == a.one)[0])
+        fa = fr.quotient(a, generated_ideal(a, [one_minus_f]))
+        verdict = reference_special_primary(fa)
+        fe_size = np.unique(e.action[f]).size
+        is_field = verdict.is_special_primary and verdict.nilpotency_index == 1
+        if not (fe_size == 1 and verdict.is_special_primary
+                or is_field and fe_size == fa.order):
+            return False
+    return True
 
 
 def reference_is_vnr(a):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (SEED, SUPPORTED_D, primes_containing, random_quad_ideal,
-                      random_zpi_ideal)
+                      random_zpi_ideal, reference_idealization_ssp)
 from radfact import cli
 from radfact import finring as fr
 from radfact import polychain as pc
@@ -96,6 +96,37 @@ def test_criterion_3_proposition_16_suite():
         e2 = fr.free_module(z2, 2)
         assert not ssp.is_multiplication_module(e2)
         assert not ssp.decide_ssp(fr.make_idealization(z2, e2)).is_ssp
+
+
+def _idealization_pairs():
+    """Every (A, E) with A one of 24 small rings, E one of 0, A, A^2, A^3 and
+    the A/I, and |A|·|E| <= 512."""
+    z2, z3 = fr.make_zn(2), fr.make_zn(3)
+    rings = [fr.make_zn(n) for n in range(1, 17)] + [
+        fr.make_poly_quotient(z2, [1, 1, 1]),           # GF(4)
+        fr.make_poly_quotient(z2, [0, 0, 1]), fr.make_poly_quotient(z3, [0, 0, 1]),
+        fr.make_product(z2, z2), fr.make_product(fr.make_product(z2, z2), z2),
+        fr.make_product(z2, fr.make_zn(4)), fr.make_product(z3, fr.make_zn(4)),
+        fr.make_idealization(z2, fr.module_from_ring(z2))]
+    pairs = []
+    for a in rings:
+        modules = [fr.zero_module(a), fr.module_from_ring(a), fr.free_module(a, 2),
+                   fr.free_module(a, 3)]
+        modules.extend(fr.quotient_module(a, i) for i in all_ideals(a))
+        pairs.extend((a, e) for e in modules if a.order * e.size <= 512)
+    return pairs
+
+
+def test_proposition_16_both_ways():
+    """A(+)E is SSP exactly when, for every primitive idempotent f, fE = 0 and
+    fA is special primary, or fA is a field and |fE| = |fA|.  VNR is not
+    needed: 23 of the SSP pairs have a base ring that is not VNR."""
+    pairs = _idealization_pairs()
+    assert len(pairs) == 155
+    verdicts = [ssp.decide_ssp(fr.make_idealization(a, e)).is_ssp for a, e in pairs]
+    assert [(a.label, e.label) for (a, e), v in zip(pairs, verdicts)
+            if v != reference_idealization_ssp(a, e)] == []
+    assert sum(v and not ssp.is_vnr(a) for (a, _), v in zip(pairs, verdicts)) == 23
 
 
 def test_criterion_4_dedekind_chain_suite():

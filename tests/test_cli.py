@@ -1090,7 +1090,8 @@ print(json.dumps({"code": code, "ran": sorted(
 """
 
 _CORE = ["radfact", "radfact.cli", "radfact.errors"]
-_TABLE_RING = ["radfact.finideal", "radfact.finring", "radfact.sspengine"]
+_LATTICE = ["radfact.finideal", "radfact.finring"]
+_TABLE_RING = _LATTICE + ["radfact.sspengine"]
 
 
 @pytest.mark.parametrize("argv, payload, engines", [
@@ -1098,7 +1099,9 @@ _TABLE_RING = ["radfact.finideal", "radfact.finring", "radfact.sspengine"]
     (["sf-chain", "x^3-x^2-x+1"], None, ["radfact.polychain"]),
     (["decide-ssp"], {"zn": 12}, _TABLE_RING),
     (["census"], {"catalog": [{"zn": 12}, {"product": [{"zn": 2}, {"zn": 3}]}]}, _TABLE_RING),
-], ids=["factor", "sf-chain", "decide-ssp", "census"])
+    (["spectrum"], {"product": [{"zn": 4}, {"zn": 3}]}, _LATTICE),
+    (["ideals"], {"product": [{"zn": 4}, {"zn": 3}]}, _LATTICE),
+], ids=["factor", "sf-chain", "decide-ssp", "census", "spectrum", "ideals"])
 def test_each_command_runs_only_the_engines_it_calls(tmp_path, argv, payload, engines):
     if payload is not None:
         path = tmp_path / "payload.json"

@@ -4,14 +4,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_is_vnr, reference_primitive_idempotents, ring_specs
+from conftest import (reference_ideal_image_masks, reference_idealization_ssp, reference_is_vnr,
+                      reference_primitive_idempotents, ring_specs)
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
-from radfact.errors import DEFAULT_BOUNDS
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
 from test_cli import run_cli
 from test_finideal import drawn_relabelled_ring
@@ -330,6 +330,36 @@ def test_proposition_16_instance():
     assert ssp.decide_ssp(fr.make_idealization(v, e)).is_ssp
 
 
+MODULE_KINDS = st.sampled_from(["self", "zero", "free", "quotient"])
+
+
+def drawn_module(ring, kind, pick, max_size):
+    """A module over `ring` of one of the four kinds, at most `max_size` elements:
+    the free module's rank and the quotient's ideal are chosen by `pick`."""
+    if kind == "self":
+        module = fr.module_from_ring(ring)
+    elif kind == "zero":
+        module = fr.zero_module(ring)
+    elif kind == "free":
+        rank = 1 + pick % 3
+        assume(ring.order ** rank <= max_size)
+        module = fr.free_module(ring, rank)
+    else:
+        ideals = all_ideals(ring)
+        module = fr.quotient_module(ring, ideals[pick % len(ideals)])
+    assume(module.size <= max_size)
+    return module
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1), MODULE_KINDS, st.integers(0, 2 ** 16))
+def test_proposition_16_both_ways_on_drawn_pairs(spec, seed, kind, pick):
+    """A(+)E is SSP exactly when the local rule of `reference_idealization_ssp` holds."""
+    _, a, _ = drawn_relabelled_ring(spec, seed, 64)
+    e = drawn_module(a, kind, pick, 512 // a.order)
+    assert ssp.decide_ssp(fr.make_idealization(a, e)).is_ssp == reference_idealization_ssp(a, e)
+
+
 def test_sp_note_names_the_unit_ideal_and_is_the_reported_note(capsys, tmp_path):
     assert "unit ideal" in ssp.SP_NOTE
     code, out, _ = run_cli(capsys, ["decide-ssp"], {"zn": 8}, tmp_path)
@@ -377,7 +407,7 @@ def test_multiplication_modules_match_the_definition(catalog_rings):
     verdicts = []
     for m in modules:
         assert m.size <= 16
-        images = ssp._ideal_image_masks(m, DEFAULT_BOUNDS)
+        images = reference_ideal_image_masks(m)
         verdicts.append(ssp.is_multiplication_module(m))
         assert verdicts[-1] == (brute_force_submodules(m) <= images), m.label
     assert True in verdicts and False in verdicts
@@ -395,8 +425,18 @@ def test_multiplication_modules_match_the_cyclic_submodules_one_column_at_a_time
         cyclic = [fr.mask_of(m.action[:, x]) for x in range(m.size)]
         assert fr._row_masks(m.action.T, m.action[list(fr.units(m.ring))]) == cyclic, m.label
         verdicts.append(ssp.is_multiplication_module(m))
-        assert verdicts[-1] == (set(cyclic) <= ssp._ideal_image_masks(m, DEFAULT_BOUNDS)), m.label
+        assert verdicts[-1] == (set(cyclic) <= reference_ideal_image_masks(m)), m.label
     assert True in verdicts and False in verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1), MODULE_KINDS, st.integers(0, 2 ** 16))
+def test_multiplication_modules_match_the_ideal_images_on_relabelled_rings(spec, seed, kind,
+                                                                           pick):
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 128)
+    m = drawn_module(ring, kind, pick, 256)
+    cyclic = {fr.mask_of(m.action[:, x]) for x in range(m.size)}
+    assert ssp.is_multiplication_module(m) == (cyclic <= reference_ideal_image_masks(m)), m.label
 
 
 def test_multiplication_module_of_z2_to_the_8_within_budget():
@@ -404,6 +444,23 @@ def test_multiplication_module_of_z2_to_the_8_within_budget():
     start = time.perf_counter()
     assert not ssp.is_multiplication_module(fr.free_module(fr.make_zn(2), 8))
     assert time.perf_counter() - start < 1.0
+
+
+def test_multiplication_module_enumerates_no_lattice(monkeypatch):
+    """A/M over Z2⋉Z2^7, whose base ring has 29,213 ideals, is decided without them."""
+    a = fr.ring_from_dict({"idealization": {"zn": 2, "module_rank": 7}})
+    e = fr.quotient_module(a, fr.is_special_primary(a).maximal_ideal)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice enumerated")
+
+    for name in ("all_ideals", "_join_closure", "_span"):
+        monkeypatch.setattr(finideal, name, refuse)
+    monkeypatch.setattr(ssp, "all_ideals", refuse)
+    start = time.perf_counter()
+    assert ssp.is_multiplication_module(e)
+    assert time.perf_counter() - start < 0.5
+    assert e.size == 2
 
 
 @pytest.mark.parametrize("factor, count, ideals, budget", [
