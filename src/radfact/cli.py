@@ -276,7 +276,7 @@ def census_rows(specs, bounds: Bounds = DEFAULT_BOUNDS):
         try:
             ring = finring.ring_from_dict(spec, bounds)
             factors = sspengine.local_factors(ring)
-            decided = sspengine.decide_ssp(ring, bounds).is_ssp
+            decided = sspengine.local_ssp(ring, factors, bounds)
         except (ValueError, ResourceLimitError) as exc:
             exc.args = (f"catalog[{k}]: {exc}",)
             raise

@@ -11,16 +11,22 @@ and the lattice is the join closure of those.  `_join_closure` walks the
 distinct principal ideals by size and sums each one that is not yet a known
 sum with every known ideal incomparable with it, in batched gathers
 (`_sums`): |L| sums per generator for a lattice of |L| ideals, keeping one
-bitset and one generator tuple per ideal.  Radicals of many ideals come
-from one gather of their membership rows through the power map
-(`_radical_masks`).  The spectrum needs no lattice: a finite ring is the
-product of its local factors eA, one per primitive idempotent e, and its
-primes are its maximal ideals {x : ex in M_e}, M_e the maximal ideal of eA
-(Atiyah-Macdonald, Thm 8.7 and Prop. 8.8), which `finring._special_primary`
-finds; `is_prime` and `vn_set` read that list.
+bitset and one generator tuple per ideal.  `_local_lattices` runs that
+closure once per local factor eA, over the principal ideals inside eA, for a
+caller that can work factor by factor; the product of their sizes is the
+ideal count, held to the same bound.  Radicals of many ideals come from one
+gather of their membership rows through the power map (`_radical_masks`,
+which `radical` and the SSP witness check read).  The spectrum needs no
+lattice: a finite ring is the product of its local factors eA, one per
+primitive idempotent e, and its primes are its maximal ideals
+{x : ex in M_e}, M_e the maximal ideal of eA (Atiyah-Macdonald, Thm 8.7 and
+Prop. 8.8), which `finring._special_primary` finds; `is_prime` and `vn_set`
+read that list.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -225,6 +231,29 @@ def all_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
         # a lattice cached under a larger bound
         exceeded("max-ideals", bounds.ideals, len(cached), "ideal count")
     return [FinIdeal._unchecked(a, m, gens=g) for m, g in cached]
+
+
+def _local_lattices(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, dict]]:
+    """The ideal lattice of each local factor eA, as (eA, {mask: generators}),
+    one per primitive idempotent e in index order, read on a's tables.
+
+    The ideals of a inside eA are the ideals of eA, and x lies in eA exactly
+    when xA does, so each lattice is the join closure of the principal ideals
+    inside eA.  The ideals of a are the sums of one ideal per factor, so the
+    product of the lattice sizes is a's ideal count, held to `bounds.ideals`
+    after every factor has been held to it on its own.
+    """
+    principal = _principal_masks(a)
+    cyclic = _distinct(principal)
+    out = []
+    for e in _primitive_idempotents(a):
+        whole = principal[e]
+        inside = [c for c in cyclic if c[0] & ~whole == 0]
+        out.append((whole, _join_closure(inside, a.add, bounds)))
+    count = math.prod(len(lattice) for _, lattice in out)
+    if count > bounds.ideals:
+        exceeded("max-ideals", bounds.ideals, count, "ideal count")
+    return out
 
 
 def ideal_sum(i: FinIdeal, j: FinIdeal) -> FinIdeal:

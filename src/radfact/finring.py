@@ -48,6 +48,8 @@ Its `poly_quotient` labels come from `errors._format_terms`, not `polychain`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (DEFAULT_BOUNDS, MAX_ORDER, Bounds, _format_terms, _json_object, _shown,
@@ -533,7 +535,13 @@ def _primitive_idempotents(a: FinRing) -> list[int]:
     idempotent but 0 and e, and an idempotent f lies in eA exactly when
     ef = f (f = ex gives ef = eex = f).  So e is kept when its cached
     principal mask, ANDed with the bitset of all idempotents, counts two.
+    The result is certified on the tables, and then cached on the ring: the
+    idempotents are orthogonal, they sum to 1, and the orders |eA| multiply
+    to |A|.
     """
+    cached = a._cache.get("primitive_idempotents")
+    if cached is not None:
+        return cached
     idems = idempotents(a)
     nonzero = [e for e in idems if e != a.zero]
     if len(nonzero) <= 1:
@@ -549,6 +557,10 @@ def _primitive_idempotents(a: FinRing) -> list[int]:
         acc = a.add_el(acc, e)
     if acc != a.one:
         raise ArithmeticError("primitive idempotents do not sum to 1")
+    if len(nonzero) > 1 and math.prod(principal[e].bit_count() for e in prim) != a.order:
+        # A = prod eA, so the orders multiply; a local ring's one factor is A itself
+        raise ArithmeticError("the local factors' orders do not multiply to the ring's order")
+    a._cache["primitive_idempotents"] = prim
     return prim
 
 

@@ -3,11 +3,17 @@
 `radical_closure` closes the radical ideals under ideal products and returns
 one `SspVerdict`: the ideal lattice and the closure's parent links, from
 which the verdict, the first non-factorable ideal and, on request, a
-shortest factorization of every ideal are read.  The radicals of all lattice
-ideals come from one gather (`finideal._radical_masks`); `SspVerdict.checks`
-re-checks every witness once.  A structurally
-independent oracle (`structural_ssp`) answers the same question through the
-local decomposition, so the two routes can be cross-checked: `local_factors`
+shortest factorization of every ideal are read.  The radical ideals are the
+meets of sets of primes, read off `finideal.prime_spectrum` with no lattice
+scan; `SspVerdict.checks` re-checks every witness once, the radicals through
+one independent gather (`finideal._radical_masks`).  A census needs only the
+verdict, which `local_ssp` decides one local factor eA at a time: the ideals,
+radicals and products of A = prod eA go componentwise, and the radicals of
+the local ring eA are its maximal ideal and eA, so each factor's lattice must
+be the closure of those two.  Both routes grow their closures through one
+breadth-first helper (`_closure`).  A structurally independent oracle
+(`structural_ssp`) answers the same question through the local
+decomposition, so the two routes can be cross-checked: `local_factors`
 reads the order and special-primary verdict of each local factor eA inside
 the ring itself, through xA = eA, and builds no factor ring.
 `is_vnr` counts the nilpotents on the cached power map, since a finite
@@ -19,8 +25,8 @@ ring a module is a multiplication module exactly when it is cyclic.
 from __future__ import annotations
 
 from .errors import DEFAULT_BOUNDS, Bounds, _Value
-from .finideal import (FinIdeal, _lattice_product, _power_map, _radical_masks, all_ideals,
-                       ideal_product)
+from .finideal import (FinIdeal, _lattice_product, _local_lattices, _power_map, _radical_masks,
+                       all_ideals, ideal_product, prime_spectrum)
 from .finring import (FinModule, FinRing, SpecialPrimaryVerdict, _primitive_idempotents,
                       _principal_masks, _row_masks, _special_primary, units)
 
@@ -95,36 +101,63 @@ class SspVerdict(_Value):
         return {i: self.factors_of(i) for i in self.lattice.values()}
 
 
+def _closure(product, radicals, whole, size):
+    """The parent links of every product of the sorted masks `radicals`, one
+    of them `whole`, reached breadth-first under `product`: None for a seed,
+    (member, radical) for a product, stopping once `size` masks are reached."""
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
+    proper = [r for r in radicals if r != whole]
+    frontier = radicals
+    while frontier and len(parent) < size:
+        nxt = []
+        for m in frontier:
+            for r in proper:
+                p = product(m, r)
+                if p not in parent:
+                    parent[p] = (m, r)
+                    if len(parent) == size:
+                        return parent   # every ideal is reached: nothing more is inserted
+                    nxt.append(p)
+        frontier = sorted(nxt)
+    return parent
+
+
 def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
-    """All products of radical ideals of a, with one witness expression each."""
+    """All products of radical ideals of a, with one witness expression each.
+
+    The radical ideals are the meets of sets of primes: every prime of a
+    finite ring is maximal, and a radical I is the meet of the maximal ideals
+    that contain it, as the Artinian reduced ring a/I has Jacobson radical 0.
+    """
     lattice = {i.mask: i for i in all_ideals(a, bounds)}
     product = _lattice_product(a, {m: i.small_gens() for m, i in lattice.items()})
-    masks = list(lattice)
-    radicals = [m for m, r in zip(masks, _radical_masks(a, masks)) if r == m]
-    proper_radicals = [r for r in radicals if r != a.whole_mask]
-    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
-
-    def grow(frontier):
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for r in proper_radicals:
-                    p = product(m, r)
-                    if p not in parent:
-                        parent[p] = (m, r)
-                        if len(parent) == len(lattice):
-                            return      # every ideal is reached: nothing more is inserted
-                        nxt.append(p)
-            frontier = sorted(nxt)
-
-    if len(parent) < len(lattice):
-        grow(radicals)
+    meets = {a.whole_mask}
+    for p in prime_spectrum(a):
+        meets |= {m & p.mask for m in meets}
+    parent = _closure(product, sorted(meets), a.whole_mask, len(lattice))
     return SspVerdict(a, parent, lattice)
 
 
 def decide_ssp(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     """Exhaustive SSP decision; the verdict unwinds its witnesses on request."""
     return radical_closure(a, bounds)
+
+
+def local_ssp(a: FinRing, factors: list[tuple[int, SpecialPrimaryVerdict]],
+              bounds: Bounds = DEFAULT_BOUNDS) -> bool:
+    """`decide_ssp(a).is_ssp`, decided one local factor at a time on a's tables.
+
+    `factors` is `local_factors(a)`.  The ideals of A = prod eA are the sums of
+    ideals I_e of the factors, and radicals and products go componentwise, so
+    an ideal is a product of radicals exactly when each I_e is one in eA (a
+    shorter product pads with eA, itself radical).  The radicals of the local
+    ring eA are its maximal ideal M_e and eA, so each factor's lattice
+    (`finideal._local_lattices`, bounded as `all_ideals` is) must be the
+    closure of {M_e, eA} under products.
+    """
+    return all(len(_closure(_lattice_product(a, lattice), [v.maximal_ideal.mask, whole], whole,
+                            len(lattice))) == len(lattice)
+               for (whole, lattice), (_, v) in zip(_local_lattices(a, bounds), factors))
 
 
 def local_factors(a: FinRing) -> list[tuple[int, SpecialPrimaryVerdict]]:

@@ -322,10 +322,7 @@ def test_census_empty_catalog(capsys, tmp_path):
 
 
 def test_census_disagreement_exits_4(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.sspengine, "decide_ssp",
-                        lambda ring, bounds: type(
-                            "V", (), {"is_ssp": False, "witness_nonfactorable": None,
-                                      "factorizations": {}})())
+    monkeypatch.setattr(cli.sspengine, "local_ssp", lambda ring, factors, bounds: False)
     payload = {"catalog": [{"zn": 4}]}
     code, out, _ = run_cli(capsys, ["census"], payload, tmp_path)
     assert code == 4
@@ -758,6 +755,31 @@ def test_max_ideals_stops_the_lattice_of_z2_to_the_12_at_limit_plus_1(capsys, tm
     code, out, err = run_cli(capsys, ["--max-ideals", "100", "ideals"], payload, tmp_path)
     assert code == 3 and out == ""
     assert "max-ideals" in err and "(limit 100, observed 101)" in err
+
+
+def test_max_ideals_stops_a_census_of_z2_to_the_12_at_the_exact_ideal_count(capsys, tmp_path):
+    # twelve factors of two ideals each: the product of the factor lattices' sizes
+    payload = {"catalog": [{"product": [{"zn": 2}] * 12}]}
+    code, out, err = run_cli(capsys, ["--max-ideals", "1000", "census"], payload, tmp_path)
+    assert code == 3 and out == ""
+    assert "max-ideals" in err and "(limit 1000, observed 4096)" in err
+
+
+def test_local_factors_whose_orders_do_not_multiply_exit_5(capsys, tmp_path, monkeypatch):
+    # Z6 with 5 put into the principal ideal of the idempotent 3: the idempotents
+    # 3 and 4 stay primitive, orthogonal and sum to 1, but 3 * 3 != 6
+    principal_masks = cli.finring._principal_masks
+
+    def widened(ring):
+        masks = list(principal_masks(ring))
+        masks[3] |= 1 << 5
+        return masks
+
+    monkeypatch.setattr(cli.finring, "_principal_masks", widened)
+    code, out, err = run_cli(capsys, ["census"], {"catalog": [{"zn": 6}]}, tmp_path)
+    assert code == 5 and out == ""
+    assert err == ("radfact: internal invariant failed: the local factors' orders do not "
+                   "multiply to the ring's order\n")
 
 
 def test_spectrum_enumerates_no_lattice_so_max_ideals_does_not_stop_it(capsys, tmp_path):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_ideal_image_masks, reference_idealization_ssp, reference_is_vnr,
-                      reference_primitive_idempotents, ring_specs)
+from conftest import (part_specs, reference_ideal_image_masks, reference_idealization_ssp,
+                      reference_is_vnr, reference_primitive_idempotents, ring_specs)
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
+from radfact.errors import Bounds, ResourceLimitError
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
 from test_cli import run_cli
 from test_finideal import drawn_relabelled_ring
@@ -105,16 +106,21 @@ def factor_fields(order, v):
 
 
 def assert_the_oracle_routes_agree(ring):
-    """The walk finds the primitive idempotents of the pairwise scan, and
-    reading each local factor inside the ring gives the verdict of the
-    factor ring that `decompose_local` builds."""
+    """The walk finds the primitive idempotents of the pairwise scan, reading
+    each local factor inside the ring gives the verdict of the factor ring
+    that `decompose_local` builds, and the census's closure per local factor
+    gives the verdict of the closure over the whole lattice."""
     assert fr._primitive_idempotents(ring) == reference_primitive_idempotents(ring), ring.label
     assert [factor_fields(order, v) for order, v in ssp.local_factors(ring)] == \
         [factor_fields(f.order, fr.is_special_primary(f)) for f in fr.decompose_local(ring)], \
         ring.label
+    assert ssp.local_ssp(ring, ssp.local_factors(ring)) == ssp.radical_closure(ring).is_ssp, \
+        ring.label
 
 
 def test_the_oracle_routes_agree_on_the_catalog(catalog_rings):
+    # Z1, with no primitive idempotent and no local factor, included
+    assert catalog_rings[0].order == 1
     for ring in catalog_rings:
         assert_the_oracle_routes_agree(ring)
 
@@ -124,6 +130,47 @@ def test_the_oracle_routes_agree_on_the_catalog(catalog_rings):
 def test_the_oracle_routes_agree_on_relabelled_rings(spec, seed):
     _, ring, _ = drawn_relabelled_ring(spec, seed, 128)
     assert_the_oracle_routes_agree(ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(part_specs, st.just({"zn": 1})), min_size=2, max_size=3))
+def test_the_local_verdict_matches_the_closure_on_drawn_products(parts):
+    try:
+        ring = fr.ring_from_dict({"product": parts}, Bounds(order=256))
+    except ResourceLimitError:
+        assume(False)
+    assert ssp.local_ssp(ring, ssp.local_factors(ring)) == ssp.radical_closure(ring).is_ssp
+
+
+def test_census_enumerates_no_whole_ring_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-ring lattice enumerated")
+
+    monkeypatch.setattr(finideal, "all_ideals", refuse)
+    monkeypatch.setattr(ssp, "all_ideals", refuse)
+    monkeypatch.setattr(ssp, "radical_closure", refuse)
+    rows = cli.census_rows(cli.default_catalog_specs())
+    assert len(rows) == 827 and all(r["agree"] for r in rows)
+
+
+def test_census_of_a_product_of_large_idealizations_closes_each_factor_once(monkeypatch):
+    """(Z2⋉Z2^5)² has 375² = 140,625 ideals; its census row enumerates the
+    two factors' lattices of 375, one `_join_closure` each."""
+    lattices = []
+    closure = finideal._join_closure
+
+    def spy(*args):
+        known = closure(*args)
+        lattices.append(len(known))
+        return known
+
+    monkeypatch.setattr(finideal, "_join_closure", spy)
+    factor = {"idealization": {"zn": 2, "module_rank": 5}}
+    start = time.perf_counter()
+    [row] = cli.census_rows([{"product": [factor, factor]}])
+    assert time.perf_counter() - start < 4.0
+    assert lattices == [375, 375]
+    assert row["local_profile"] == [64, 64] and not row["decide_ssp"] and row["agree"]
 
 
 def test_census_builds_no_factor_ring(monkeypatch):
