@@ -2,7 +2,8 @@
 
 Ideals are bitsets over element indices, in the format that `finring` owns
 (`mask_of`, `elements_of`, `_pack`, `_bits`, `_bit_rows`, and the table of
-principal ideals `_principal_masks` that it caches on the ring), compared
+principal ideals `_principal_masks` and their distinct (bitset, least
+generator) pairs `_principal_ideals`, which it caches on the ring), compared
 and hashed by value; every list of ideals produced here comes back sorted
 by bitset value so output is deterministic.  Enumeration never touches the
 power set: every ideal is a sum of principal ideals, so an ideal that is
@@ -31,8 +32,9 @@ import math
 import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds, _strict_int, exceeded
-from .finring import (FinRing, _bit_rows, _bits, _distinct, _pack, _primitive_idempotents,
-                      _principal_masks, _special_primary, elements_of, mask_of)
+from .finring import (FinRing, _bit_rows, _bits, _pack, _primitive_idempotents,
+                      _principal_ideals, _principal_masks, _special_primary, elements_of,
+                      mask_of)
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.
@@ -224,7 +226,7 @@ def all_ideals(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[FinIdeal]:
     """Every ideal of a, in sorted bitset order."""
     cached = a._cache.get("ideals")
     if cached is None:
-        known = _join_closure(_distinct(_principal_masks(a)), a.add, bounds)
+        known = _join_closure(_principal_ideals(a), a.add, bounds)
         cached = sorted(known.items())
         a._cache["ideals"] = cached
     if len(cached) > bounds.ideals:
@@ -243,12 +245,11 @@ def _local_lattices(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[i
     product of the lattice sizes is a's ideal count, held to `bounds.ideals`
     after every factor has been held to it on its own.
     """
-    principal = _principal_masks(a)
-    cyclic = _distinct(principal)
+    principal, cyclic = _principal_masks(a), _principal_ideals(a)
     out = []
     for e in _primitive_idempotents(a):
         whole = principal[e]
-        inside = [c for c in cyclic if c[0] & ~whole == 0]
+        inside = [c for c in cyclic if whole >> c[1] & 1]   # gA lies in eA when g does
         out.append((whole, _join_closure(inside, a.add, bounds)))
     count = math.prod(len(lattice) for _, lattice in out)
     if count > bounds.ideals:

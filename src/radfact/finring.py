@@ -26,19 +26,27 @@ bitset (`_principal_masks`, cached on the ring here and read by `finideal`
 and `sspengine` too) with the bitset of the idempotents.  So a is local
 exactly when 1 is its only nonzero idempotent, and the special-primary
 verdict of a local factor eA is read inside a (`_special_primary`): x in
-eA is a unit of eA exactly when xA = eA.
+eA is a unit of eA exactly when xA = eA, so the maximal ideal of eA is the
+union of the principal ideals strictly inside eA.
 `decompose_local` builds eA only for a caller that wants it.  Since
 (ux)A = xA for a unit u, `_row_masks` scatters and packs one multiplication
 row per associate class, the row of its least element, and gives every
-element of the class that mask: 25 rows instead of 256 for Z16 x Z16.
-`sspengine.is_multiplication_module` sends the cyclic submodules Rm through
-the same kernel, as R(um) = Rm: a module is a multiplication module exactly
-when it is cyclic, one of the Rm.
+element of the class that mask: 25 rows instead of 256 for Z16 x Z16.  The
+same rows give the distinct principal ideals with their least generators
+(`_principal_ideals`), which the lattice and the verdict walk one class at
+a time.  `sspengine.is_multiplication_module` sends the cyclic submodules
+Rm through the same kernel, as R(um) = Rm: a module is a multiplication
+module exactly when it is cyclic, one of the Rm.
 
 Composite elements have mixed-radix indices: `_pair_table` indexes a pair (x, y)
 x*w + y for a second part of order w, so a free-module vector or a residue of
-Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  Horner's rule fills the
-product of Z/n[x]/(f): a = a_0 + x*a' has index a_0 + n*a', with a' < a.
+Z/n[x]/(f) with coefficients v_i is sum v_i n^i.  It fills a product,
+free-module or idealization table by row blocks: the first part's table
+times w, repeated w times along its columns, plus the second part, tiled
+along them when it does not depend on the first part's column, so that one
+add runs along a whole block of a row, not along w entries; both copies are
+bounded by `_PAIR_BLOCK`.  Horner's rule fills the product of Z/n[x]/(f):
+a = a_0 + x*a' has index a_0 + n*a', with a' < a.
 
 All values are immutable after construction and every operation here is a
 pure function of its inputs.  This module, and numpy with it, runs on the
@@ -61,6 +69,9 @@ _HORNER_BLOCK = 1 << 18
 # Xeon VM, at order 4096 with every element its own label (Z2^12), one index of all
 # 16M entries peaked at 151 MB and took 90 ms; blocks of this size 19 MB and 49 ms
 _SCATTER_BLOCK = 1 << 18
+# The most entries (1 MiB of int32) of the repeated first part, and of the tiled
+# second part, that one add of _pair_table reads
+_PAIR_BLOCK = 1 << 18
 
 
 def _check_order(order, bounds, what):
@@ -121,8 +132,9 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_bits(mask, mask.bit_length())).tolist())
 
 
-def _row_masks(table, unit_rows) -> list[int]:
-    """Row i of `table`, as the bitset of its entries, for every i; equal rows share one int.
+def _row_masks(table, unit_rows) -> tuple[list[int], list[tuple[int, int]]]:
+    """Row i of `table`, as the bitset of its entries, for every i (equal rows
+    share one int), and the distinct bitsets as sorted (bitset, least index) pairs.
 
     Entries index the rows: row i lists the set that element i generates,
     as i*R for `mul` or R*i for the transposed action of a module.  Row j of
@@ -133,7 +145,9 @@ def _row_masks(table, unit_rows) -> list[int]:
     that i generates, so every mask is the one row i would give.  With no
     unit (tables from `_trusted` that are no ring) each row is its own label.
     Equal sets of two classes still share one int, so nothing here assumes
-    that equal principal ideals come from associates.
+    that equal principal ideals come from associates.  A label is at most
+    every index of its class, so the least index with a given bitset is the
+    least label with it: the pairs are read off the packed rows alone.
     """
     n = table.shape[0]
     idx = np.arange(n)
@@ -146,16 +160,21 @@ def _row_masks(table, unit_rows) -> list[int]:
     for i in range(0, rows.size, step):
         block = table[rows[i:i + step]]
         flat[(np.arange(i * n, (i + len(block)) * n, n)[:, None] + block).ravel()] = True
-    mask = dict(zip(rows.tolist(), _pack(member)))
-    return [mask[label] for label in labels.tolist()]
+    rows, packed = rows.tolist(), _pack(member)
+    mask = dict(zip(rows, packed))
+    # labels ascend, so walked backwards the least label of each bitset is written last
+    least = dict(zip(reversed(packed), reversed(rows)))
+    return [mask[label] for label in labels.tolist()], sorted(least.items())
 
 
-def _distinct(masks):
-    """The distinct masks as sorted (bitset, least index) pairs."""
-    seen = {}
-    for i, mask in enumerate(masks):
-        seen.setdefault(mask, i)
-    return sorted(seen.items())
+def _principal(a):
+    """`_row_masks` of `mul` through the units' rows, cached on the ring."""
+    cached = a._cache.get("principal_masks")
+    if cached is None:
+        # row x of mul is the set x*R, already closed under + and outer multiplication
+        unit_rows = a.mul[np.asarray(units(a), dtype=np.intp)]
+        cached = a._cache["principal_masks"] = _row_masks(a.mul, unit_rows)
+    return cached
 
 
 def _principal_masks(a) -> list[int]:
@@ -164,12 +183,13 @@ def _principal_masks(a) -> list[int]:
     One row is packed per associate class (`_row_masks`), through the units'
     rows of `mul`.
     """
-    cached = a._cache.get("principal_masks")
-    if cached is None:
-        # row x of mul is the set x*R, already closed under + and outer multiplication
-        unit_rows = a.mul[np.asarray(units(a), dtype=np.intp)]
-        cached = a._cache["principal_masks"] = _row_masks(a.mul, unit_rows)
-    return cached
+    return _principal(a)[0]
+
+
+def _principal_ideals(a) -> list[tuple[int, int]]:
+    """The distinct principal ideals of a as sorted (bitset, least generator)
+    pairs, cached with `_principal_masks`: one pair per packed class row."""
+    return _principal(a)[1]
 
 
 def _additive_generators(add, zero):
@@ -412,12 +432,36 @@ def make_poly_quotient(base: FinRing, f, bounds: Bounds = DEFAULT_BOUNDS) -> Fin
 def _pair_table(first, second):
     """The int32 table on pairs (x, y), indexed x*w + y: entry first[i, j] in
     the first coordinate, second[i, y1, j, y2] (broadcast; last axis w, axis 1
-    of length w or 1) in the second.  Filled in place in C order: no temporary."""
-    x = first[:, None, :, None]
-    table = np.empty(np.broadcast_shapes(x.shape, second.shape), dtype=np.int32)
-    np.multiply(x, second.shape[-1], out=table)
-    table += second
-    return table.reshape(table.shape[0] * table.shape[1], -1)
+    of length h) in the second.
+
+    The table is filled on its 4-D view (i, y1, j, y2), a block of rows i and
+    columns j at a time, so that each add runs along a whole row block of
+    (j, y2): first*w is repeated w times along its columns, and a second part
+    that does not depend on j is tiled along j.  Both copies hold at most
+    _PAIR_BLOCK entries (or one table row); a second part whose one column
+    fills the block is read untiled, along its rows of length w.
+    """
+    a, b = first.shape
+    h, w = second.shape[1], second.shape[3]
+    table = np.empty((a, h, b, w), dtype=np.int32)
+    cols = b
+    if second.shape[2] == 1:
+        # repeated along its axis of length 1, the column is tiled along j
+        tile = min(b, _PAIR_BLOCK // (second.shape[0] * h * w))
+        if tile > 1:
+            second, cols = np.repeat(second, tile, axis=2), tile
+    rows = max(1, _PAIR_BLOCK // (cols * w))
+    for i in range(0, a, rows):
+        part = second[i:i + rows] if second.shape[0] > 1 else second
+        for j in range(0, b, cols):
+            x = np.repeat(first[i:i + rows, j:j + cols], w, axis=1)
+            x *= w
+            k = x.shape[1] // w
+            # a second part with all b columns is read at j; a tile, or one
+            # column broadcast along j, is the same at every j
+            np.add(x.reshape(-1, 1, k, w), part[:, :, j:j + k] if part.shape[2] == b
+                   else part[:, :, :k], out=table[i:i + rows, :, j:j + k])
+    return table.reshape(a * h, b * w)
 
 
 def make_product(a: FinRing, b: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> FinRing:
@@ -542,12 +586,12 @@ def _primitive_idempotents(a: FinRing) -> list[int]:
     cached = a._cache.get("primitive_idempotents")
     if cached is not None:
         return cached
-    idems = idempotents(a)
-    nonzero = [e for e in idems if e != a.zero]
+    is_idem = a.mul.diagonal() == np.arange(a.order)
+    nonzero = [e for e in np.flatnonzero(is_idem).tolist() if e != a.zero]
     if len(nonzero) <= 1:
         prim = nonzero      # a local ring, the zero ring, or tables that are no ring
     else:
-        principal, idem_mask = _principal_masks(a), mask_of(idems)
+        principal, idem_mask = _principal_masks(a), _pack([is_idem])[0]
         prim = [e for e in nonzero if (principal[e] & idem_mask).bit_count() == 2]
     products = a.mul[np.ix_(prim, prim)]
     if (products[~np.eye(len(prim), dtype=bool)] != a.zero).any():
@@ -590,19 +634,25 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
     idempotent e of a, read off a's own tables without building eA.
 
     An element x of eA is a unit of eA exactly when xA = eA, so the
-    non-units M of eA are the members whose principal mask is not eA's.
-    Since e is primitive, eA is local and M is its maximal ideal, an ideal
-    of a too (with a's zero), which the verdict carries; M^t and the
-    nilpotency index are the same in a as in eA.
+    non-units M of eA are the x in eA whose principal ideal xA lies strictly
+    inside eA.  Each such x lies in its own xA, and each such xA lies in M,
+    since e is primitive and eA is local: M is the union of the principal
+    ideals strictly inside eA, one OR over the distinct principal ideals
+    (`_principal_ideals`), with no member of eA visited.  A principal ideal
+    gA lies in eA exactly when its generator g does.  M = mA for some m
+    exactly when the union is itself one of those ideals, and its least
+    generator is then m.  M is the maximal ideal of eA and an ideal of a
+    too (with a's zero), which the verdict carries; M^t and the nilpotency
+    index are the same in a as in eA.
     """
     from .finideal import FinIdeal, ideal_product
 
-    principal = _principal_masks(a)
-    whole = principal[e]
-    members = np.flatnonzero(_bits(whole, a.order))
-    nonunits = members[np.array([principal[x] != whole for x in members.tolist()], dtype=bool)]
-    mask = mask_of(nonunits)
-    gen = next((x for x in nonunits.tolist() if principal[x] == mask), None)
+    whole = _principal_masks(a)[e]
+    inside = [(m, g) for m, g in _principal_ideals(a) if whole >> g & 1 and m != whole]
+    mask = 0
+    for m, _ in inside:
+        mask |= m
+    gen = next((g for m, g in inside if m == mask), None)
     if gen is not None:
         # M = mA, so M^t = (m^t)A is zero exactly when m^t is
         x, t = gen, 1

@@ -203,6 +203,7 @@ def is_multiplication_module(e: FinModule) -> bool:
     fm = m_f.
     """
     # row m of the transposed action is {r·m : r in ring}, the submodule Rm, and
-    # Rm = R(um) for a unit u; a list, not the tuple, indexes rows of the action
-    cyclic = _row_masks(e.action.T, e.action[list(units(e.ring))])
-    return (1 << e.size) - 1 in cyclic
+    # Rm = R(um) for a unit u; a list, not the tuple, indexes rows of the action.
+    # The distinct Rm come sorted, and the whole module's bitset is the largest
+    _, cyclic = _row_masks(e.action.T, e.action[list(units(e.ring))])
+    return cyclic[-1][0] == (1 << e.size) - 1

@@ -5,12 +5,13 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from radfact import cli
 from radfact import finring as fr
 from radfact import quadring as q
-from radfact.errors import DEFAULT_BOUNDS, exceeded
+from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError, exceeded
 from radfact.finideal import _span, all_ideals, generated_ideal, ideal_product
 from radfact.polychain import RatPoly, format_poly
 
@@ -142,6 +143,63 @@ def relabelled(ring, perm):
     sub = np.ix_(back, back)
     return fr.FinRing(ring.order, perm[ring.add[sub]], perm[ring.mul[sub]],
                       int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}'")
+
+
+def drawn_relabelled_ring(spec, seed, order):
+    """The ring of `spec` (at most `order` elements) under a random relabelling
+    that moves zero off index 0, with the relabelling."""
+    try:
+        base = fr.ring_from_dict(spec, Bounds(order=order))
+    except ResourceLimitError:
+        assume(False)
+    assume(base.order > 1)
+    perm = np.random.default_rng(seed).permutation(base.order)
+    if perm[base.zero] == 0:
+        perm = (perm + 1) % base.order
+    ring = relabelled(base, perm)
+    assert ring.zero != 0
+    return base, ring, perm
+
+
+def reference_distinct(masks):
+    """Oracle: the distinct masks as sorted (bitset, least index) pairs, one
+    dictionary entry per element.  Independent of the class rows that
+    `finring._row_masks` reads the pairs from."""
+    seen = {}
+    for i, mask in enumerate(masks):
+        seen.setdefault(mask, i)
+    return sorted(seen.items())
+
+
+def reference_ring_product(a, b):
+    """Oracle: the product ring a x b filled one element (x, y) at a time, with
+    index x*|b| + y; built by the verifying constructor."""
+    w, order = b.order, a.order * b.order
+    xs, ys = np.divmod(np.arange(order), w)
+    add = np.empty((order, order), dtype=np.int64)
+    mul = np.empty_like(add)
+    for p in range(order):
+        x, y = divmod(p, w)
+        add[p] = a.add[x, xs].astype(np.int64) * w + b.add[y, ys]
+        mul[p] = a.mul[x, xs].astype(np.int64) * w + b.mul[y, ys]
+    return fr.FinRing(order, add, mul, a.zero * w + b.zero, a.one * w + b.one,
+                      f"{a.label} x {b.label}")
+
+
+def reference_idealization(a, e):
+    """Oracle: the idealization a(+)e filled one pair (r, m) at a time, with
+    index r*|e| + m and (r, m)(s, n) = (rs, rn + sm); built by the verifying
+    constructor."""
+    s, order = e.size, a.order * e.size
+    rs, ms = np.divmod(np.arange(order), s)
+    add = np.empty((order, order), dtype=np.int64)
+    mul = np.empty_like(add)
+    for p in range(order):
+        r, m = divmod(p, s)
+        add[p] = a.add[r, rs].astype(np.int64) * s + e.add[m, ms]
+        mul[p] = a.mul[r, rs].astype(np.int64) * s + e.add[e.action[r, ms], e.action[rs, m]]
+    return fr.FinRing(order, add, mul, a.zero * s + e.zero, a.one * s + e.zero,
+                      f"{a.label}(+){e.label}")
 
 
 def reference_poly_quotient(base, f):

@@ -5,18 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_is_prime, reference_join_closure, reference_maximal_ideals,
-                      relabelled, ring_specs)
+from conftest import (drawn_relabelled_ring, reference_distinct, reference_is_prime,
+                      reference_join_closure, reference_maximal_ideals, ring_specs)
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError
 from radfact.finideal import (FinIdeal, _join_closure, _radical_masks, all_ideals,
                               generated_ideal, ideal_power, ideal_product, ideal_sum, is_prime,
                               prime_spectrum, radical, vn_set, whole_ideal, zero_ideal)
-from radfact.finring import _distinct, _principal_masks
+from radfact.finring import _principal_ideals, _principal_masks
 
 
 def flagship():
@@ -327,7 +327,8 @@ def test_principal_ideals_match_one_row_at_a_time():
         seen = {}
         for g in range(ring.order):
             seen.setdefault(fr.mask_of(ring.mul[g]), g)
-        assert _distinct(_principal_masks(ring)) == sorted(seen.items()), ring
+        assert reference_distinct(_principal_masks(ring)) == sorted(seen.items()), ring
+        assert _principal_ideals(ring) == sorted(seen.items()), ring
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,7 +344,7 @@ def test_principal_masks_equal_the_rows_packed_one_at_a_time(spec, seed):
 def assert_join_closure_matches_the_reference(ring):
     """The closure has the oracle's masks, each under generators that
     generate it, and `all_ideals` lists them in sorted order."""
-    cyclic = _distinct(_principal_masks(ring))
+    cyclic = _principal_ideals(ring)
     known = _join_closure(cyclic, ring.add, DEFAULT_BOUNDS)
     reference = reference_join_closure(cyclic, ring.add)
     assert known.keys() == reference.keys(), ring.label
@@ -362,7 +363,7 @@ def test_join_closure_matches_the_pair_at_a_time_reference(catalog_rings):
 def test_a_principal_member_of_the_lattice_carries_its_least_generator(catalog_rings):
     rings = catalog_rings + [fr.ring_from_dict({"idealization": {"zn": 2, "module_rank": 6}})]
     for ring in rings:
-        cyclic = _distinct(_principal_masks(ring))
+        cyclic = _principal_ideals(ring)
         known = _join_closure(cyclic, ring.add, DEFAULT_BOUNDS)
         for mask, g in cyclic:
             assert known[mask] == (g,), (ring.label, mask)
@@ -373,22 +374,6 @@ def test_join_closure_in_gathers_of_a_few_sums_each(catalog_rings, monkeypatch):
     for ring in catalog_rings:
         if ring.order <= 64:
             assert_join_closure_matches_the_reference(ring)
-
-
-def drawn_relabelled_ring(spec, seed, order):
-    """The ring of `spec` (at most `order` elements) under a random relabelling
-    that moves zero off index 0, with the relabelling."""
-    try:
-        base = fr.ring_from_dict(spec, Bounds(order=order))
-    except ResourceLimitError:
-        assume(False)
-    assume(base.order > 1)
-    perm = np.random.default_rng(seed).permutation(base.order)
-    if perm[base.zero] == 0:
-        perm = (perm + 1) % base.order
-    ring = relabelled(base, perm)
-    assert ring.zero != 0
-    return base, ring, perm
 
 
 @settings(max_examples=60, deadline=None)

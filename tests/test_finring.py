@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (INTERNAL_PHRASES, part_specs, reference_free_module, reference_is_module,
-                      reference_poly_quotient, reference_primitive_idempotents,
+from conftest import (INTERNAL_PHRASES, drawn_relabelled_ring, part_specs, reference_free_module,
+                      reference_idealization, reference_is_module, reference_poly_quotient,
+                      reference_primitive_idempotents, reference_ring_product,
                       reference_special_primary, relabelled, ring_specs)
 from radfact import cli
 from radfact import finring as fr
@@ -369,15 +370,36 @@ def test_special_primary_of_the_2826_ideal_idealization():
 
 
 @settings(deadline=None)
-@given(ring_specs)
-def test_special_primary_matches_the_lattice_oracle_on_drawn_rings(spec):
-    try:
-        ring = fr.ring_from_dict(spec, Bounds(order=128))
-    except ResourceLimitError:
-        assume(False)
-    for f in [ring] + fr.decompose_local(ring):
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_special_primary_matches_the_lattice_oracle_on_drawn_rings(spec, seed):
+    """Also with zero and one moved off indices 0 and 1, where the OR of the
+    principal ideals inside eA must not lean on zero's index."""
+    base, ring, _ = drawn_relabelled_ring(spec, seed, 128)
+    for f in [base, ring] + fr.decompose_local(base) + fr.decompose_local(ring):
         assert verdict_fields(fr.is_special_primary(f)) == \
             verdict_fields(reference_special_primary(f)), f.label
+
+
+@pytest.mark.parametrize("spec", [{"product": [{"zn": 2}] * 12}, {"zn": 251}],
+                         ids=["Z2^12", "Z251"])
+def test_local_factors_visit_no_member_of_a_factor(spec, monkeypatch):
+    """A work count for the verdict per principal class: the maximal ideal of
+    each eA is an OR of the class rows' bitsets, so no element list is packed
+    (`mask_of`) and no bitset is unpacked (`_bits`), even with 4096 classes."""
+    from radfact import finideal, sspengine
+
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for module in (fr, finideal):
+        for name in ("mask_of", "_bits"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    ring = fr.ring_from_dict(spec)
+    factors = sspengine.local_factors(ring)
+    assert [v.is_special_primary for _, v in factors] == [True] * len(factors)
+    assert calls == []
 
 
 def test_special_primary_ideal_count_is_t_plus_one():
@@ -886,6 +908,42 @@ def test_poly_quotient_matches_the_row_fill_up_to_order_600(modulus):
     n, f = modulus
     base = fr.make_zn(n)
     assert_same_construction(fr.make_poly_quotient(base, f), reference_poly_quotient(base, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(part_specs, part_specs, st.integers(0, 2 ** 32 - 1), st.integers(0, 2),
+       st.sampled_from([fr._PAIR_BLOCK, 1, 7, 64]))
+def test_products_and_idealizations_match_the_element_fill(first, second, seed, rank, block):
+    """`_pair_table`'s row-block fill against one element at a time, on drawn
+    parts and on the same parts with zero and one moved off indices 0 and 1.
+    Small blocks split the fill into blocks of rows and of tiled columns."""
+    a, moved_a, _ = drawn_relabelled_ring(first, seed, 16)
+    b, moved_b, _ = drawn_relabelled_ring(second, seed + 1, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fr, "_PAIR_BLOCK", block)
+        for x, y in ((a, b), (moved_a, moved_b), (a, moved_b)):
+            assert_same_construction(fr.make_product(x, y), reference_ring_product(x, y))
+            modules = [fr.module_from_ring(x)]
+            if x.order ** (rank + 1) <= 256:
+                modules.append(fr.free_module(x, rank))
+            for e in modules:
+                assert_same_construction(fr.make_idealization(x, e), reference_idealization(x, e))
+
+
+@pytest.mark.parametrize("build, parent_peak_mib", [
+    (lambda: fr.free_module(Z2, 12), 80.05),
+    (lambda: fr.ring_from_dict({"idealization": {"zn": 2, "module_rank": 11}}), 144.05),
+], ids=["free_module", "idealization"])
+def test_row_block_fill_holds_one_table_at_order_4096(build, parent_peak_mib):
+    """The traced peak of the broadcast fill that the row-block fill replaced,
+    plus one repeated or tiled block: never a second full-size table (64 MiB)."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < parent_peak_mib * 2 ** 20 + 4 * fr._PAIR_BLOCK, peak / 2 ** 20
 
 
 def test_free_module_matches_the_digit_fill():

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (part_specs, reference_ideal_image_masks, reference_idealization_ssp,
-                      reference_is_vnr, reference_primitive_idempotents, ring_specs)
+from conftest import (drawn_relabelled_ring, part_specs, reference_distinct,
+                      reference_ideal_image_masks, reference_idealization_ssp, reference_is_vnr,
+                      reference_primitive_idempotents, ring_specs)
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
 from radfact.errors import Bounds, ResourceLimitError
 from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
 from test_cli import run_cli
-from test_finideal import drawn_relabelled_ring
 
 
 def flagship():
@@ -213,7 +213,7 @@ def test_principal_masks_pack_one_row_per_associate_class(spec, rows, catalog_ri
         ring._cache.pop("principal_masks", None)
         packed.clear()
         masks = fr._principal_masks(ring)
-        assert packed == [len(fr._distinct(masks))], ring.label
+        assert packed == [len(reference_distinct(masks))], ring.label
     assert packed == [rows]
 
 
@@ -470,7 +470,8 @@ def test_multiplication_modules_match_the_cyclic_submodules_one_column_at_a_time
     verdicts = []
     for m in modules:
         cyclic = [fr.mask_of(m.action[:, x]) for x in range(m.size)]
-        assert fr._row_masks(m.action.T, m.action[list(fr.units(m.ring))]) == cyclic, m.label
+        masks, classes = fr._row_masks(m.action.T, m.action[list(fr.units(m.ring))])
+        assert masks == cyclic and classes == reference_distinct(cyclic), m.label
         verdicts.append(ssp.is_multiplication_module(m))
         assert verdicts[-1] == (set(cyclic) <= reference_ideal_image_masks(m)), m.label
     assert True in verdicts and False in verdicts
