@@ -13,11 +13,12 @@ distinct principal ideals by size and sums each one that is not yet a known
 sum with every known ideal incomparable with it, in batched gathers
 (`_sums`): |L| sums per generator for a lattice of |L| ideals, keeping one
 bitset and one generator tuple per ideal.  `_local_lattices` runs that
-closure once per local factor eA, over the principal ideals inside eA, for a
-caller that can work factor by factor; the product of their sizes is the
-ideal count, held to the same bound.  Radicals of many ideals come from one
-gather of their membership rows through the power map (`_radical_masks`,
-which `radical` and the SSP witness check read).  The spectrum needs no
+closure once per local factor eA, over the principal ideals inside eA, for
+the census, which counts each lattice against the powers of the factor's
+maximal ideal; the product of their sizes is the ideal count, held to the
+same bound.  Radicals of many ideals come from one gather of their
+membership rows through the power map (`_radical_masks`, which `radical`
+and the SSP witness check read).  The spectrum needs no
 lattice: a finite ring is the product of its local factors eA, one per
 primitive idempotent e, and its primes are its maximal ideals
 {x : ex in M_e}, M_e the maximal ideal of eA (Atiyah-Macdonald, Thm 8.7 and
@@ -33,8 +34,8 @@ import numpy as np
 
 from .errors import DEFAULT_BOUNDS, Bounds, _strict_int, exceeded
 from .finring import (FinRing, _bit_rows, _bits, _pack, _primitive_idempotents,
-                      _principal_ideals, _principal_masks, _special_primary, elements_of,
-                      mask_of)
+                      _principal_ideals, _principal_ideals_in, _principal_masks,
+                      _special_primary, elements_of, mask_of)
 
 # The most sums one gather in `_sums` holds (16 MiB of int32): the subgroups
 # one ideal of a product of many fields lacks can hold millions of elements.
@@ -245,12 +246,9 @@ def _local_lattices(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[i
     product of the lattice sizes is a's ideal count, held to `bounds.ideals`
     after every factor has been held to it on its own.
     """
-    principal, cyclic = _principal_masks(a), _principal_ideals(a)
-    out = []
-    for e in _primitive_idempotents(a):
-        whole = principal[e]
-        inside = [c for c in cyclic if whole >> c[1] & 1]   # gA lies in eA when g does
-        out.append((whole, _join_closure(inside, a.add, bounds)))
+    principal = _principal_masks(a)
+    out = [(principal[e], _join_closure(_principal_ideals_in(a, e), a.add, bounds))
+           for e in _primitive_idempotents(a)]
     count = math.prod(len(lattice) for _, lattice in out)
     if count > bounds.ideals:
         exceeded("max-ideals", bounds.ideals, count, "ideal count")

@@ -33,8 +33,9 @@ union of the principal ideals strictly inside eA.
 row per associate class, the row of its least element, and gives every
 element of the class that mask: 25 rows instead of 256 for Z16 x Z16.  The
 same rows give the distinct principal ideals with their least generators
-(`_principal_ideals`), which the lattice and the verdict walk one class at
-a time.  `sspengine.is_multiplication_module` sends the cyclic submodules
+(`_principal_ideals`), and those inside one local factor eA
+(`_principal_ideals_in`), which the lattice and the verdict walk one class
+at a time.  `sspengine.is_multiplication_module` sends the cyclic submodules
 Rm through the same kernel, as R(um) = Rm: a module is a multiplication
 module exactly when it is cyclic, one of the Rm.
 
@@ -190,6 +191,13 @@ def _principal_ideals(a) -> list[tuple[int, int]]:
     """The distinct principal ideals of a as sorted (bitset, least generator)
     pairs, cached with `_principal_masks`: one pair per packed class row."""
     return _principal(a)[1]
+
+
+def _principal_ideals_in(a, e) -> list[tuple[int, int]]:
+    """The `_principal_ideals` pairs that lie in eA, for an idempotent e of a:
+    gA lies in eA exactly when its generator g does."""
+    whole = _principal_masks(a)[e]
+    return [c for c in _principal_ideals(a) if whole >> c[1] & 1]
 
 
 def _additive_generators(add, zero):
@@ -638,17 +646,16 @@ def _special_primary(a: FinRing, e: int) -> SpecialPrimaryVerdict:
     inside eA.  Each such x lies in its own xA, and each such xA lies in M,
     since e is primitive and eA is local: M is the union of the principal
     ideals strictly inside eA, one OR over the distinct principal ideals
-    (`_principal_ideals`), with no member of eA visited.  A principal ideal
-    gA lies in eA exactly when its generator g does.  M = mA for some m
-    exactly when the union is itself one of those ideals, and its least
-    generator is then m.  M is the maximal ideal of eA and an ideal of a
-    too (with a's zero), which the verdict carries; M^t and the nilpotency
-    index are the same in a as in eA.
+    inside eA (`_principal_ideals_in`), with no member of eA visited.
+    M = mA for some m exactly when the union is itself one of those ideals,
+    and its least generator is then m.  M is the maximal ideal of eA and an
+    ideal of a too (with a's zero), which the verdict carries; M^t and the
+    nilpotency index are the same in a as in eA.
     """
     from .finideal import FinIdeal, ideal_product
 
     whole = _principal_masks(a)[e]
-    inside = [(m, g) for m, g in _principal_ideals(a) if whole >> g & 1 and m != whole]
+    inside = [(m, g) for m, g in _principal_ideals_in(a, e) if m != whole]
     mask = 0
     for m, _ in inside:
         mask |= m

@@ -8,14 +8,14 @@ meets of sets of primes, read off `finideal.prime_spectrum` with no lattice
 scan; `SspVerdict.checks` re-checks every witness once, the radicals through
 one independent gather (`finideal._radical_masks`).  A census needs only the
 verdict, which `local_ssp` decides one local factor eA at a time: the ideals,
-radicals and products of A = prod eA go componentwise, and the radicals of
-the local ring eA are its maximal ideal and eA, so each factor's lattice must
-be the closure of those two.  Both routes grow their closures through one
-breadth-first helper (`_closure`).  A structurally independent oracle
-(`structural_ssp`) answers the same question through the local
-decomposition, so the two routes can be cross-checked: `local_factors`
-reads the order and special-primary verdict of each local factor eA inside
-the ring itself, through xA = eA, and builds no factor ring.
+radicals and products of A = prod eA go componentwise, and the products of
+radicals of the local ring eA are the powers of its maximal ideal, so each
+factor's lattice must hold nothing else, which its size alone tells.  A
+structurally independent oracle (`structural_ssp`) answers the same
+question through the local decomposition, so the two routes can be
+cross-checked: `local_factors` reads the order and special-primary verdict
+of each local factor eA inside the ring itself, through xA = eA, and builds
+no factor ring.
 `is_vnr` counts the nilpotents on the cached power map, since a finite
 commutative ring is von Neumann regular exactly when it is reduced.
 `is_multiplication_module` tests cyclicity, since over a finite commutative
@@ -101,27 +101,6 @@ class SspVerdict(_Value):
         return {i: self.factors_of(i) for i in self.lattice.values()}
 
 
-def _closure(product, radicals, whole, size):
-    """The parent links of every product of the sorted masks `radicals`, one
-    of them `whole`, reached breadth-first under `product`: None for a seed,
-    (member, radical) for a product, stopping once `size` masks are reached."""
-    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(radicals)
-    proper = [r for r in radicals if r != whole]
-    frontier = radicals
-    while frontier and len(parent) < size:
-        nxt = []
-        for m in frontier:
-            for r in proper:
-                p = product(m, r)
-                if p not in parent:
-                    parent[p] = (m, r)
-                    if len(parent) == size:
-                        return parent   # every ideal is reached: nothing more is inserted
-                    nxt.append(p)
-        frontier = sorted(nxt)
-    return parent
-
-
 def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     """All products of radical ideals of a, with one witness expression each.
 
@@ -134,7 +113,21 @@ def radical_closure(a: FinRing, bounds: Bounds = DEFAULT_BOUNDS) -> SspVerdict:
     meets = {a.whole_mask}
     for p in prime_spectrum(a):
         meets |= {m & p.mask for m in meets}
-    parent = _closure(product, sorted(meets), a.whole_mask, len(lattice))
+    # breadth-first from the sorted radicals, so unwinding parents gives a shortest product
+    frontier = sorted(meets)
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(frontier)
+    proper = [r for r in frontier if r != a.whole_mask]
+    while frontier and len(parent) < len(lattice):
+        nxt = []
+        for m in frontier:
+            for r in proper:
+                p = product(m, r)
+                if p not in parent:
+                    parent[p] = (m, r)
+                    if len(parent) == len(lattice):
+                        return SspVerdict(a, parent, lattice)   # nothing more can be inserted
+                    nxt.append(p)
+        frontier = sorted(nxt)
     return SspVerdict(a, parent, lattice)
 
 
@@ -151,13 +144,15 @@ def local_ssp(a: FinRing, factors: list[tuple[int, SpecialPrimaryVerdict]],
     ideals I_e of the factors, and radicals and products go componentwise, so
     an ideal is a product of radicals exactly when each I_e is one in eA (a
     shorter product pads with eA, itself radical).  The radicals of the local
-    ring eA are its maximal ideal M_e and eA, so each factor's lattice
-    (`finideal._local_lattices`, bounded as `all_ideals` is) must be the
-    closure of {M_e, eA} under products.
+    ring eA are its maximal ideal M_e and eA, so the products of radicals in
+    eA are the powers M_e^k, with M_e^0 = eA.  They fall strictly until they
+    reach 0: M^k = M^(k+1) = M·M^k forces M^k = 0 by Nakayama, as M is
+    nilpotent.  So there are exactly t_e + 1 of them, t_e the nilpotency
+    index, and eA is SSP exactly when its lattice (`finideal._local_lattices`,
+    bounded as `all_ideals` is) holds t_e + 1 ideals.
     """
-    return all(len(_closure(_lattice_product(a, lattice), [v.maximal_ideal.mask, whole], whole,
-                            len(lattice))) == len(lattice)
-               for (whole, lattice), (_, v) in zip(_local_lattices(a, bounds), factors))
+    return all(len(lattice) == v.nilpotency_index + 1
+               for (_, lattice), (_, v) in zip(_local_lattices(a, bounds), factors))
 
 
 def local_factors(a: FinRing) -> list[tuple[int, SpecialPrimaryVerdict]]:

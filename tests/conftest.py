@@ -12,7 +12,8 @@ from radfact import cli
 from radfact import finring as fr
 from radfact import quadring as q
 from radfact.errors import DEFAULT_BOUNDS, Bounds, ResourceLimitError, exceeded
-from radfact.finideal import _span, all_ideals, generated_ideal, ideal_product
+from radfact.finideal import (_lattice_product, _local_lattices, _span, all_ideals,
+                              generated_ideal, ideal_product)
 from radfact.polychain import RatPoly, format_poly
 
 SEED = int(os.environ.get("RADFACT_SEED", "20260811"))
@@ -122,6 +123,24 @@ def reference_idealization_ssp(a, e):
         is_field = verdict.is_special_primary and verdict.nilpotency_index == 1
         if not (fe_size == 1 and verdict.is_special_primary
                 or is_field and fe_size == fa.order):
+            return False
+    return True
+
+
+def reference_local_ssp(a, factors, bounds=DEFAULT_BOUNDS):
+    """Oracle: `sspengine.local_ssp` by closing {M_e, eA} under
+    `finideal._lattice_product` on each `_local_lattices` lattice, breadth-first
+    with both seeds as multipliers, and asking that it reach every ideal there.
+    `factors` is `sspengine.local_factors(a)`.  Independent of the count of the
+    powers of M_e that `local_ssp` compares the lattice size with."""
+    for (whole, lattice), (_, v) in zip(_local_lattices(a, bounds), factors):
+        product = _lattice_product(a, lattice)
+        seeds = [v.maximal_ideal.mask, whole]
+        reached, frontier = set(seeds), seeds
+        while frontier:
+            frontier = {product(m, r) for m in frontier for r in seeds} - reached
+            reached |= frontier
+        if len(reached) != len(lattice):
             return False
     return True
 

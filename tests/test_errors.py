@@ -49,8 +49,8 @@ def _tree(name):
 
 def test_each_shared_decision_has_one_owner():
     owners = {"parse_quad_element": "errors.py", "_row_masks": "finring.py",
-              "_principal_ideals": "finring.py", "_principal_masks": "finring.py",
-              "text_chain": "polychain.py"}
+              "_principal_ideals": "finring.py", "_principal_ideals_in": "finring.py",
+              "_principal_masks": "finring.py", "text_chain": "polychain.py"}
     defined = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):

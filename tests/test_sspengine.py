@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import (drawn_relabelled_ring, part_specs, reference_distinct,
                       reference_ideal_image_masks, reference_idealization_ssp, reference_is_vnr,
-                      reference_primitive_idempotents, ring_specs)
+                      reference_local_ssp, reference_primitive_idempotents, ring_specs)
 from radfact import cli, finideal
 from radfact import finring as fr
 from radfact import sspengine as ssp
 from radfact.errors import Bounds, ResourceLimitError
-from radfact.finideal import all_ideals, generated_ideal, ideal_product, radical, whole_ideal
+from radfact.finideal import (all_ideals, generated_ideal, ideal_power, ideal_product, radical,
+                              whole_ideal)
 from test_cli import run_cli
 
 
@@ -108,13 +109,16 @@ def factor_fields(order, v):
 def assert_the_oracle_routes_agree(ring):
     """The walk finds the primitive idempotents of the pairwise scan, reading
     each local factor inside the ring gives the verdict of the factor ring
-    that `decompose_local` builds, and the census's closure per local factor
-    gives the verdict of the closure over the whole lattice."""
+    that `decompose_local` builds, and the census's count per local factor
+    gives the verdict of the closure of {M_e, eA} on each factor's lattice and
+    of the closure over the whole lattice."""
     assert fr._primitive_idempotents(ring) == reference_primitive_idempotents(ring), ring.label
-    assert [factor_fields(order, v) for order, v in ssp.local_factors(ring)] == \
+    factors = ssp.local_factors(ring)
+    assert [factor_fields(order, v) for order, v in factors] == \
         [factor_fields(f.order, fr.is_special_primary(f)) for f in fr.decompose_local(ring)], \
         ring.label
-    assert ssp.local_ssp(ring, ssp.local_factors(ring)) == ssp.radical_closure(ring).is_ssp, \
+    decided = ssp.local_ssp(ring, factors)
+    assert decided == reference_local_ssp(ring, factors) == ssp.radical_closure(ring).is_ssp, \
         ring.label
 
 
@@ -139,7 +143,31 @@ def test_the_local_verdict_matches_the_closure_on_drawn_products(parts):
         ring = fr.ring_from_dict({"product": parts}, Bounds(order=256))
     except ResourceLimitError:
         assume(False)
-    assert ssp.local_ssp(ring, ssp.local_factors(ring)) == ssp.radical_closure(ring).is_ssp
+    factors = ssp.local_factors(ring)
+    decided = ssp.local_ssp(ring, factors)
+    assert decided == reference_local_ssp(ring, factors) == ssp.radical_closure(ring).is_ssp
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_specs, st.integers(0, 2 ** 32 - 1))
+def test_the_products_of_radicals_of_a_local_ring_are_the_powers_of_its_maximal_ideal(spec,
+                                                                                      seed):
+    """The lemma `local_ssp` counts by: in a local ring A with maximal ideal M
+    and nilpotency index t, closing {M, A} under products gives exactly the
+    distinct powers M^0 = A, M, ..., M^t = 0."""
+    _, ring, _ = drawn_relabelled_ring(spec, seed, 128)
+    assume(fr._primitive_idempotents(ring) == [ring.one])
+    verdict = fr.is_special_primary(ring)
+    m, t = verdict.maximal_ideal, verdict.nilpotency_index
+    product = finideal._lattice_product(ring, {i.mask: i.small_gens() for i in all_ideals(ring)})
+    seeds = [m.mask, ring.whole_mask]
+    reached, frontier = set(seeds), seeds
+    while frontier:
+        frontier = {product(i, r) for i in frontier for r in seeds} - reached
+        reached |= frontier
+    powers = [ideal_power(m, k).mask for k in range(t + 1)]
+    assert len(set(powers)) == t + 1 and powers[-1] == 1 << ring.zero
+    assert reached == set(powers)
 
 
 def test_census_enumerates_no_whole_ring_lattice(monkeypatch):
@@ -151,6 +179,29 @@ def test_census_enumerates_no_whole_ring_lattice(monkeypatch):
     monkeypatch.setattr(ssp, "radical_closure", refuse)
     rows = cli.census_rows(cli.default_catalog_specs())
     assert len(rows) == 827 and all(r["agree"] for r in rows)
+
+
+def test_census_multiplies_no_ideals_and_closes_each_local_factor_once(monkeypatch):
+    """The census counts each factor's lattice against its maximal ideal's
+    powers: no `_lattice_product`, and one `_join_closure` per local factor."""
+    calls = {"_lattice_product": 0, "_join_closure": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in [(finideal, "_lattice_product"), (ssp, "_lattice_product"),
+                         (finideal, "_join_closure")]:
+        counted(module, name)
+    rows = cli.census_rows(cli.default_catalog_specs())
+    assert len(rows) == 827 and all(r["agree"] for r in rows)
+    assert calls == {"_lattice_product": 0,
+                     "_join_closure": sum(len(r["local_profile"]) for r in rows)}
 
 
 def test_census_of_a_product_of_large_idealizations_closes_each_factor_once(monkeypatch):
